@@ -50,18 +50,18 @@ from .transduction import (
     GaugeSpec,
     JouleHeating,
     LorentzDesign,
+    SensorDesign,
     bridge_output,
     end_to_end_response,
     ferro_deflection,
-    ferro_sensitivity,
     ferro_torque,
     fit_power_law_offset,
     joule_offset,
     joule_temperature_rise,
     lorentz_force,
-    lorentz_sensitivity,
     piezo_fractional_resistance,
     power_law_offset,
+    sensitivity,
 )
 from .noise import (
     BOLTZMANN,
@@ -72,7 +72,6 @@ from .noise import (
     min_detectable_field,
     noise_budget,
     rms_noise,
-    snr,
     thermal_electrical_psd,
     thermal_mechanical_psd,
 )

@@ -12,10 +12,8 @@ import numpy as np
 
 from .dynamics import frequency_response, simulate_transient
 from .errors import MemsmagError, ParseError, ValidationError
-from .mechanics import lumped_resonator
 from .noise import noise_budget
 from .scenario import Scenario, load_scenario
-from .transduction import LorentzDesign
 from .explorer import (
     emit_report,
     optimize,
@@ -45,17 +43,6 @@ def _config_path(args) -> str:
 
 def _load(args) -> Scenario:
     return load_scenario(_config_path(args))
-
-
-def _scenario_resonator(scenario: Scenario):
-    sensor = scenario.sensor
-    if isinstance(sensor, LorentzDesign):
-        return lumped_resonator(sensor.support_beam, scenario.quality_factor)
-    return lumped_resonator(
-        sensor.suspension,
-        scenario.quality_factor,
-        tip_mass=sensor.plate_mass / sensor.suspension_count,
-    )
 
 
 def _cmd_simulate(args) -> int:
@@ -128,7 +115,7 @@ def _cmd_noise(args) -> int:
 
 def _cmd_freq_response(args) -> int:
     scenario = _load(args)
-    resonator = _scenario_resonator(scenario)
+    resonator = scenario.sensor.resonator(scenario.quality_factor)
     f_min = args.f_min if args.f_min is not None else resonator.natural_frequency / 10.0
     f_max = args.f_max if args.f_max is not None else resonator.natural_frequency * 10.0
     if not 0 < f_min < f_max:
@@ -144,7 +131,7 @@ def _cmd_freq_response(args) -> int:
 
 def _cmd_transient(args) -> int:
     scenario = _load(args)
-    resonator = _scenario_resonator(scenario)
+    resonator = scenario.sensor.resonator(scenario.quality_factor)
     period = 1.0 / resonator.natural_frequency
     drive = scenario.drive
     if drive.waveform == "square" and drive.frequency > 0:

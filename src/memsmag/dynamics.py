@@ -8,21 +8,14 @@ anchor stress.
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .errors import MissingPropertyError, NoPeakError, StepTooLargeError, UnsettledError
+from .errors import NoPeakError, StepTooLargeError, UnsettledError
 from .mechanics import LumpedResonator
-from .transduction import (
-    Drive,
-    Environment,
-    FerroDesign,
-    LorentzDesign,
-    ferro_torque,
-    lorentz_force,
-)
+from .transduction import Drive, Environment, SensorDesign
 
 MIN_SWEEP_POINTS = 16
 
@@ -116,40 +109,9 @@ def find_resonance(
     return float(result.x)
 
 
-def _forcing_amplitude(design, drive: Drive, env: Environment) -> float:
-    """Peak force on one suspension beam for the given operating point."""
-    if isinstance(design, LorentzDesign):
-        total = lorentz_force(
-            drive.amplitude, design.top_beam_length, env.field_magnitude, env.field_angle
-        )
-        return total / design.load_share_count
-    torque = ferro_torque(
-        design.magnetization,
-        design.plate_volume,
-        env.field_magnitude,
-        env.field_angle + design.misalignment,
-    )
-    moment = torque / design.suspension_count
-    # Tip force producing the same tip deflection as the end moment.
-    return 1.5 * moment / design.suspension.length
-
-
-def _stress_per_deflection(design, resonator: LumpedResonator) -> float:
-    """Anchor stress per unit tip deflection for the design's load shape."""
-    if isinstance(design, LorentzDesign):
-        beam = design.support_beam
-        return 6.0 * beam.length * resonator.stiffness / (
-            beam.width * beam.total_thickness**2
-        )
-    beam = design.suspension
-    return 4.0 * resonator.stiffness * beam.length / (
-        beam.width * beam.total_thickness**2
-    )
-
-
 def simulate_transient(
     resonator: LumpedResonator,
-    design: Union[LorentzDesign, FerroDesign],
+    design: SensorDesign,
     drive: Drive,
     env: Environment,
     duration: float,
@@ -183,14 +145,11 @@ def simulate_transient(
     else:
         raise ValueError(f"unknown waveform {drive.waveform!r}")
 
-    pi = design.gauge.material.pi_longitudinal
-    if pi is None:
-        raise MissingPropertyError(design.gauge.material.name, ("pi_longitudinal",))
-    volts_per_meter = (
-        _stress_per_deflection(design, resonator) * pi * design.bridge_bias / 4.0
+    # One beam deflected by a metre carries a tip force equal to its stiffness.
+    volts_per_meter = design.bridge_voltage(
+        design.anchor_stress(resonator.stiffness, share_count=1)
     )
-
-    peak = _forcing_amplitude(design, drive, env)
+    peak = design.tip_force(drive, env, env.field_magnitude) / design.load_share_count
     freq = drive.frequency
     if period is None:
         def force(t):

@@ -20,19 +20,10 @@ from scipy.optimize import minimize
 
 from .beam_oracle import convergence_order, solve_static
 from .errors import InfeasibleError, MemsmagError, UnknownPathError
-from .mechanics import composite_section, lumped_resonator, tip_deflection
+from .mechanics import composite_section, tip_deflection
 from .noise import NoiseBudget, noise_budget
 from .scenario import Scenario, build_scenario
-from .transduction import (
-    LorentzDesign,
-    end_to_end_response,
-    ferro_deflection,
-    ferro_sensitivity,
-    ferro_torque,
-    joule_offset,
-    joule_temperature_rise,
-    lorentz_sensitivity,
-)
+from .transduction import end_to_end_response, joule_temperature_rise, sensitivity
 
 HIGH_CURRENT_WARNING = (
     "drive amplitude exceeds 1 mA: self-heating is not negligible"
@@ -104,42 +95,16 @@ def _stress_margin(beam, stress: float) -> float:
 def run_scenario(scenario: Scenario) -> SimulationReport:
     """Populate every report field for one operating point."""
     sensor, drive, env = scenario.sensor, scenario.drive, scenario.environment
-    if isinstance(sensor, LorentzDesign):
-        with _stage("transduction"):
-            sensitivity = lorentz_sensitivity(sensor, drive, env)
-            chain = end_to_end_response(
-                sensor, drive, env, scenario.offset_coefficient
-            )
-            heating = joule_temperature_rise(
-                drive.amplitude, sensor.loop_resistance, scenario.thermal_resistance
-            )
-        offset, output, stress = chain.offset, chain.output, chain.stress
-        with _stage("mechanics"):
-            resonator = lumped_resonator(sensor.support_beam, scenario.quality_factor)
-            deflection = chain.force / (sensor.load_share_count * resonator.stiffness)
-            margin = _stress_margin(sensor.support_beam, stress)
-    else:
-        with _stage("transduction"):
-            sensitivity = ferro_sensitivity(sensor, env)
-            torque = ferro_torque(
-                sensor.magnetization,
-                sensor.plate_volume,
-                env.field_magnitude,
-                env.field_angle + sensor.misalignment,
-            )
-            response = ferro_deflection(sensor, torque)
-            offset = joule_offset(drive.amplitude, scenario.offset_coefficient)
-            # The plate has no drive loop, so no resistive self-heating.
-            heating = joule_temperature_rise(drive.amplitude, 0.0, 0.0)
-        output = sensitivity * env.field_magnitude + offset
-        stress, deflection = response.anchor_stress, response.tip_deflection
-        with _stage("mechanics"):
-            resonator = lumped_resonator(
-                sensor.suspension,
-                scenario.quality_factor,
-                tip_mass=sensor.plate_mass / sensor.suspension_count,
-            )
-            margin = _stress_margin(sensor.suspension, stress)
+    with _stage("transduction"):
+        signal_gain = sensitivity(sensor, drive, env)
+        chain = end_to_end_response(sensor, drive, env, scenario.offset_coefficient)
+        heating = joule_temperature_rise(
+            drive.amplitude, sensor.loop_resistance, scenario.thermal_resistance
+        )
+    with _stage("mechanics"):
+        resonator = sensor.resonator(scenario.quality_factor)
+        deflection = chain.force / (sensor.load_share_count * resonator.stiffness)
+        margin = _stress_margin(sensor.beam, chain.stress)
 
     with _stage("noise"):
         budget = noise_budget(
@@ -150,11 +115,11 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
     if heating.high_current:
         warnings_list.append(HIGH_CURRENT_WARNING)
     return SimulationReport(
-        sensitivity=sensitivity,
-        offset=offset,
-        output_at_field=output,
+        sensitivity=signal_gain,
+        offset=chain.offset,
+        output_at_field=chain.output,
         tip_deflection=deflection,
-        anchor_stress=stress,
+        anchor_stress=chain.stress,
         stress_margin=margin,
         resonant_frequency=resonator.natural_frequency,
         quality_factor=scenario.quality_factor,
@@ -385,8 +350,7 @@ def oracle_check(scenario: Scenario, grid_size: int = 400) -> dict:
     finite-difference solution on the scenario's suspension beam and
     measures the solver's convergence order.
     """
-    sensor = scenario.sensor
-    beam = sensor.support_beam if isinstance(sensor, LorentzDesign) else sensor.suspension
+    beam = scenario.sensor.beam
     force = 1e-9
     section = composite_section(beam)
     analytic_tip = tip_deflection(section, beam.length, force)

@@ -19,6 +19,23 @@ CAPABILITY_FIELDS = {
 }
 
 
+# Physical bounds on material fields: (field, test, requirement).
+_BOUNDS = (
+    ("youngs_modulus", lambda v: v > 0, "must be > 0"),
+    ("density", lambda v: v > 0, "must be > 0"),
+    ("poisson_ratio", lambda v: 0 <= v < 0.5, "must be in [0, 0.5)"),
+)
+
+
+def bound_violations(values: dict) -> list:
+    """(field, requirement) for each bounded field of `values` out of range."""
+    return [
+        (field, requirement)
+        for field, test, requirement in _BOUNDS
+        if field in values and not test(values[field])
+    ]
+
+
 @dataclass(frozen=True)
 class Material:
     """One film material. SI units throughout; optional fields may be None.
@@ -40,12 +57,12 @@ class Material:
     saturation_magnetization: float | None = None  # A/m
 
     def __post_init__(self):
-        if self.youngs_modulus <= 0:
-            raise ValueError(f"{self.name}: youngs_modulus must be > 0")
-        if self.density <= 0:
-            raise ValueError(f"{self.name}: density must be > 0")
-        if not 0 <= self.poisson_ratio < 0.5:
-            raise ValueError(f"{self.name}: poisson_ratio must be in [0, 0.5)")
+        violations = bound_violations(vars(self))
+        if violations:
+            raise ValueError(
+                f"{self.name}: "
+                + "; ".join(f"{field} {requirement}" for field, requirement in violations)
+            )
 
 
 @dataclass(frozen=True)

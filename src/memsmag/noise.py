@@ -9,26 +9,11 @@ field.
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 from .errors import DomainError, MissingPropertyError
-from .mechanics import lumped_resonator
-from .transduction import (
-    Drive,
-    Environment,
-    FerroDesign,
-    GaugeSpec,
-    LorentzDesign,
-    ferro_sensitivity,
-    lorentz_sensitivity,
-)
+from .transduction import Drive, Environment, GaugeSpec, SensorDesign, sensitivity
 
 BOLTZMANN = 1.380649e-23  # J/K
-
-# Thermal noise of the three static bridge resistors is folded in through
-# this multiplier on the single-arm PSD; 1.0 is the common one-active-gauge
-# approximation.
-DEFAULT_BRIDGE_FACTOR = 1.0
 
 DEFAULT_QUALITY_FACTOR = 30.0
 
@@ -129,39 +114,18 @@ def _gauge_voltage(bridge_bias: float) -> float:
     return bridge_bias / 2.0
 
 
-def _force_to_voltage_gain(design) -> float:
-    """Static gain from tip force on the moving structure to bridge volts."""
-    pi = design.gauge.material.pi_longitudinal
-    if pi is None:
-        raise MissingPropertyError(design.gauge.material.name, ("pi_longitudinal",))
-    if isinstance(design, LorentzDesign):
-        beam, share = design.support_beam, design.load_share_count
-    else:
-        beam, share = design.suspension, design.suspension_count
-    stress_per_force = 6.0 * beam.length / (
-        beam.width * beam.total_thickness**2 * share
-    )
-    return stress_per_force * pi * design.bridge_bias / 4.0
-
-
-def _signal_sensitivity(design, drive: Drive, env: Environment) -> float:
-    if isinstance(design, LorentzDesign):
-        return lorentz_sensitivity(design, drive, env)
-    return ferro_sensitivity(design, env)
-
-
 def noise_budget(
-    design: Union[LorentzDesign, FerroDesign],
+    design: SensorDesign,
     drive: Drive,
     env: Environment,
     band: tuple,
     quality_factor: float = DEFAULT_QUALITY_FACTOR,
-    bridge_factor: float = DEFAULT_BRIDGE_FACTOR,
 ) -> NoiseBudget:
     """Full budget at the bridge output for one operating point.
 
     Flicker needs the gauge material's Hooge alpha and carrier density; the
-    mechanical term uses the suspension damping at the given quality factor.
+    mechanical term uses the damping of the design's resonator at the given
+    quality factor, referred through the bridge volts per unit tip force.
     """
     gauge = design.gauge
     if gauge.material.hooge_alpha is None:
@@ -169,20 +133,17 @@ def noise_budget(
     alpha = gauge.material.hooge_alpha
     voltage = _gauge_voltage(design.bridge_bias)
 
-    electrical = bridge_factor * thermal_electrical_psd(
-        gauge.resistance, env.temperature
-    )
-    beam = design.support_beam if isinstance(design, LorentzDesign) else design.suspension
-    damping = lumped_resonator(beam, quality_factor).damping
-    gain = _force_to_voltage_gain(design)
+    electrical = thermal_electrical_psd(gauge.resistance, env.temperature)
+    damping = design.resonator(quality_factor).damping
+    gain = design.bridge_voltage(design.anchor_stress(1.0))
     mechanical = thermal_mechanical_psd(damping, env.temperature) * gain**2
 
     flicker_scale = alpha * voltage**2 / carrier_count(gauge)
     corner = flicker_scale / electrical
 
     rms = rms_noise(electrical + mechanical, flicker_scale, band)
-    sensitivity = _signal_sensitivity(design, drive, env)
-    signal = abs(sensitivity * env.field_magnitude)
+    signal_gain = sensitivity(design, drive, env)
+    signal = abs(signal_gain * env.field_magnitude)
     return NoiseBudget(
         thermal_electrical_psd=electrical,
         thermal_mechanical_psd_referred=mechanical,
@@ -191,16 +152,5 @@ def noise_budget(
         rms=rms,
         corner_frequency=corner,
         snr=signal / rms,
-        min_detectable_field=min_detectable_field(sensitivity, rms, env.snr_target),
+        min_detectable_field=min_detectable_field(signal_gain, rms, env.snr_target),
     )
-
-
-def snr(
-    design: Union[LorentzDesign, FerroDesign],
-    drive: Drive,
-    env: Environment,
-    band: tuple,
-    quality_factor: float = DEFAULT_QUALITY_FACTOR,
-) -> float:
-    """Signal voltage at the ambient field over the band RMS noise."""
-    return noise_budget(design, drive, env, band, quality_factor).snr

@@ -8,17 +8,30 @@ Scenario so reports can echo the exact inputs.
 """
 
 import copy
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Union
 
 import yaml
 
 from .errors import NotFoundError, ParseError, ValidationError
-from .materials import LayerSpec, Material, builtin_material, override_material
+from .materials import (
+    LayerSpec,
+    Material,
+    bound_violations,
+    builtin_material,
+    override_material,
+)
 from .mechanics import BeamGeometry
-from .transduction import Drive, Environment, FerroDesign, GaugeSpec, LorentzDesign
+from .transduction import (
+    Drive,
+    Environment,
+    FerroDesign,
+    GaugeSpec,
+    LorentzDesign,
+    SensorDesign,
+)
 
 SENSOR_KINDS = ("lorentz", "ferro")
 
@@ -68,7 +81,7 @@ _MATERIAL_FIELDS = {f.name for f in Material.__dataclass_fields__.values()} - {"
 class Scenario:
     """One fully resolved operating point ready to simulate."""
 
-    sensor: Union[LorentzDesign, FerroDesign]
+    sensor: SensorDesign
     drive: Drive
     environment: Environment
     noise_band: tuple
@@ -125,6 +138,11 @@ def _check_keys(node: dict, allowed: set, path: str, violations: list) -> None:
             violations.append(f"{path}{key}: unknown field")
 
 
+def _finite(value) -> bool:
+    # False for NaN, +-inf and integers too large to become a float.
+    return abs(value) <= sys.float_info.max
+
+
 def _num(node, key, path, violations, *, ge=None, gt=None, integer=False):
     """Fetch a numeric field, recording a violation instead of raising."""
     if key not in node:
@@ -133,6 +151,9 @@ def _num(node, key, path, violations, *, ge=None, gt=None, integer=False):
     value = node[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         violations.append(f"{path}{key}: expected a number, got {value!r}")
+        return None
+    if not _finite(value):
+        violations.append(f"{path}{key}: must be a finite number, got {value}")
         return None
     if integer and int(value) != value:
         violations.append(f"{path}{key}: expected an integer, got {value!r}")
@@ -257,13 +278,16 @@ def _validate_overrides(node, violations) -> None:
         if not isinstance(fields, dict):
             violations.append(f"{path}: expected a mapping of material fields")
             continue
-        for fname, fvalue in fields.items():
+        numbers = {}
+        for fname in fields:
             if fname not in _MATERIAL_FIELDS:
                 violations.append(f"{path}.{fname}: unknown material field")
-            elif isinstance(fvalue, bool) or not isinstance(fvalue, (int, float)):
-                violations.append(
-                    f"{path}.{fname}: expected a number, got {fvalue!r}"
-                )
+                continue
+            value = _num(fields, fname, f"{path}.", violations)
+            if value is not None:
+                numbers[fname] = value
+        for fname, requirement in bound_violations(numbers):
+            violations.append(f"{path}.{fname}: {requirement}, got {numbers[fname]}")
 
 
 def validate_tree(tree: dict) -> list:
@@ -278,9 +302,9 @@ def validate_tree(tree: dict) -> list:
     if (
         not isinstance(band, (list, tuple))
         or len(band) != 2
-        or not all(isinstance(f, (int, float)) for f in band)
+        or not all(isinstance(f, (int, float)) and _finite(f) for f in band)
     ):
-        violations.append(f"noise_band: expected two frequencies, got {band!r}")
+        violations.append(f"noise_band: expected two finite frequencies, got {band!r}")
     elif not 0 < band[0] < band[1]:
         violations.append(f"noise_band: must satisfy 0 < f1 < f2, got {band!r}")
 

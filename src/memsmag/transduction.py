@@ -3,16 +3,24 @@
 Lorentz route: drive current through the released loop, force on the top
 beam, bending stress at the support-beam anchors, piezoresistive gauge,
 Wheatstone bridge. Ferromagnetic route: torque on a magnetized plate carried
-by its suspension beams, same gauge/bridge back end. Also the drive-current
-self-heating effects: the quadratic bridge offset and the loop temperature
-rise.
+by its suspension beams, same gauge/bridge back end. Each design states its
+front end once (see SensorDesign); the chain below it is shared. Also the
+drive-current self-heating effects: the quadratic bridge offset and the loop
+temperature rise.
 """
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 from .errors import InvalidCalibrationError, MissingPropertyError
-from .mechanics import BeamGeometry, composite_section, max_anchor_stress
+from .mechanics import (
+    BeamGeometry,
+    LumpedResonator,
+    composite_section,
+    lumped_resonator,
+    max_anchor_stress,
+)
 
 # Quadratic offset coefficient reproducing the measured 0.03 mV at 10 mA.
 DEFAULT_OFFSET_COEFFICIENT = 0.3  # V/A^2
@@ -25,6 +33,10 @@ HIGH_CURRENT_THRESHOLD = 1e-3  # A
 
 # The released plate does not sit perfectly parallel to the substrate.
 DEFAULT_MISALIGNMENT = math.radians(5.0)  # rad
+
+# An end moment M0 deflects a cantilever tip as far as a tip force
+# 1.5*M0/l does: M0*l^2/(2EI) = F*l^3/(3EI).
+END_MOMENT_TIP_FORCE = 1.5  # tip force per unit M0/l
 
 
 @dataclass
@@ -53,9 +65,56 @@ class Environment:
     snr_target: float = 1.0
 
 
+class SensorDesign:
+    """A sensor kind's front end, as the shared chain sees it.
+
+    Each kind supplies its `beam`, the number of beams that share the load
+    (`load_share_count`), the rigid `tip_mass` on each beam, the equivalent
+    tip force its field load puts on those beams (`tip_force`), and the
+    anchor moment that tip force stands for (`anchor_moment_ratio`). The
+    resonator, anchor stress and bridge voltage follow from these the same
+    way for every kind.
+    """
+
+    # Anchor moment per unit tip force, as a fraction of the beam length.
+    anchor_moment_ratio = 1.0
+
+    def resonator(self, quality_factor: float) -> LumpedResonator:
+        """One beam reduced to a spring/mass/damper, tip mass included."""
+        return lumped_resonator(self.beam, quality_factor, tip_mass=self.tip_mass)
+
+    def anchor_stress(self, tip_force: float, share_count: Optional[int] = None) -> float:
+        """Anchor bending stress when share_count beams carry tip_force.
+
+        share_count defaults to the design's load_share_count; pass 1 for
+        the force on a single beam.
+        """
+        beam = self.beam
+        if share_count is None:
+            share_count = self.load_share_count
+        return max_anchor_stress(
+            tip_force * self.anchor_moment_ratio,
+            beam.length,
+            beam.width,
+            beam.total_thickness,
+            share_count,
+        )
+
+    def bridge_voltage(self, stress: float) -> float:
+        """Bridge output for an anchor stress, through the design's gauge."""
+        return bridge_output(
+            piezo_fractional_resistance(stress, _gauge_pi(self.gauge)),
+            self.bridge_bias,
+        )
+
+
 @dataclass
-class LorentzDesign:
-    """Current loop on released beams, force picked up by a gauge bridge."""
+class LorentzDesign(SensorDesign):
+    """Current loop on released beams, force picked up by a gauge bridge.
+
+    The field load is the Lorentz force on the top beam, a tip force shared
+    by load_share_count anchored beams.
+    """
 
     top_beam_length: float  # m, current-carrying segment normal to the legs
     support_beam: BeamGeometry
@@ -64,10 +123,27 @@ class LorentzDesign:
     bridge_bias: float  # V
     load_share_count: int = 3  # anchored beams sharing the tip load
 
+    tip_mass = 0.0  # kg, the loop's top beam is not modeled as a rigid mass
+
+    @property
+    def beam(self) -> BeamGeometry:
+        return self.support_beam
+
+    def tip_force(self, drive: Drive, env: Environment, field: float) -> float:
+        """Force on the top beam at `field` tesla."""
+        return lorentz_force(
+            drive.amplitude, self.top_beam_length, field, env.field_angle
+        )
+
 
 @dataclass
-class FerroDesign:
-    """Magnetized plate on suspension beams, torque read out by the bridge."""
+class FerroDesign(SensorDesign):
+    """Magnetized plate on suspension beams, torque read out by the bridge.
+
+    The field load is the plate torque, an end moment torque/suspension_count
+    on each suspension beam. It enters the lumped model as the tip force of
+    equal tip deflection, END_MOMENT_TIP_FORCE * moment / length.
+    """
 
     plate_length: float  # m
     plate_width: float  # m
@@ -80,6 +156,9 @@ class FerroDesign:
     misalignment: float = DEFAULT_MISALIGNMENT  # rad, added to the field angle
     plate_density: float = 8900.0  # kg/m^3, nickel
 
+    anchor_moment_ratio = 1.0 / END_MOMENT_TIP_FORCE
+    loop_resistance = 0.0  # Ohm, no drive loop, so no resistive self-heating
+
     @property
     def plate_volume(self) -> float:
         return self.plate_length * self.plate_width * self.plate_thickness
@@ -87,6 +166,29 @@ class FerroDesign:
     @property
     def plate_mass(self) -> float:
         return self.plate_volume * self.plate_density
+
+    @property
+    def beam(self) -> BeamGeometry:
+        return self.suspension
+
+    @property
+    def load_share_count(self) -> int:
+        return self.suspension_count
+
+    @property
+    def tip_mass(self) -> float:
+        """The plate mass, carried equally at the suspension tips."""
+        return self.plate_mass / self.suspension_count
+
+    def tip_force(self, drive: Drive, env: Environment, field: float) -> float:
+        """Tip force matching the deflection of the plate torque at `field`."""
+        torque = ferro_torque(
+            self.magnetization,
+            self.plate_volume,
+            field,
+            env.field_angle + self.misalignment,
+        )
+        return END_MOMENT_TIP_FORCE * torque / self.suspension.length
 
 
 @dataclass
@@ -98,8 +200,8 @@ class FerroResponse:
 @dataclass
 class ChainResponse:
     output: float  # V, signal plus offset
-    stress: float  # Pa, at the support-beam anchor
-    force: float  # N, on the top beam
+    stress: float  # Pa, at the beam anchor
+    force: float  # N, equivalent tip force shared by the beams
     offset: float  # V, field-independent self-heating term
 
 
@@ -131,14 +233,17 @@ def ferro_torque(magnetization: float, plate_volume: float, field: float, angle:
 def ferro_deflection(design: FerroDesign, torque: float) -> FerroResponse:
     """Suspension response to a plate torque, split equally across beams.
 
-    Each beam carries the end moment torque/suspension_count; tip deflection
-    is M0*l^2/(2EI) and the anchor bending stress is 6*M0/(w*t^2).
+    Each beam carries the end moment M0 = torque/suspension_count; tip
+    deflection is M0*l^2/(2EI) and the anchor stress is that of a tip force
+    M0/l.
     """
     beam = design.suspension
     moment = torque / design.suspension_count
     section = composite_section(beam)
     deflection = moment * beam.length**2 / (2.0 * section.flexural_rigidity)
-    stress = 6.0 * moment / (beam.width * beam.total_thickness**2)
+    stress = max_anchor_stress(
+        moment / beam.length, beam.length, beam.width, beam.total_thickness, 1
+    )
     return FerroResponse(tip_deflection=deflection, anchor_stress=stress)
 
 
@@ -154,40 +259,15 @@ def bridge_output(fractional_resistance: float, bias: float) -> float:
     return bias * fractional_resistance / 4.0
 
 
-def lorentz_sensitivity(design: LorentzDesign, drive: Drive, env: Environment) -> float:
+def sensitivity(design: SensorDesign, drive: Drive, env: Environment) -> float:
     """Small-signal dV_out/dB as the product of the three stage gains.
 
-    (I*L*sin angle) * (6l/(w*t^2*n)) * pi_l * (V_bias/4); zero drive gives a
-    zero sensitivity rather than an error.
+    (tip force per tesla) * (anchor stress per unit tip force) * pi_l *
+    (V_bias/4); zero drive on the current loop gives a zero sensitivity
+    rather than an error.
     """
-    pi = _gauge_pi(design.gauge)
-    beam = design.support_beam
-    force_per_field = (
-        drive.amplitude * design.top_beam_length * math.sin(env.field_angle)
-    )
-    stress_per_force = 6.0 * beam.length / (
-        beam.width * beam.total_thickness**2 * design.load_share_count
-    )
-    return force_per_field * stress_per_force * pi * design.bridge_bias / 4.0
-
-
-def ferro_sensitivity(design: FerroDesign, env: Environment) -> float:
-    """Small-signal dV_out/dB of the plate sensor.
-
-    Torque per field M*V_plate*sin(field angle + misalignment), shared across
-    the suspension beams, converted through the same gauge/bridge back end.
-    """
-    pi = _gauge_pi(design.gauge)
-    beam = design.suspension
-    angle = env.field_angle + design.misalignment
-    moment_per_field = (
-        design.magnetization * design.plate_volume * math.sin(angle)
-        / design.suspension_count
-    )
-    stress_per_field = 6.0 * moment_per_field / (
-        beam.width * beam.total_thickness**2
-    )
-    return stress_per_field * pi * design.bridge_bias / 4.0
+    per_field = design.tip_force(drive, env, 1.0) * design.anchor_stress(1.0)
+    return design.bridge_voltage(per_field)
 
 
 def joule_offset(current: float, offset_coefficient: float = DEFAULT_OFFSET_COEFFICIENT) -> float:
@@ -234,27 +314,19 @@ def joule_temperature_rise(
 
 
 def end_to_end_response(
-    design: LorentzDesign,
+    design: SensorDesign,
     drive: Drive,
     env: Environment,
     offset_coefficient: float = DEFAULT_OFFSET_COEFFICIENT,
 ) -> ChainResponse:
-    """Static output of the Lorentz chain with the self-heating offset.
+    """Static output of the chain with the self-heating offset.
 
     The field-dependent part is odd in B; the offset is even in I and takes
     no field argument, so output(-B) + output(B) = 2*offset identically.
     """
-    beam = design.support_beam
-    force = lorentz_force(
-        drive.amplitude, design.top_beam_length, env.field_magnitude, env.field_angle
-    )
-    stress = max_anchor_stress(
-        force, beam.length, beam.width, beam.total_thickness, design.load_share_count
-    )
-    signal = bridge_output(
-        piezo_fractional_resistance(stress, _gauge_pi(design.gauge)),
-        design.bridge_bias,
-    )
+    force = design.tip_force(drive, env, env.field_magnitude)
+    stress = design.anchor_stress(force)
+    signal = design.bridge_voltage(stress)
     offset = joule_offset(drive.amplitude, offset_coefficient)
     return ChainResponse(
         output=signal + offset, stress=stress, force=force, offset=offset

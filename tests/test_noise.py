@@ -15,11 +15,12 @@ from memsmag import (
     corner_frequency,
     default_scenario,
     flicker_psd,
+    lumped_resonator,
     min_detectable_field,
     noise_budget,
     override_material,
     rms_noise,
-    snr,
+    run_scenario,
     thermal_electrical_psd,
     thermal_mechanical_psd,
 )
@@ -166,11 +167,37 @@ def test_snr_scaling():
 
     def at(field, temperature=300.0):
         env = Environment(field_magnitude=field, temperature=temperature)
-        return snr(sensor, drive, env, band)
+        return noise_budget(sensor, drive, env, band).snr
 
     assert at(0.0) == 0.0
     assert at(2e-3) == pytest.approx(2 * at(1e-3), rel=1e-9)
     assert at(1e-3, temperature=400.0) < at(1e-3, temperature=300.0)
+
+
+@pytest.mark.parametrize("kind", ["lorentz", "ferro"])
+def test_report_noise_uses_report_resonator_and_gain(kind):
+    # The mechanical noise must come from the resonator whose f0 the report
+    # shows and the stress-per-deflection gain behind the report's statics.
+    scenario = default_scenario(kind)
+    sensor = scenario.sensor
+    if kind == "lorentz":
+        beam, tip_mass, share = sensor.support_beam, 0.0, sensor.load_share_count
+    else:
+        share = sensor.suspension_count
+        beam, tip_mass = sensor.suspension, sensor.plate_mass / share
+    report = run_scenario(scenario)
+    resonator = lumped_resonator(beam, scenario.quality_factor, tip_mass)
+    assert resonator.natural_frequency == report.resonant_frequency
+
+    stress_per_force = report.anchor_stress / report.tip_deflection / (
+        share * resonator.stiffness
+    )
+    gauge = sensor.gauge.material.pi_longitudinal * sensor.bridge_bias / 4.0
+    gain = stress_per_force * gauge
+    temperature = scenario.environment.temperature
+    expected = 4.0 * BOLTZMANN * temperature * resonator.damping * gain**2
+    ratio = report.noise.thermal_mechanical_psd_referred / expected
+    assert ratio == pytest.approx(1.0, rel=1e-9)
 
 
 def test_boltzmann_constant():

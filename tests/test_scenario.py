@@ -1,3 +1,4 @@
+import math
 import re
 
 import pytest
@@ -159,3 +160,31 @@ def test_parse_error_non_mapping(tmp_path):
 def test_missing_file():
     with pytest.raises(FileNotFoundError):
         load_scenario("/nonexistent/scenario.yaml")
+
+
+@pytest.mark.parametrize(
+    "tree, path",
+    [
+        ({"environment": {"field_angle": math.nan}}, "environment.field_angle"),
+        (
+            {"material_overrides": {"silicon": {"pi_longitudinal": math.nan}}},
+            "material_overrides.silicon.pi_longitudinal",
+        ),
+        ({"drive": {"amplitude": math.inf}}, "drive.amplitude"),
+        (
+            {"sensor": {"kind": "lorentz", "support_beam": {"layers": [
+                {"material": "silicon", "thickness": 1.0e-6,
+                 "residual_stress": math.inf}]}}},
+            "sensor.support_beam.layers[0].residual_stress",
+        ),
+        (
+            {"material_overrides": {"silicon": {"youngs_modulus": -1}}},
+            "material_overrides.silicon.youngs_modulus",
+        ),
+        ({"quality_factor": 10**400}, "quality_factor"),
+    ],
+)
+def test_non_finite_and_out_of_range_named(tree, path):
+    with pytest.raises(ValidationError) as excinfo:
+        build_scenario(tree)
+    assert any(v.startswith(f"{path}:") for v in excinfo.value.violations)

@@ -11,16 +11,15 @@ from memsmag import (
     default_scenario,
     end_to_end_response,
     ferro_deflection,
-    ferro_sensitivity,
     ferro_torque,
     fit_power_law_offset,
     joule_offset,
     joule_temperature_rise,
     lorentz_force,
-    lorentz_sensitivity,
     override_material,
     piezo_fractional_resistance,
     power_law_offset,
+    sensitivity,
 )
 
 
@@ -56,15 +55,15 @@ def test_gauge_response_examples():
 def test_lorentz_sensitivity_zero_drive():
     scenario = default_scenario("lorentz")
     quiet = Drive(waveform="dc", amplitude=0.0)
-    assert lorentz_sensitivity(scenario.sensor, quiet, scenario.environment) == 0.0
+    assert sensitivity(scenario.sensor, quiet, scenario.environment) == 0.0
 
 
 def test_default_sensitivities():
     lorentz = default_scenario("lorentz")
-    s = lorentz_sensitivity(lorentz.sensor, lorentz.drive, lorentz.environment)
+    s = sensitivity(lorentz.sensor, lorentz.drive, lorentz.environment)
     assert s == pytest.approx(0.0803403, rel=1e-5)
     ferro = default_scenario("ferro")
-    assert ferro_sensitivity(ferro.sensor, ferro.environment) == pytest.approx(
+    assert sensitivity(ferro.sensor, ferro.drive, ferro.environment) == pytest.approx(
         0.0393558, rel=1e-5
     )
 
@@ -73,7 +72,7 @@ def test_sensitivity_needs_gauge_coefficient():
     scenario = default_scenario("lorentz")
     scenario.sensor.gauge.material = builtin_material("silicon_nitride")
     with pytest.raises(MissingPropertyError, match="pi_longitudinal"):
-        lorentz_sensitivity(scenario.sensor, scenario.drive, scenario.environment)
+        sensitivity(scenario.sensor, scenario.drive, scenario.environment)
 
 
 def test_chain_identity():
@@ -165,16 +164,16 @@ def test_ferro_misalignment_keeps_aligned_field_responsive():
     # At field_angle = 0 the deliberate mount misalignment still couples.
     scenario = default_scenario("ferro")
     env = Environment(field_magnitude=0.4, field_angle=0.0)
-    assert ferro_sensitivity(scenario.sensor, env) > 0
+    assert sensitivity(scenario.sensor, scenario.drive, env) > 0
     assert scenario.sensor.misalignment == pytest.approx(math.radians(5.0))
 
 
 def test_override_changes_gauge_response():
     scenario = default_scenario("lorentz")
     sensor = scenario.sensor
-    base = lorentz_sensitivity(sensor, scenario.drive, scenario.environment)
+    base = sensitivity(sensor, scenario.drive, scenario.environment)
     sensor.gauge.material = override_material(
         sensor.gauge.material, pi_longitudinal=2.04e-9
     )
-    doubled = lorentz_sensitivity(sensor, scenario.drive, scenario.environment)
+    doubled = sensitivity(sensor, scenario.drive, scenario.environment)
     assert doubled == pytest.approx(2 * base, rel=1e-9)
