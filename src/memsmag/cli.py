@@ -251,19 +251,10 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.handler(args)
-    except (ValidationError, ParseError) as exc:
+    except (ValidationError, ParseError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MemsmagError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (MemsmagError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

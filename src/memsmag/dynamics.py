@@ -22,6 +22,9 @@ MIN_SWEEP_POINTS = 16
 # Steps per natural period below which RK4 phase error is unacceptable.
 MIN_STEPS_PER_PERIOD = 50
 
+# Most steps one transient may take; each step stores four float64 samples.
+MAX_TRANSIENT_STEPS = 10_000_000
+
 
 @dataclass
 class FrequencyResponsePoint:
@@ -128,6 +131,11 @@ def simulate_transient(
     """
     if duration <= 0 or dt <= 0:
         raise ValueError("duration and dt must be > 0")
+    if duration / dt > MAX_TRANSIENT_STEPS:
+        raise ValueError(
+            f"duration / dt = {duration / dt:.3e} steps exceeds the cap of "
+            f"{MAX_TRANSIENT_STEPS} steps"
+        )
     f0 = resonator.natural_frequency
     if dt > 1.0 / (MIN_STEPS_PER_PERIOD * f0):
         raise StepTooLargeError(

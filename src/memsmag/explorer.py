@@ -145,32 +145,34 @@ def _path_steps(path: str) -> list:
     return steps
 
 
-def _walk(tree, path: str, stop_short: int = 0):
-    node = tree
+def _with_value(tree, path: str, value: float):
+    """A new tree with the numeric field at `path` set to `value`.
+
+    Only the containers along the path are copied; the rest is shared
+    with `tree`, which is left unchanged.
+    """
     steps = _path_steps(path)
-    for step in steps[: len(steps) - stop_short]:
+    nodes = [tree]
+    for step in steps:
         try:
-            node = node[step]
+            nodes.append(nodes[-1][step])
         except (KeyError, IndexError, TypeError):
             raise UnknownPathError(f"{path}: no such field in the scenario") from None
-    return node, steps
-
-
-def _set_path(tree: dict, path: str, value: float) -> None:
-    parent, steps = _walk(tree, path, stop_short=1)
-    try:
-        existing = parent[steps[-1]]
-    except (KeyError, IndexError, TypeError):
-        raise UnknownPathError(f"{path}: no such field in the scenario") from None
+    existing = nodes.pop()
     if isinstance(existing, bool) or not isinstance(existing, (int, float)):
         raise UnknownPathError(f"{path}: not a numeric field")
-    parent[steps[-1]] = value
+    new = value
+    for node, step in zip(reversed(nodes), reversed(steps)):
+        node = copy.copy(node)
+        node[step] = new
+        new = node
+    return new
 
 
 def _at_value(scenario: Scenario, assignments) -> Scenario:
-    tree = copy.deepcopy(scenario.tree)
+    tree = scenario.tree
     for path, value in assignments:
-        _set_path(tree, path, float(value))
+        tree = _with_value(tree, path, float(value))
     return build_scenario(tree)
 
 
@@ -199,7 +201,7 @@ def sweep(
         raise ValueError(f"scale must be 'linear' or 'log', got {scale!r}")
 
     # Surface a bad path once, up front, rather than once per point.
-    _set_path(copy.deepcopy(scenario.tree), parameter_path, float(values[0]))
+    _with_value(scenario.tree, parameter_path, float(values[0]))
 
     reports, errors = [], []
     for value in values:
@@ -273,7 +275,7 @@ def optimize(
     if not 1 <= len(params) <= MAX_FREE_PARAMETERS:
         raise ValueError(f"need 1..{MAX_FREE_PARAMETERS} free parameters")
     for path, _, _ in params:
-        _set_path(copy.deepcopy(scenario.tree), path, 1.0)
+        _with_value(scenario.tree, path, 1.0)
     limits = dict(DEFAULT_CONSTRAINTS)
     limits.update(constraints or {})
     score = _objective_fn(objective)

@@ -1,27 +1,30 @@
 """Scenario configuration: packaged defaults, file loading, validation.
 
 A scenario is a plain key tree (YAML on disk, dicts in memory) in SI base
-units with no unit suffixes. User files are merged over the packaged
-default for the chosen sensor kind, every invariant is checked with all
-violations collected, and the fully resolved tree rides along in the built
-Scenario so reports can echo the exact inputs.
+units with no unit suffixes. The keys of each mapping are the field names
+of the record it builds (see _SENSORS for the sensor kinds). User files are
+merged over the packaged default for the chosen sensor kind, every
+invariant is checked with all violations collected, and the fully resolved
+tree rides along in the built Scenario so reports can echo the exact inputs.
 """
 
 import copy
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from importlib import resources
 
 import yaml
 
-from .errors import NotFoundError, ParseError, ValidationError
+from .errors import MissingPropertyError, NotFoundError, ParseError, ValidationError
 from .materials import (
+    CAPABILITY_FIELDS,
     LayerSpec,
     Material,
     bound_violations,
     builtin_material,
     override_material,
+    validate_for,
 )
 from .mechanics import BeamGeometry
 from .transduction import (
@@ -33,47 +36,35 @@ from .transduction import (
     SensorDesign,
 )
 
-SENSOR_KINDS = ("lorentz", "ferro")
-
-_TOP_KEYS = {
-    "sensor",
-    "drive",
-    "environment",
-    "noise_band",
-    "quality_factor",
-    "offset_coefficient",
-    "thermal_resistance",
-    "material_overrides",
-}
-_SENSOR_KEYS = {
-    "lorentz": {
-        "kind",
-        "top_beam_length",
+# One row per sensor kind: the design record it builds, the key of its
+# beam, and the bounds of its own numeric fields in the order they are
+# checked. Every other sensor key is shared by both kinds.
+_SENSORS = {
+    "lorentz": (
+        LorentzDesign,
         "support_beam",
-        "gauge",
-        "loop_resistance",
-        "bridge_bias",
-        "load_share_count",
-    },
-    "ferro": {
-        "kind",
-        "plate_length",
-        "plate_width",
-        "plate_thickness",
-        "plate_density",
-        "magnetization",
+        (
+            ("top_beam_length", {"gt": 0}),
+            ("loop_resistance", {"gt": 0}),
+            ("load_share_count", {"ge": 1, "integer": True}),
+        ),
+    ),
+    "ferro": (
+        FerroDesign,
         "suspension",
-        "suspension_count",
-        "misalignment",
-        "gauge",
-        "bridge_bias",
-    },
+        (
+            ("plate_length", {"gt": 0}),
+            ("plate_width", {"gt": 0}),
+            ("plate_thickness", {"gt": 0}),
+            ("plate_density", {"gt": 0}),
+            ("magnetization", {"ge": 0}),
+            ("suspension_count", {"ge": 1, "integer": True}),
+            ("misalignment", {}),
+        ),
+    ),
 }
-_BEAM_KEYS = {"length", "width", "layers"}
-_LAYER_KEYS = {"material", "thickness", "residual_stress"}
-_GAUGE_KEYS = {"length", "width", "thickness", "resistance", "material"}
-_DRIVE_KEYS = {"waveform", "amplitude", "frequency"}
-_ENV_KEYS = {"field_magnitude", "field_angle", "temperature", "snr_target"}
+SENSOR_KINDS = tuple(_SENSORS)
+
 _MATERIAL_FIELDS = {f.name for f in Material.__dataclass_fields__.values()} - {"name"}
 
 
@@ -94,14 +85,15 @@ class Scenario:
 
 @lru_cache(maxsize=None)
 def _packaged_tree(kind: str) -> dict:
+    """The packaged default tree, shared: callers must not mutate it."""
+    if kind not in SENSOR_KINDS:
+        raise NotFoundError(f"unknown sensor kind {kind!r}; choose from {SENSOR_KINDS}")
     text = resources.files("memsmag").joinpath(f"configs/default_{kind}.yaml").read_text()
     return yaml.safe_load(text)
 
 
 def default_tree(kind: str = "lorentz") -> dict:
     """Deep copy of the packaged default key tree for one sensor kind."""
-    if kind not in SENSOR_KINDS:
-        raise NotFoundError(f"unknown sensor kind {kind!r}; choose from {SENSOR_KINDS}")
     return copy.deepcopy(_packaged_tree(kind))
 
 
@@ -132,9 +124,17 @@ def _coerce_numbers(node):
     return node
 
 
-def _check_keys(node: dict, allowed: set, path: str, violations: list) -> None:
+@lru_cache(maxsize=None)
+def _field_names(record) -> frozenset:
+    # Scenario.tree echoes the key tree; it is not a key of it.
+    return frozenset(f.name for f in fields(record)) - {"tree"}
+
+
+def _check_keys(node: dict, record, path: str, violations: list, extra=()) -> None:
+    """Flag each key that is neither a field of `record` nor in `extra`."""
+    allowed = _field_names(record)
     for key in node:
-        if key not in allowed:
+        if key not in allowed and key not in extra:
             violations.append(f"{path}{key}: unknown field")
 
 
@@ -167,22 +167,25 @@ def _num(node, key, path, violations, *, ge=None, gt=None, integer=False):
     return value
 
 
-def _check_material_name(node, key, path, violations) -> None:
+def _check_material_name(node, key, path, violations):
+    """The built-in material name at node[key], or None after a violation."""
     name = node.get(key)
     if not isinstance(name, str):
         violations.append(f"{path}{key}: expected a material name, got {name!r}")
-        return
+        return None
     try:
         builtin_material(name)
     except NotFoundError as exc:
         violations.append(f"{path}{key}: {exc}")
+        return None
+    return name
 
 
 def _validate_beam(node, path, violations) -> None:
     if not isinstance(node, dict):
         violations.append(f"{path[:-1]}: expected a mapping")
         return
-    _check_keys(node, _BEAM_KEYS, path, violations)
+    _check_keys(node, BeamGeometry, path, violations)
     _num(node, "length", path, violations, gt=0)
     _num(node, "width", path, violations, gt=0)
     layers = node.get("layers")
@@ -194,24 +197,37 @@ def _validate_beam(node, path, violations) -> None:
         if not isinstance(layer, dict):
             violations.append(f"{lpath[:-1]}: expected a mapping")
             continue
-        _check_keys(layer, _LAYER_KEYS, lpath, violations)
+        _check_keys(layer, LayerSpec, lpath, violations)
         _check_material_name(layer, "material", lpath, violations)
         _num(layer, "thickness", lpath, violations, gt=0)
         if "residual_stress" in layer:
             _num(layer, "residual_stress", lpath, violations)
 
 
-def _validate_gauge(node, path, violations) -> None:
+def _validate_gauge(node, overrides, path, violations) -> None:
     if not isinstance(node, dict):
         violations.append(f"{path[:-1]}: expected a mapping")
         return
-    _check_keys(node, _GAUGE_KEYS, path, violations)
+    _check_keys(node, GaugeSpec, path, violations)
     for key in ("length", "width", "thickness", "resistance"):
         _num(node, key, path, violations, gt=0)
-    _check_material_name(node, "material", path, violations)
+    name = _check_material_name(node, "material", path, violations)
+    if name is None:
+        return
+    # The film must be piezoresistive once its overrides apply; the
+    # override values themselves are checked under material_overrides.
+    film = builtin_material(name)
+    own = overrides.get(name) if isinstance(overrides, dict) else None
+    if isinstance(own, dict):
+        needed = CAPABILITY_FIELDS["piezoresistive"]
+        film = override_material(film, **{f: v for f, v in own.items() if f in needed})
+    try:
+        validate_for(film, "piezoresistive")
+    except MissingPropertyError as exc:
+        violations.append(f"{path}material: {exc}")
 
 
-def _validate_sensor(node, violations) -> None:
+def _validate_sensor(node, overrides, violations) -> None:
     if not isinstance(node, dict):
         violations.append("sensor: expected a mapping")
         return
@@ -219,28 +235,20 @@ def _validate_sensor(node, violations) -> None:
     if kind not in SENSOR_KINDS:
         violations.append(f"sensor.kind: must be one of {SENSOR_KINDS}, got {kind!r}")
         return
-    _check_keys(node, _SENSOR_KEYS[kind], "sensor.", violations)
+    design, beam_key, numbers = _SENSORS[kind]
+    _check_keys(node, design, "sensor.", violations, extra=("kind",))
     _num(node, "bridge_bias", "sensor.", violations, gt=0)
-    _validate_gauge(node.get("gauge"), "sensor.gauge.", violations)
-    if kind == "lorentz":
-        _num(node, "top_beam_length", "sensor.", violations, gt=0)
-        _num(node, "loop_resistance", "sensor.", violations, gt=0)
-        _num(node, "load_share_count", "sensor.", violations, ge=1, integer=True)
-        _validate_beam(node.get("support_beam"), "sensor.support_beam.", violations)
-    else:
-        for key in ("plate_length", "plate_width", "plate_thickness", "plate_density"):
-            _num(node, key, "sensor.", violations, gt=0)
-        _num(node, "magnetization", "sensor.", violations, ge=0)
-        _num(node, "suspension_count", "sensor.", violations, ge=1, integer=True)
-        _num(node, "misalignment", "sensor.", violations)
-        _validate_beam(node.get("suspension"), "sensor.suspension.", violations)
+    _validate_gauge(node.get("gauge"), overrides, "sensor.gauge.", violations)
+    for key, bounds in numbers:
+        _num(node, key, "sensor.", violations, **bounds)
+    _validate_beam(node.get(beam_key), f"sensor.{beam_key}.", violations)
 
 
 def _validate_drive(node, violations) -> None:
     if not isinstance(node, dict):
         violations.append("drive: expected a mapping")
         return
-    _check_keys(node, _DRIVE_KEYS, "drive.", violations)
+    _check_keys(node, Drive, "drive.", violations)
     waveform = node.get("waveform")
     if waveform not in ("dc", "square"):
         violations.append(f"drive.waveform: must be 'dc' or 'square', got {waveform!r}")
@@ -255,7 +263,7 @@ def _validate_environment(node, violations) -> None:
     if not isinstance(node, dict):
         violations.append("environment: expected a mapping")
         return
-    _check_keys(node, _ENV_KEYS, "environment.", violations)
+    _check_keys(node, Environment, "environment.", violations)
     _num(node, "field_magnitude", "environment.", violations, ge=0)
     _num(node, "field_angle", "environment.", violations)
     _num(node, "temperature", "environment.", violations, gt=0)
@@ -293,8 +301,8 @@ def _validate_overrides(node, violations) -> None:
 def validate_tree(tree: dict) -> list:
     """Every invariant violation in the resolved tree, dotted-path labeled."""
     violations = []
-    _check_keys(tree, _TOP_KEYS, "", violations)
-    _validate_sensor(tree.get("sensor"), violations)
+    _check_keys(tree, Scenario, "", violations)
+    _validate_sensor(tree.get("sensor"), tree.get("material_overrides"), violations)
     _validate_drive(tree.get("drive"), violations)
     _validate_environment(tree.get("environment"), violations)
 
@@ -324,49 +332,24 @@ def _resolve_material(name: str, overrides: dict) -> Material:
 
 def _build_beam(node: dict, overrides: dict) -> BeamGeometry:
     layers = [
-        LayerSpec(
-            material=_resolve_material(layer["material"], overrides),
-            thickness=layer["thickness"],
-            residual_stress=layer.get("residual_stress", 0.0),
-        )
+        LayerSpec(**{**layer, "material": _resolve_material(layer["material"], overrides)})
         for layer in node["layers"]
     ]
-    return BeamGeometry(length=node["length"], width=node["width"], layers=layers)
+    return BeamGeometry(**{**node, "layers": layers})
 
 
-def _build_gauge(node: dict, overrides: dict) -> GaugeSpec:
-    return GaugeSpec(
-        length=node["length"],
-        width=node["width"],
-        thickness=node["thickness"],
-        resistance=node["resistance"],
-        material=_resolve_material(node["material"], overrides),
+def _build_sensor(node: dict, overrides: dict) -> SensorDesign:
+    design, beam_key, numbers = _SENSORS[node["kind"]]
+    values = {key: value for key, value in node.items() if key != "kind"}
+    for key, bounds in numbers:
+        if bounds.get("integer"):
+            values[key] = int(values[key])
+    gauge = node["gauge"]
+    values["gauge"] = GaugeSpec(
+        **{**gauge, "material": _resolve_material(gauge["material"], overrides)}
     )
-
-
-def _build_sensor(node: dict, overrides: dict):
-    gauge = _build_gauge(node["gauge"], overrides)
-    if node["kind"] == "lorentz":
-        return LorentzDesign(
-            top_beam_length=node["top_beam_length"],
-            support_beam=_build_beam(node["support_beam"], overrides),
-            gauge=gauge,
-            loop_resistance=node["loop_resistance"],
-            bridge_bias=node["bridge_bias"],
-            load_share_count=int(node["load_share_count"]),
-        )
-    return FerroDesign(
-        plate_length=node["plate_length"],
-        plate_width=node["plate_width"],
-        plate_thickness=node["plate_thickness"],
-        magnetization=node["magnetization"],
-        suspension=_build_beam(node["suspension"], overrides),
-        gauge=gauge,
-        bridge_bias=node["bridge_bias"],
-        suspension_count=int(node["suspension_count"]),
-        misalignment=node["misalignment"],
-        plate_density=node["plate_density"],
-    )
+    values[beam_key] = _build_beam(node[beam_key], overrides)
+    return design(**values)
 
 
 def build_scenario(tree: dict) -> Scenario:
@@ -375,40 +358,31 @@ def build_scenario(tree: dict) -> Scenario:
     Raises ValidationError listing every violated invariant, not just the
     first one found.
     """
-    tree = _coerce_numbers(tree or {})
+    tree = tree or {}
     if not isinstance(tree, dict):
         raise ValidationError(["top level: expected a mapping"])
     kind = "lorentz"
     sensor_node = tree.get("sensor", {})
     if isinstance(sensor_node, dict) and sensor_node.get("kind") in SENSOR_KINDS:
         kind = sensor_node["kind"]
-    resolved = _deep_merge(default_tree(kind), tree)
+    # Coercion rebuilds every dict and list: the one copy per build, so the
+    # resolved tree shares nothing with the caller's tree or the defaults.
+    resolved = _coerce_numbers(_deep_merge(_packaged_tree(kind), tree))
 
     violations = validate_tree(resolved)
     if violations:
         raise ValidationError(violations)
 
     overrides = resolved.get("material_overrides") or {}
-    drive_node = resolved["drive"]
-    env_node = resolved["environment"]
     return Scenario(
-        sensor=_build_sensor(resolved["sensor"], overrides),
-        drive=Drive(
-            waveform=drive_node["waveform"],
-            amplitude=drive_node["amplitude"],
-            frequency=drive_node.get("frequency", 0.0),
-        ),
-        environment=Environment(
-            field_magnitude=env_node["field_magnitude"],
-            field_angle=env_node["field_angle"],
-            temperature=env_node["temperature"],
-            snr_target=env_node["snr_target"],
-        ),
-        noise_band=tuple(resolved["noise_band"]),
-        quality_factor=resolved["quality_factor"],
-        offset_coefficient=resolved["offset_coefficient"],
-        thermal_resistance=resolved["thermal_resistance"],
-        material_overrides=overrides,
+        **{
+            **resolved,
+            "sensor": _build_sensor(resolved["sensor"], overrides),
+            "drive": Drive(**resolved["drive"]),
+            "environment": Environment(**resolved["environment"]),
+            "noise_band": tuple(resolved["noise_band"]),
+            "material_overrides": overrides,
+        },
         tree=resolved,
     )
 
@@ -437,4 +411,4 @@ def load_scenario(path) -> Scenario:
 
 def default_scenario(kind: str = "lorentz") -> Scenario:
     """The packaged default operating point for one sensor kind."""
-    return build_scenario(default_tree(kind))
+    return build_scenario(_packaged_tree(kind))

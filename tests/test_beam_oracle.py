@@ -76,7 +76,7 @@ def test_moment_profile():
     force = 1e-6
     solution = solve_static(geom, grid_size=400, tip_force=force)
     anchor = force * geom.length
-    assert solution.bending_moment[0] == pytest.approx(anchor, rel=1e-3)
+    assert solution.bending_moment[0] == pytest.approx(anchor, rel=1e-3, abs=0)
     assert abs(solution.bending_moment[-1]) < 1e-3 * anchor
 
     # A tip moment bends the beam into an exact quadratic, so the moment
@@ -119,4 +119,4 @@ def test_composite_stack_deflection_matches_closed_form():
     )
     solution = solve_static(geom, grid_size=400, tip_force=1e-9)
     analytic = tip_deflection(composite_section(geom), geom.length, 1e-9)
-    assert solution.tip_deflection == pytest.approx(analytic, rel=1e-2)
+    assert solution.tip_deflection == pytest.approx(analytic, rel=1e-2, abs=0)

@@ -58,6 +58,13 @@ def test_invalid_config(tmp_path):
     assert code == 1
 
 
+def test_gauge_film_not_piezoresistive(tmp_path):
+    cfg = tmp_path / "film.yaml"
+    cfg.write_text("sensor: {gauge: {material: aluminum}}\n")
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
+    assert code == 1
+
+
 def test_unparseable_config(tmp_path):
     cfg = tmp_path / "broken.yaml"
     cfg.write_text("drive: [oops\n")
@@ -159,6 +166,26 @@ def test_transient_step_too_large(tmp_path):
         ]
     )
     assert code == 2
+
+
+def test_transient_step_cap(tmp_path, capsys):
+    out = tmp_path / "transient.csv"
+    code = main(
+        [
+            "transient",
+            "--config",
+            _empty_config(tmp_path),
+            "--dt",
+            "1e-320",
+            "--duration",
+            "1",
+            "--out",
+            str(out),
+        ]
+    )
+    assert code == 1
+    assert "exceeds the cap" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_optimize_cli(tmp_path, capsys):

@@ -17,6 +17,7 @@ from memsmag import (
     simulate_transient,
     steady_state_amplitude,
 )
+from memsmag.dynamics import MAX_TRANSIENT_STEPS
 
 
 def _default_parts():
@@ -135,6 +136,8 @@ def test_transient_argument_checks():
     with pytest.raises(ValueError, match="waveform"):
         simulate_transient(res, scenario.sensor, bad, scenario.environment,
                            duration=0.1, dt=ok_dt)
+    with pytest.raises(ValueError, match=f"cap of {MAX_TRANSIENT_STEPS} steps"):
+        simulate_transient(*args, duration=1.0, dt=1e-320)
     nofreq = Drive(waveform="square", amplitude=1e-3, frequency=0.0)
     with pytest.raises(ValueError, match="frequency"):
         simulate_transient(res, scenario.sensor, nofreq, scenario.environment,

@@ -1,3 +1,4 @@
+import copy
 import csv
 
 import pytest
@@ -10,6 +11,7 @@ from memsmag import (
     MissingPropertyError,
     UnknownPathError,
     build_scenario,
+    builtin_material,
     default_scenario,
     emit_report,
     ferro_deflection,
@@ -29,7 +31,7 @@ def test_lorentz_report_fields():
     assert report.output_at_field == pytest.approx(
         report.sensitivity * 1e-3 + report.offset, rel=1e-12
     )
-    assert report.tip_deflection == pytest.approx(1.69632e-7, rel=1e-4)
+    assert report.tip_deflection == pytest.approx(1.69632e-7, rel=1e-4, abs=0)
     assert report.resonant_frequency == pytest.approx(5773.578, rel=1e-6)
     assert report.temperature_rise == pytest.approx(0.5, rel=1e-12)
     assert report.stress_margin == pytest.approx(952.2, rel=1e-3)
@@ -77,7 +79,10 @@ def test_zero_field_output_equals_offset():
 
 
 def test_stage_prefix_on_failures():
-    scenario = build_scenario({"sensor": {"gauge": {"material": "silicon_nitride"}}})
+    # Validation rejects a non-piezoresistive gauge film, so swap it in
+    # after the build to reach the runtime failure.
+    scenario = default_scenario("lorentz")
+    scenario.sensor.gauge.material = builtin_material("silicon_nitride")
     with pytest.raises(MissingPropertyError, match="transduction: material"):
         run_scenario(scenario)
 
@@ -148,6 +153,21 @@ def test_sweep_indexed_path():
     assert all(report is not None for report in result.reports)
     f0 = [report.resonant_frequency for report in result.reports]
     assert f0[0] != f0[1]
+
+
+@pytest.mark.parametrize("kind, path", [
+    ("lorentz", "sensor.support_beam.layers[2].thickness"),
+    ("ferro", "sensor.suspension.layers[0].thickness"),
+])
+def test_sweep_and_optimize_leave_tree_unchanged(kind, path):
+    scenario = default_scenario(kind)
+    before = copy.deepcopy(scenario.tree)
+    result = sweep(scenario, path, 0.2e-6, 2e-6, 3)
+    assert scenario.tree == before
+    assert result.reports[-1].scenario["sensor"] != before["sensor"]
+    best = optimize(scenario, [(path, 0.2e-6, 2e-6)]).best
+    assert scenario.tree == before
+    assert best.tree["drive"] == before["drive"]
 
 
 def test_optimize_pushes_to_bound():

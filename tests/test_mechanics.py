@@ -31,10 +31,10 @@ def test_single_layer_rigidity():
     # E w t^3 / 12 with E = 169 GPa, w = 20 um, t = 2 um.
     geom = _beam(300e-6, 20e-6, LayerSpec(SILICON, 2e-6))
     section = composite_section(geom)
-    assert section.flexural_rigidity == pytest.approx(2.253e-12, rel=1e-3)
+    assert section.flexural_rigidity == pytest.approx(2.253e-12, rel=1e-3, abs=0)
     assert section.neutral_axis_height == pytest.approx(1e-6)
     assert section.axial_stiffness == pytest.approx(169e9 * 20e-6 * 2e-6)
-    assert section.mass_per_length == pytest.approx(2329.0 * 20e-6 * 2e-6)
+    assert section.mass_per_length == pytest.approx(2329.0 * 20e-6 * 2e-6, abs=0)
 
 
 def test_split_layer_equals_merged_layer():
@@ -43,7 +43,7 @@ def test_split_layer_equals_merged_layer():
         _beam(300e-6, 20e-6, LayerSpec(SILICON, 1e-6), LayerSpec(SILICON, 1e-6))
     )
     assert split.flexural_rigidity == pytest.approx(
-        merged.flexural_rigidity, rel=1e-10
+        merged.flexural_rigidity, rel=1e-10, abs=0
     )
     assert split.neutral_axis_height == pytest.approx(
         merged.neutral_axis_height, rel=1e-10
@@ -115,7 +115,7 @@ def test_resonator_damping_identity():
     geom = _beam(500e-6, 20e-6, LayerSpec(SILICON, 2e-6))
     res = lumped_resonator(geom, quality_factor=30.0)
     assert res.damping * res.quality_factor == pytest.approx(
-        math.sqrt(res.stiffness * res.effective_mass), rel=1e-12
+        math.sqrt(res.stiffness * res.effective_mass), rel=1e-12, abs=0
     )
     assert res.natural_frequency == pytest.approx(
         math.sqrt(res.stiffness / res.effective_mass) / (2 * math.pi), rel=1e-12

@@ -28,8 +28,8 @@ from memsmag import (
 
 def test_thermal_electrical_example():
     psd = thermal_electrical_psd(1000.0, 300.0)
-    assert psd == pytest.approx(1.657e-17, rel=1e-3)
-    assert thermal_electrical_psd(2000.0, 300.0) == pytest.approx(2 * psd, rel=1e-12)
+    assert psd == pytest.approx(1.657e-17, rel=1e-3, abs=0)
+    assert thermal_electrical_psd(2000.0, 300.0) == pytest.approx(2 * psd, rel=1e-12, abs=0)
     assert thermal_electrical_psd(1000.0, 1e-9) < 1e-25
     with pytest.raises(ValueError):
         thermal_electrical_psd(0.0, 300.0)
@@ -37,7 +37,7 @@ def test_thermal_electrical_example():
 
 def test_thermal_mechanical_example():
     psd = thermal_mechanical_psd(1e-6, 300.0)
-    assert psd == pytest.approx(1.657e-26, rel=1e-3)
+    assert psd == pytest.approx(1.657e-26, rel=1e-3, abs=0)
     assert thermal_mechanical_psd(0.0, 300.0) == 0.0
     with pytest.raises(ValueError):
         thermal_mechanical_psd(1e-6, 0.0)
@@ -56,8 +56,8 @@ def test_flicker_example():
     gauge = _unit_gauge()
     assert carrier_count(gauge) == pytest.approx(1e9, rel=1e-12)
     psd = flicker_psd(4e-6, 1.0, gauge, 10.0)
-    assert psd == pytest.approx(4e-16, rel=1e-12)
-    assert flicker_psd(4e-6, 1.0, gauge, 20.0) == pytest.approx(psd / 2, rel=1e-12)
+    assert psd == pytest.approx(4e-16, rel=1e-12, abs=0)
+    assert flicker_psd(4e-6, 1.0, gauge, 20.0) == pytest.approx(psd / 2, rel=1e-12, abs=0)
     assert flicker_psd(4e-6, 0.0, gauge, 10.0) == 0.0
     with pytest.raises(DomainError):
         flicker_psd(4e-6, 1.0, gauge, 0.0)
@@ -75,7 +75,7 @@ def test_corner_frequency_definition():
     fc = corner_frequency(4e-6, 1.0, 1e9, 1000.0, 300.0)
     flicker_at_corner = flicker_psd(4e-6, 1.0, gauge, fc)
     assert flicker_at_corner == pytest.approx(
-        thermal_electrical_psd(1000.0, 300.0), rel=1e-12
+        thermal_electrical_psd(1000.0, 300.0), rel=1e-12, abs=0
     )
     assert corner_frequency(4e-6, 1.0, 1e9, 2000.0, 300.0) == pytest.approx(
         fc / 2, rel=1e-12
@@ -85,8 +85,8 @@ def test_corner_frequency_definition():
 def test_rms_example():
     white = thermal_electrical_psd(1000.0, 300.0)
     rms = rms_noise(white, 0.0, (1.0, 10e3))
-    assert rms == pytest.approx(4.07e-7, rel=1e-3)
-    assert rms == pytest.approx(math.sqrt(white * 9999.0), rel=1e-12)
+    assert rms == pytest.approx(4.07e-7, rel=1e-3, abs=0)
+    assert rms == pytest.approx(math.sqrt(white * 9999.0), rel=1e-12, abs=0)
 
 
 def test_rms_band_monotone():
@@ -107,7 +107,7 @@ def test_rms_against_quadrature():
     closed = rms_noise(white, scale, band)
     freqs = np.geomspace(band[0], band[1], 10_000)
     numeric = math.sqrt(np.trapezoid(white + scale / freqs, freqs))
-    assert closed == pytest.approx(numeric, rel=1e-3)
+    assert closed == pytest.approx(numeric, rel=1e-3, abs=0)
 
 
 def test_min_detectable_field_example():
@@ -136,14 +136,14 @@ def test_default_budget():
     assert budget.corner_frequency == pytest.approx(128.764, rel=1e-5)
     assert budget.thermal_mechanical_psd_referred < 0.01 * budget.thermal_electrical_psd
     assert budget.min_detectable_field == pytest.approx(6.56618e-6, rel=1e-5)
-    assert budget.rms == pytest.approx(5.27529e-7, rel=1e-5)
+    assert budget.rms == pytest.approx(5.27529e-7, rel=1e-5, abs=0)
     # PSD accessors agree with the stored scales.
     f = 37.0
     assert budget.total_psd_at(f) == pytest.approx(
         budget.thermal_electrical_psd
         + budget.thermal_mechanical_psd_referred
         + budget.flicker_scale / f,
-        rel=1e-12,
+        rel=1e-12, abs=0,
     )
     with pytest.raises(DomainError):
         budget.flicker_psd_at(0.0)

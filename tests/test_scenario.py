@@ -1,3 +1,4 @@
+import copy
 import math
 import re
 
@@ -188,3 +189,161 @@ def test_non_finite_and_out_of_range_named(tree, path):
     with pytest.raises(ValidationError) as excinfo:
         build_scenario(tree)
     assert any(v.startswith(f"{path}:") for v in excinfo.value.violations)
+
+
+_BEAM_KEY = {"lorentz": "support_beam", "ferro": "suspension"}
+
+# One tree per kind that breaks a field in every section: top level,
+# sensor, gauge, beam, layers, drive, environment, noise band, overrides.
+_BROKEN = {
+    "lorentz": (
+        {
+            "sensor": {
+                "kind": "lorentz", "etch_holes": 1, "top_beam_length": 0.0,
+                "loop_resistance": "high", "load_share_count": 1.5, "bridge_bias": -2.0,
+                "support_beam": {"width": 0.0, "span": 1.0, "layers": [
+                    {"material": "unobtanium", "thickness": -1e-6, "strain": 0.0},
+                    "oxide",
+                ]},
+                "gauge": {"resistance": 0.0, "material": 7, "doping": 1.0},
+            },
+            "drive": {"waveform": "sine", "amplitude": -1.0, "phase": 0.0},
+            "environment": {"temperature": 0.0, "field_angle": math.nan, "humidity": 0.5},
+            "noise_band": [10.0, 1.0],
+            "quality_factor": 0.5,
+            "offset_coefficient": -1.0,
+            "thermal_resistance": True,
+            "material_overrides": {
+                "silicon": {"poisson_ratio": 0.5, "sparkle": 1.0}, "kryptonite": {},
+            },
+            "sparkles": 1.0,
+        },
+        [
+            "sparkles: unknown field",
+            "sensor.etch_holes: unknown field",
+            "sensor.bridge_bias: must be > 0, got -2.0",
+            "sensor.gauge.doping: unknown field",
+            "sensor.gauge.resistance: must be > 0, got 0.0",
+            "sensor.gauge.material: expected a material name, got 7",
+            "sensor.top_beam_length: must be > 0, got 0.0",
+            "sensor.loop_resistance: expected a number, got 'high'",
+            "sensor.load_share_count: expected an integer, got 1.5",
+            "sensor.support_beam.span: unknown field",
+            "sensor.support_beam.width: must be > 0, got 0.0",
+            "sensor.support_beam.layers[0].strain: unknown field",
+            "sensor.support_beam.layers[0].material: unknown material 'unobtanium'; "
+            "valid names: aluminum, nickel, polysilicon, silicon, silicon_nitride",
+            "sensor.support_beam.layers[0].thickness: must be > 0, got -1e-06",
+            "sensor.support_beam.layers[1]: expected a mapping",
+            "drive.phase: unknown field",
+            "drive.waveform: must be 'dc' or 'square', got 'sine'",
+            "drive.amplitude: must be >= 0, got -1.0",
+            "environment.humidity: unknown field",
+            "environment.field_angle: must be a finite number, got nan",
+            "environment.temperature: must be > 0, got 0.0",
+            "noise_band: must satisfy 0 < f1 < f2, got [10.0, 1.0]",
+            "quality_factor: must be > 0.5, got 0.5",
+            "offset_coefficient: must be >= 0, got -1.0",
+            "thermal_resistance: expected a number, got True",
+            "material_overrides.silicon.sparkle: unknown material field",
+            "material_overrides.silicon.poisson_ratio: must be in [0, 0.5), got 0.5",
+            "material_overrides.kryptonite: unknown material 'kryptonite'; "
+            "valid names: aluminum, nickel, polysilicon, silicon, silicon_nitride",
+        ],
+    ),
+    "ferro": (
+        {
+            "sensor": {
+                "kind": "ferro", "top_beam_length": 1.0, "plate_length": 0.0,
+                "plate_width": -1.0, "plate_thickness": "thin", "plate_density": 0,
+                "magnetization": -1.0, "suspension_count": 0, "misalignment": math.inf,
+                "bridge_bias": 0.0,
+                "suspension": {"length": -1.0, "layers": []},
+                "gauge": {"length": 0.0, "material": "mithril"},
+            },
+            "drive": {"waveform": "square", "frequency": 0.0, "amplitude": math.inf},
+            "environment": {"field_magnitude": -0.1, "snr_target": 0.0, "field_strength": 1.0},
+            "noise_band": [1.0],
+            "quality_factor": "low",
+            "offset_coefficient": math.nan,
+            "thermal_resistance": -5.0,
+            "material_overrides": {"nickel": {"density": 0.0, "youngs_modulus": math.nan}},
+            "extra": {},
+        },
+        [
+            "extra: unknown field",
+            "sensor.top_beam_length: unknown field",
+            "sensor.bridge_bias: must be > 0, got 0.0",
+            "sensor.gauge.length: must be > 0, got 0.0",
+            "sensor.gauge.material: unknown material 'mithril'; "
+            "valid names: aluminum, nickel, polysilicon, silicon, silicon_nitride",
+            "sensor.plate_length: must be > 0, got 0.0",
+            "sensor.plate_width: must be > 0, got -1.0",
+            "sensor.plate_thickness: expected a number, got 'thin'",
+            "sensor.plate_density: must be > 0, got 0",
+            "sensor.magnetization: must be >= 0, got -1.0",
+            "sensor.suspension_count: must be >= 1, got 0",
+            "sensor.misalignment: must be a finite number, got inf",
+            "sensor.suspension.length: must be > 0, got -1.0",
+            "sensor.suspension.layers: need at least one layer",
+            "drive.amplitude: must be a finite number, got inf",
+            "drive.frequency: must be > 0, got 0.0",
+            "environment.field_strength: unknown field",
+            "environment.field_magnitude: must be >= 0, got -0.1",
+            "environment.snr_target: must be > 0, got 0.0",
+            "noise_band: expected two finite frequencies, got [1.0]",
+            "quality_factor: expected a number, got 'low'",
+            "offset_coefficient: must be a finite number, got nan",
+            "thermal_resistance: must be >= 0, got -5.0",
+            "material_overrides.nickel.youngs_modulus: must be a finite number, got nan",
+            "material_overrides.nickel.density: must be > 0, got 0.0",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BROKEN))
+def test_every_section_violation_in_order(kind):
+    tree, expected = _BROKEN[kind]
+    with pytest.raises(ValidationError) as excinfo:
+        build_scenario(tree)
+    assert excinfo.value.violations == expected
+
+
+@pytest.mark.parametrize("kind", ["lorentz", "ferro"])
+def test_built_tree_is_a_private_copy(kind):
+    tree = {"sensor": {"kind": kind, "gauge": {"resistance": 1200.0}}, "noise_band": [2.0, 50.0]}
+    before = copy.deepcopy(tree)
+    packaged = default_tree(kind)
+    built = build_scenario(tree).tree
+    built["sensor"]["gauge"]["resistance"] = -1.0
+    built["sensor"][_BEAM_KEY[kind]]["layers"][0]["thickness"] = -1.0
+    built["noise_band"].append(99.0)
+    built["drive"]["amplitude"] = -1.0
+    built["material_overrides"]["silicon"] = {}
+    assert tree == before
+    assert default_tree(kind) == packaged
+    assert build_scenario(tree).tree["drive"] == packaged["drive"]
+
+
+_PIEZO = ("pi_longitudinal", "hooge_alpha", "carrier_density")
+
+
+@pytest.mark.parametrize("film", ["aluminum", "silicon_nitride", "nickel"])
+def test_gauge_film_must_be_piezoresistive(film):
+    tree = {"sensor": {"gauge": {"material": film}}}
+    with pytest.raises(ValidationError) as excinfo:
+        build_scenario(tree)
+    assert excinfo.value.violations == [
+        f"sensor.gauge.material: material '{film}' is missing required "
+        "properties: pi_longitudinal, hooge_alpha, carrier_density"
+    ]
+    tree["material_overrides"] = {film: {"pi_longitudinal": 1.0e-10}}
+    with pytest.raises(ValidationError) as excinfo:
+        build_scenario(tree)
+    assert excinfo.value.violations == [
+        f"sensor.gauge.material: material '{film}' is missing required "
+        "properties: hooge_alpha, carrier_density"
+    ]
+    tree["material_overrides"] = {film: dict(zip(_PIEZO, (1.0e-10, 1.0e-5, 1.0e25)))}
+    assert build_scenario(tree).sensor.gauge.material.hooge_alpha == 1.0e-5

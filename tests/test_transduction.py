@@ -25,16 +25,16 @@ from memsmag import (
 
 def test_lorentz_force_example():
     assert lorentz_force(10e-3, 500e-6, 1e-3, math.pi / 2) == pytest.approx(
-        5e-9, rel=1e-12
+        5e-9, rel=1e-12, abs=0
     )
     assert lorentz_force(10e-3, 500e-6, 1e-3, 0.0) == 0.0
 
 
 def test_ferro_torque_example():
     volume = 100e-6 * 50e-6 * 500e-9
-    assert volume == pytest.approx(2.5e-15, rel=1e-12)
+    assert volume == pytest.approx(2.5e-15, rel=1e-12, abs=0)
     assert ferro_torque(4.8e5, volume, 0.4, math.pi / 2) == pytest.approx(
-        4.8e-10, rel=1e-12
+        4.8e-10, rel=1e-12, abs=0
     )
     assert ferro_torque(4.8e5, volume, 0.4, 0.0) == 0.0
     with pytest.raises(ValueError):
@@ -94,7 +94,7 @@ def test_chain_identity():
         sensor.bridge_bias,
     )
     assert chain.output - chain.offset == pytest.approx(signal, rel=1e-12)
-    assert chain.force == pytest.approx(force, rel=1e-12)
+    assert chain.force == pytest.approx(force, rel=1e-12, abs=0)
 
 
 def test_chain_odd_in_field():
