@@ -17,7 +17,7 @@ def main():
         scenario.drive,
         scenario.environment,
         scenario.noise_band,
-        scenario.quality_factor,
+        scenario.sensor.resonator(scenario.quality_factor),
     )
 
     print(f"johnson floor      {budget.thermal_electrical_psd:.3e} V^2/Hz")

@@ -67,8 +67,6 @@ from .noise import (
     BOLTZMANN,
     NoiseBudget,
     carrier_count,
-    corner_frequency,
-    flicker_psd,
     min_detectable_field,
     noise_budget,
     rms_noise,

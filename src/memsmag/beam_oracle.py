@@ -154,8 +154,15 @@ def convergence_order(
         raise ValueError("grids must be strictly increasing")
 
     kwargs = {"tip_force": tip_force} if tip_force is not None else {"tip_moment": tip_moment}
-    tips = [solve_static(geom, grid_size=g, **kwargs).tip_deflection for g in grid_list]
-    steps = [geom.length / (g - 1) for g in grid_list]
+    return _fitted_order(
+        geom.length, [solve_static(geom, grid_size=g, **kwargs) for g in grid_list]
+    )
+
+
+def _fitted_order(length: float, solutions: list[BeamSolution]) -> float:
+    """Least-squares slope of log(tip change) against log(h), coarse to fine."""
+    tips = [solution.tip_deflection for solution in solutions]
+    steps = [length / (solution.grid_size - 1) for solution in solutions]
     diffs = [
         max(abs(coarse - fine), np.finfo(float).tiny)
         for coarse, fine in zip(tips, tips[1:])

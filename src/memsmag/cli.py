@@ -12,7 +12,7 @@ import numpy as np
 
 from .dynamics import frequency_response, simulate_transient
 from .errors import MemsmagError, ParseError, ValidationError
-from .noise import noise_budget
+from .noise import NOISE_FIELDS, noise_budget
 from .scenario import Scenario, load_scenario
 from .explorer import (
     emit_report,
@@ -93,19 +93,13 @@ def _cmd_noise(args) -> int:
         scenario.drive,
         scenario.environment,
         scenario.noise_band,
-        scenario.quality_factor,
+        scenario.sensor.resonator(scenario.quality_factor),
     )
-    lines = [
-        f"thermal_electrical_psd_V2_per_Hz = {budget.thermal_electrical_psd!r}",
-        f"thermal_mechanical_psd_referred_V2_per_Hz = {budget.thermal_mechanical_psd_referred!r}",
-        f"flicker_scale_V2 = {budget.flicker_scale!r}",
-        f"corner_frequency_Hz = {budget.corner_frequency!r}",
-        f"band_Hz = {budget.band[0]!r} {budget.band[1]!r}",
-        f"rms_V = {budget.rms!r}",
-        f"snr = {budget.snr!r}",
-        f"min_detectable_field_T = {budget.min_detectable_field!r}",
-    ]
-    text = "\n".join(lines) + "\n"
+    text = ""
+    for name, attr in NOISE_FIELDS:
+        value = getattr(budget, attr)
+        shown = f"{value[0]!r} {value[1]!r}" if name == "band_Hz" else repr(value)
+        text += f"{name} = {shown}\n"
     sys.stdout.write(text)
     if args.out:
         with open(args.out, "w", newline="") as handle:

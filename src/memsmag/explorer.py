@@ -18,10 +18,10 @@ import numpy as np
 import yaml
 from scipy.optimize import minimize
 
-from .beam_oracle import convergence_order, solve_static
+from .beam_oracle import _fitted_order, solve_static
 from .errors import InfeasibleError, MemsmagError, UnknownPathError
-from .mechanics import composite_section, tip_deflection
-from .noise import NoiseBudget, noise_budget
+from .mechanics import SLENDERNESS_WARN_LIMIT, composite_section, tip_deflection
+from .noise import NOISE_FIELDS, NoiseBudget, noise_budget
 from .scenario import Scenario, build_scenario
 from .transduction import end_to_end_response, joule_temperature_rise, sensitivity
 
@@ -107,13 +107,17 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
         margin = _stress_margin(sensor.beam, chain.stress)
 
     with _stage("noise"):
-        budget = noise_budget(
-            sensor, drive, env, scenario.noise_band, scenario.quality_factor
-        )
+        budget = noise_budget(sensor, drive, env, scenario.noise_band, resonator)
 
     warnings_list = []
     if heating.high_current:
         warnings_list.append(HIGH_CURRENT_WARNING)
+    slenderness = sensor.beam.length / sensor.beam.total_thickness
+    if slenderness < SLENDERNESS_WARN_LIMIT:
+        warnings_list.append(
+            f"beam slenderness {slenderness:.1f} < {SLENDERNESS_WARN_LIMIT}; "
+            "slender-beam bending theory is questionable here"
+        )
     return SimulationReport(
         sensitivity=signal_gain,
         offset=chain.offset,
@@ -345,12 +349,13 @@ def optimize(
     )
 
 
-def oracle_check(scenario: Scenario, grid_size: int = 400) -> dict:
+def oracle_check(scenario: Scenario) -> dict:
     """Cross-check the closed-form beam model against the brute-force solver.
 
-    Compares analytic tip deflection and anchor moment with the
-    finite-difference solution on the scenario's suspension beam and
-    measures the solver's convergence order.
+    Solves the scenario's suspension beam on 100, 200 and 400 nodes,
+    compares the finest solution's tip deflection and anchor moment with
+    the analytic values, and fits the solver's convergence order to all
+    three.
     """
     beam = scenario.sensor.beam
     force = 1e-9
@@ -358,12 +363,13 @@ def oracle_check(scenario: Scenario, grid_size: int = 400) -> dict:
     analytic_tip = tip_deflection(section, beam.length, force)
     analytic_moment = force * beam.length
 
-    solution = solve_static(beam, grid_size=grid_size, tip_force=force)
+    solutions = [solve_static(beam, grid_size=n, tip_force=force) for n in (100, 200, 400)]
+    solution = solutions[-1]
     tip_error = abs(solution.tip_deflection - analytic_tip) / abs(analytic_tip)
     moment_error = float(
         abs(solution.bending_moment[0] - analytic_moment) / analytic_moment
     )
-    order = convergence_order(beam, [100, 200, 400], tip_force=force)
+    order = _fitted_order(beam.length, solutions)
     return {
         "tip_deflection_analytic_m": analytic_tip,
         "tip_deflection_fd_m": solution.tip_deflection,
@@ -402,18 +408,10 @@ REPORT_COLUMNS = (
 
 def _report_tree(report: SimulationReport) -> dict:
     tree = {name: float(get(report)) for name, get in REPORT_COLUMNS if not name.startswith("noise_")}
-    tree["noise"] = {
-        "thermal_electrical_psd_V2_per_Hz": float(report.noise.thermal_electrical_psd),
-        "thermal_mechanical_psd_referred_V2_per_Hz": float(
-            report.noise.thermal_mechanical_psd_referred
-        ),
-        "flicker_scale_V2": float(report.noise.flicker_scale),
-        "band_Hz": [float(f) for f in report.noise.band],
-        "corner_frequency_Hz": float(report.noise.corner_frequency),
-        "rms_V": float(report.noise.rms),
-        "snr": float(report.noise.snr),
-        "min_detectable_field_T": float(report.noise.min_detectable_field),
-    }
+    tree["noise"] = {}
+    for name, attr in NOISE_FIELDS:
+        value = getattr(report.noise, attr)
+        tree["noise"][name] = [float(f) for f in value] if name == "band_Hz" else float(value)
     tree["warnings"] = list(report.warnings)
     tree["scenario"] = report.scenario
     return tree

@@ -24,15 +24,22 @@ _BOUNDS = (
     ("youngs_modulus", lambda v: v > 0, "must be > 0"),
     ("density", lambda v: v > 0, "must be > 0"),
     ("poisson_ratio", lambda v: 0 <= v < 0.5, "must be in [0, 0.5)"),
+    ("yield_stress", lambda v: v > 0, "must be > 0"),
+    ("resistivity", lambda v: v > 0, "must be > 0"),
+    ("hooge_alpha", lambda v: v >= 0, "must be >= 0"),
+    ("carrier_density", lambda v: v > 0, "must be > 0"),
 )
 
 
 def bound_violations(values: dict) -> list:
-    """(field, requirement) for each bounded field of `values` out of range."""
+    """(field, requirement) for each bounded field of `values` out of range.
+
+    Fields that are absent or None (an unset optional property) pass.
+    """
     return [
         (field, requirement)
         for field, test, requirement in _BOUNDS
-        if field in values and not test(values[field])
+        if values.get(field) is not None and not test(values[field])
     ]
 
 

@@ -7,7 +7,6 @@ that drives the post-release lift-up.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,13 +42,6 @@ class BeamGeometry:
             raise ValueError("beam width must be > 0")
         if not self.layers:
             raise ValueError("beam needs at least one layer")
-        slenderness = self.length / self.total_thickness
-        if slenderness < SLENDERNESS_WARN_LIMIT:
-            warnings.warn(
-                f"beam slenderness {slenderness:.1f} < {SLENDERNESS_WARN_LIMIT}; "
-                "slender-beam bending theory is questionable here",
-                stacklevel=2,
-            )
 
     @property
     def total_thickness(self) -> float:

@@ -4,18 +4,30 @@ Johnson noise of the active gauge, Hooge flicker noise, and the suspension's
 thermomechanical force noise referred to output volts through the same
 static force-to-voltage gain as the signal. The closed-form band integral
 and the derived figures: corner frequency, RMS, SNR, minimum detectable
-field.
+field. NOISE_FIELDS names the budget's figures for every text output.
 """
 
 import math
 from dataclasses import dataclass
 
 from .errors import DomainError, MissingPropertyError
+from .mechanics import LumpedResonator
 from .transduction import Drive, Environment, GaugeSpec, SensorDesign, sensitivity
 
 BOLTZMANN = 1.380649e-23  # J/K
 
-DEFAULT_QUALITY_FACTOR = 30.0
+# Output name of each budget figure, in printed order, and the NoiseBudget
+# attribute it reads.
+NOISE_FIELDS = (
+    ("thermal_electrical_psd_V2_per_Hz", "thermal_electrical_psd"),
+    ("thermal_mechanical_psd_referred_V2_per_Hz", "thermal_mechanical_psd_referred"),
+    ("flicker_scale_V2", "flicker_scale"),
+    ("corner_frequency_Hz", "corner_frequency"),
+    ("band_Hz", "band"),
+    ("rms_V", "rms"),
+    ("snr", "snr"),
+    ("min_detectable_field_T", "min_detectable_field"),
+)
 
 
 @dataclass
@@ -65,31 +77,6 @@ def carrier_count(gauge: GaugeSpec) -> float:
     return gauge.length * gauge.width * gauge.thickness * density
 
 
-def flicker_psd(alpha: float, gauge_voltage: float, gauge: GaugeSpec, frequency: float) -> float:
-    """Hooge flicker PSD alpha*V^2/(N*f) with N the gauge carrier count."""
-    if frequency <= 0:
-        raise DomainError(f"frequency must be > 0, got {frequency}")
-    return alpha * gauge_voltage**2 / (carrier_count(gauge) * frequency)
-
-
-def corner_frequency(
-    alpha: float,
-    gauge_voltage: float,
-    carriers: float,
-    resistance: float,
-    temperature: float,
-) -> float:
-    """Frequency where flicker crosses the Johnson floor.
-
-    Solves alpha*V^2/(N*f) = 4*k_b*T*R for f.
-    """
-    if min(alpha, gauge_voltage, carriers, resistance, temperature) <= 0:
-        raise ValueError("all corner-frequency inputs must be > 0")
-    return alpha * gauge_voltage**2 / (
-        carriers * thermal_electrical_psd(resistance, temperature)
-    )
-
-
 def rms_noise(white_psd: float, flicker_scale: float, band: tuple) -> float:
     """Closed-form band integral of white + 1/f noise.
 
@@ -103,15 +90,13 @@ def rms_noise(white_psd: float, flicker_scale: float, band: tuple) -> float:
 
 
 def min_detectable_field(sensitivity: float, rms: float, snr_target: float = 1.0) -> float:
-    """Field whose output equals snr_target times the RMS noise."""
-    if sensitivity <= 0:
-        raise DomainError("sensitivity must be > 0 to resolve a field")
-    return snr_target * rms / sensitivity
+    """Field whose output magnitude equals snr_target times the RMS noise.
 
-
-def _gauge_voltage(bridge_bias: float) -> float:
-    # Each half bridge divides the bias, so the active gauge sees half.
-    return bridge_bias / 2.0
+    The sign of the sensitivity only says which way the output swings.
+    """
+    if sensitivity == 0:
+        raise DomainError("sensitivity must be nonzero to resolve a field")
+    return snr_target * rms / abs(sensitivity)
 
 
 def noise_budget(
@@ -119,24 +104,25 @@ def noise_budget(
     drive: Drive,
     env: Environment,
     band: tuple,
-    quality_factor: float = DEFAULT_QUALITY_FACTOR,
+    resonator: LumpedResonator,
 ) -> NoiseBudget:
     """Full budget at the bridge output for one operating point.
 
     Flicker needs the gauge material's Hooge alpha and carrier density; the
-    mechanical term uses the damping of the design's resonator at the given
-    quality factor, referred through the bridge volts per unit tip force.
+    mechanical term uses the damping of `resonator`, which should be the
+    design's own, design.resonator(Q), referred through the bridge volts
+    per unit tip force.
     """
     gauge = design.gauge
     if gauge.material.hooge_alpha is None:
         raise MissingPropertyError(gauge.material.name, ("hooge_alpha",))
     alpha = gauge.material.hooge_alpha
-    voltage = _gauge_voltage(design.bridge_bias)
+    # Each half bridge divides the bias, so the active gauge sees half.
+    voltage = design.bridge_bias / 2.0
 
     electrical = thermal_electrical_psd(gauge.resistance, env.temperature)
-    damping = design.resonator(quality_factor).damping
     gain = design.bridge_voltage(design.anchor_stress(1.0))
-    mechanical = thermal_mechanical_psd(damping, env.temperature) * gain**2
+    mechanical = thermal_mechanical_psd(resonator.damping, env.temperature) * gain**2
 
     flicker_scale = alpha * voltage**2 / carrier_count(gauge)
     corner = flicker_scale / electrical

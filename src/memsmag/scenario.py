@@ -214,13 +214,20 @@ def _validate_gauge(node, overrides, path, violations) -> None:
     name = _check_material_name(node, "material", path, violations)
     if name is None:
         return
-    # The film must be piezoresistive once its overrides apply; the
-    # override values themselves are checked under material_overrides.
+    # The film must be piezoresistive once its overrides apply. The
+    # override values themselves are checked under material_overrides, and
+    # the film is built only from unset (None) or in-bound numeric ones.
     film = builtin_material(name)
     own = overrides.get(name) if isinstance(overrides, dict) else None
     if isinstance(own, dict):
         needed = CAPABILITY_FIELDS["piezoresistive"]
-        film = override_material(film, **{f: v for f, v in own.items() if f in needed})
+        applied = {
+            f: v for f, v in own.items()
+            if f in needed and (v is None or isinstance(v, (int, float)))
+        }
+        for fname, _ in bound_violations(applied):
+            del applied[fname]
+        film = override_material(film, **applied)
     try:
         validate_for(film, "piezoresistive")
     except MissingPropertyError as exc:

@@ -1,5 +1,6 @@
 import copy
 import csv
+import math
 
 import pytest
 import yaml
@@ -327,3 +328,45 @@ def test_oracle_check_both_kinds():
         assert result["tip_deflection_rel_error"] < 0.01
         assert result["anchor_moment_rel_error"] < 0.02
         assert 1.8 <= result["convergence_order"] <= 2.2
+
+
+def test_oracle_check_solves_each_grid_once(monkeypatch):
+    import memsmag.beam_oracle as beam_oracle
+    import memsmag.explorer as explorer
+
+    grids = []
+    real = beam_oracle.solve_static
+
+    def counted(geom, grid_size=400, **kwargs):
+        grids.append(grid_size)
+        return real(geom, grid_size=grid_size, **kwargs)
+
+    monkeypatch.setattr(explorer, "solve_static", counted)
+    monkeypatch.setattr(beam_oracle, "solve_static", counted)
+    oracle_check(default_scenario("lorentz"))
+    assert grids == [100, 200, 400]
+
+
+def test_slender_beam_flag_in_report():
+    # 10 um of a 1.38 um stack: slenderness 7.2, below the limit of 10.
+    scenario = build_scenario({"sensor": {"support_beam": {"length": 10.0e-6}}})
+    report = run_scenario(scenario)
+    assert report.warnings == [
+        HIGH_CURRENT_WARNING,
+        "beam slenderness 7.2 < 10.0; slender-beam bending theory is questionable here",
+    ]
+
+
+def test_field_sign_keeps_min_detectable_field():
+    up, down = (
+        run_scenario(build_scenario({"environment": {"field_angle": angle}}))
+        for angle in (0.5, -0.5)
+    )
+    assert down.sensitivity == pytest.approx(-up.sensitivity, rel=1e-12)
+    assert down.min_detectable_field == pytest.approx(up.min_detectable_field, rel=1e-12)
+    # Angle plus misalignment past pi turns the plate's output negative too.
+    ferro = run_scenario(
+        build_scenario({"sensor": {"kind": "ferro"}, "environment": {"field_angle": 3.5}})
+    )
+    assert ferro.sensitivity < 0
+    assert 0 < ferro.min_detectable_field < math.inf

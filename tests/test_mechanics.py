@@ -156,8 +156,8 @@ def test_beam_geometry_checks():
         BeamGeometry(length=300e-6, width=-1.0, layers=[layer])
     with pytest.raises(ValueError):
         BeamGeometry(length=300e-6, width=20e-6, layers=[])
-    with pytest.warns(UserWarning, match="slenderness"):
-        BeamGeometry(length=15e-6, width=20e-6, layers=[LayerSpec(SILICON, 2e-6)])
+    # A stubby beam still builds; run_scenario flags it in the report.
+    BeamGeometry(length=15e-6, width=20e-6, layers=[LayerSpec(SILICON, 2e-6)])
 
 
 def test_anneal_anchor_points():

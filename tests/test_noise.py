@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,9 +13,7 @@ from memsmag import (
     MissingPropertyError,
     builtin_material,
     carrier_count,
-    corner_frequency,
     default_scenario,
-    flicker_psd,
     lumped_resonator,
     min_detectable_field,
     noise_budget,
@@ -43,24 +42,42 @@ def test_thermal_mechanical_example():
         thermal_mechanical_psd(1e-6, 0.0)
 
 
-def _unit_gauge():
+def _unit_gauge(**overrides):
     # Volume 1e-15 m^3 with 1e24 carriers/m^3 puts exactly 1e9 carriers
     # in the gauge.
-    material = override_material(builtin_material("silicon"), carrier_density=1e24)
+    material = override_material(
+        builtin_material("silicon"), **{"carrier_density": 1e24, **overrides}
+    )
     return GaugeSpec(
         length=100e-6, width=10e-6, thickness=1e-6, resistance=1000.0, material=material
     )
 
 
+def _unit_budget(resistance=1000.0, **overrides):
+    # The unit gauge on a 2 V bridge sees 1 V; silicon's alpha is 4e-6.
+    scenario = default_scenario("lorentz")
+    gauge = _unit_gauge(**overrides)
+    gauge.resistance = resistance
+    sensor = dataclasses.replace(scenario.sensor, gauge=gauge, bridge_bias=2.0)
+    return noise_budget(
+        sensor,
+        scenario.drive,
+        scenario.environment,
+        scenario.noise_band,
+        sensor.resonator(scenario.quality_factor),
+    )
+
+
 def test_flicker_example():
-    gauge = _unit_gauge()
-    assert carrier_count(gauge) == pytest.approx(1e9, rel=1e-12)
-    psd = flicker_psd(4e-6, 1.0, gauge, 10.0)
+    assert carrier_count(_unit_gauge()) == pytest.approx(1e9, rel=1e-12)
+    budget = _unit_budget()
+    psd = budget.flicker_psd_at(10.0)
     assert psd == pytest.approx(4e-16, rel=1e-12, abs=0)
-    assert flicker_psd(4e-6, 1.0, gauge, 20.0) == pytest.approx(psd / 2, rel=1e-12, abs=0)
-    assert flicker_psd(4e-6, 0.0, gauge, 10.0) == 0.0
-    with pytest.raises(DomainError):
-        flicker_psd(4e-6, 1.0, gauge, 0.0)
+    assert budget.flicker_psd_at(20.0) == pytest.approx(psd / 2, rel=1e-12, abs=0)
+    assert _unit_budget(hooge_alpha=0.0).flicker_psd_at(10.0) == 0.0
+    for frequency in (0.0, -1.0):
+        with pytest.raises(DomainError):
+            budget.flicker_psd_at(frequency)
 
 
 def test_carrier_count_needs_density():
@@ -71,13 +88,13 @@ def test_carrier_count_needs_density():
 
 
 def test_corner_frequency_definition():
-    gauge = _unit_gauge()
-    fc = corner_frequency(4e-6, 1.0, 1e9, 1000.0, 300.0)
-    flicker_at_corner = flicker_psd(4e-6, 1.0, gauge, fc)
-    assert flicker_at_corner == pytest.approx(
-        thermal_electrical_psd(1000.0, 300.0), rel=1e-12, abs=0
-    )
-    assert corner_frequency(4e-6, 1.0, 1e9, 2000.0, 300.0) == pytest.approx(
+    budget = _unit_budget()
+    fc = budget.corner_frequency
+    johnson = thermal_electrical_psd(1000.0, 300.0)
+    assert fc == pytest.approx(4e-6 / (1e9 * johnson), rel=1e-12)
+    assert budget.flicker_psd_at(fc) == pytest.approx(johnson, rel=1e-12, abs=0)
+    assert budget.thermal_electrical_psd == johnson
+    assert _unit_budget(resistance=2000.0).corner_frequency == pytest.approx(
         fc / 2, rel=1e-12
     )
 
@@ -119,6 +136,7 @@ def test_min_detectable_field_example():
     assert min_detectable_field(0.30, 4.07e-7) == pytest.approx(
         min_detectable_field(0.15, 4.07e-7) / 2, rel=1e-12
     )
+    assert min_detectable_field(-0.15, 4.07e-7) == min_detectable_field(0.15, 4.07e-7)
     with pytest.raises(DomainError):
         min_detectable_field(0.0, 4.07e-7)
 
@@ -130,7 +148,7 @@ def test_default_budget():
         scenario.drive,
         scenario.environment,
         scenario.noise_band,
-        scenario.quality_factor,
+        scenario.sensor.resonator(scenario.quality_factor),
     )
     assert 50.0 <= budget.corner_frequency <= 200.0
     assert budget.corner_frequency == pytest.approx(128.764, rel=1e-5)
@@ -158,16 +176,18 @@ def test_budget_needs_flicker_parameters():
             scenario.drive,
             scenario.environment,
             scenario.noise_band,
+            scenario.sensor.resonator(scenario.quality_factor),
         )
 
 
 def test_snr_scaling():
     scenario = default_scenario("lorentz")
     sensor, drive, band = scenario.sensor, scenario.drive, scenario.noise_band
+    resonator = sensor.resonator(scenario.quality_factor)
 
     def at(field, temperature=300.0):
         env = Environment(field_magnitude=field, temperature=temperature)
-        return noise_budget(sensor, drive, env, band).snr
+        return noise_budget(sensor, drive, env, band, resonator).snr
 
     assert at(0.0) == 0.0
     assert at(2e-3) == pytest.approx(2 * at(1e-3), rel=1e-9)
@@ -198,6 +218,26 @@ def test_report_noise_uses_report_resonator_and_gain(kind):
     expected = 4.0 * BOLTZMANN * temperature * resonator.damping * gain**2
     ratio = report.noise.thermal_mechanical_psd_referred / expected
     assert ratio == pytest.approx(1.0, rel=1e-9)
+
+
+def test_one_resonator_per_report(monkeypatch):
+    # The budget reuses the resonator the report shows instead of building
+    # its own.
+    import memsmag.transduction as transduction
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return lumped_resonator(*args, **kwargs)
+
+    for kind in ("lorentz", "ferro"):
+        scenario = default_scenario(kind)
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(transduction, "lumped_resonator", counted)
+            run_scenario(scenario)
+        assert len(calls) == 1, kind
 
 
 def test_boltzmann_constant():

@@ -11,9 +11,11 @@ from memsmag import (
     ParseError,
     ValidationError,
     build_scenario,
+    builtin_material,
     default_scenario,
     default_tree,
     load_scenario,
+    override_material,
 )
 
 
@@ -183,6 +185,10 @@ def test_missing_file():
             "material_overrides.silicon.youngs_modulus",
         ),
         ({"quality_factor": 10**400}, "quality_factor"),
+        (
+            {"material_overrides": {"silicon": {"carrier_density": "many"}}},
+            "material_overrides.silicon.carrier_density",
+        ),
     ],
 )
 def test_non_finite_and_out_of_range_named(tree, path):
@@ -347,3 +353,25 @@ def test_gauge_film_must_be_piezoresistive(film):
     ]
     tree["material_overrides"] = {film: dict(zip(_PIEZO, (1.0e-10, 1.0e-5, 1.0e25)))}
     assert build_scenario(tree).sensor.gauge.material.hooge_alpha == 1.0e-5
+
+
+@pytest.mark.parametrize(
+    "field, value, requirement",
+    [
+        ("carrier_density", 0.0, "must be > 0"),
+        ("carrier_density", -1.0, "must be > 0"),
+        ("hooge_alpha", -1.0, "must be >= 0"),
+        ("yield_stress", 0.0, "must be > 0"),
+        ("resistivity", -1.0, "must be > 0"),
+    ],
+)
+def test_optional_material_bounds(field, value, requirement):
+    # The gauge film check must not build the film from the bad value.
+    tree = {"material_overrides": {"silicon": {field: value}}}
+    with pytest.raises(ValidationError) as excinfo:
+        build_scenario(tree)
+    assert excinfo.value.violations == [
+        f"material_overrides.silicon.{field}: {requirement}, got {value}"
+    ]
+    with pytest.raises(ValueError, match=field):
+        override_material(builtin_material("silicon"), **{field: value})
