@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 for invalid input (bad flags, unreadable or
-invalid config), 2 for runtime failures and failed verification.
+invalid config, a parameter path that names no numeric field), 2 for
+runtime failures and failed verification.
 """
 
 import argparse
@@ -11,7 +12,7 @@ import sys
 import numpy as np
 
 from .dynamics import frequency_response, simulate_transient
-from .errors import MemsmagError, ParseError, ValidationError
+from .errors import MemsmagError, ParseError, UnknownPathError, ValidationError
 from .noise import NOISE_FIELDS, noise_budget
 from .scenario import Scenario, load_scenario
 from .explorer import (
@@ -245,11 +246,15 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.handler(args)
-    except (ValidationError, ParseError, FileNotFoundError, ValueError) as exc:
+    except (ValidationError, ParseError, UnknownPathError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (MemsmagError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        # A bare OverflowError or ZeroDivisionError message names no cause.
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

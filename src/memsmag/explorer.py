@@ -4,7 +4,6 @@ results. Everything here is deterministic: identical inputs give
 byte-identical emitted files, optimizer included.
 """
 
-import copy
 import csv
 import io
 import itertools
@@ -138,7 +137,11 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
 _TOKEN_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)((?:\[\d+\])*)$")
 
 
-def _path_steps(path: str) -> list:
+def _resolve_path(tree, path: str) -> list:
+    """The keys and indices that lead from the root of `tree` to `path`.
+
+    Raises UnknownPathError unless the dotted path reaches a numeric field.
+    """
     steps = []
     for token in path.split("."):
         match = _TOKEN_RE.match(token)
@@ -146,38 +149,51 @@ def _path_steps(path: str) -> list:
             raise UnknownPathError(f"bad path segment {token!r} in {path!r}")
         steps.append(match.group(1))
         steps.extend(int(i) for i in re.findall(r"\[(\d+)\]", match.group(2)))
+    node = tree
+    for step in steps:
+        try:
+            node = node[step]
+        except (KeyError, IndexError, TypeError):
+            raise UnknownPathError(f"{path}: no such field in the scenario") from None
+    if isinstance(node, bool) or not isinstance(node, (int, float)):
+        raise UnknownPathError(f"{path}: not a numeric field")
     return steps
 
 
-def _with_value(tree, path: str, value: float):
-    """A new tree with the numeric field at `path` set to `value`.
+def _with_value(tree, steps: list, value: float):
+    """A new tree with the field that `steps` resolve to set to `value`.
 
     Only the containers along the path are copied; the rest is shared
     with `tree`, which is left unchanged.
     """
-    steps = _path_steps(path)
     nodes = [tree]
-    for step in steps:
-        try:
-            nodes.append(nodes[-1][step])
-        except (KeyError, IndexError, TypeError):
-            raise UnknownPathError(f"{path}: no such field in the scenario") from None
-    existing = nodes.pop()
-    if isinstance(existing, bool) or not isinstance(existing, (int, float)):
-        raise UnknownPathError(f"{path}: not a numeric field")
+    for step in steps[:-1]:
+        nodes.append(nodes[-1][step])
     new = value
     for node, step in zip(reversed(nodes), reversed(steps)):
-        node = copy.copy(node)
+        node = node.copy()
         node[step] = new
         new = node
     return new
 
 
-def _at_value(scenario: Scenario, assignments) -> Scenario:
+def _run_point(scenario: Scenario, edits):
+    """Build and run `scenario` with each (steps, value) edit applied.
+
+    Returns (scenario, report, None), or (None, None, error) where the
+    point fails and error is one line naming the exception type.
+    """
     tree = scenario.tree
-    for path, value in assignments:
-        tree = _with_value(tree, path, float(value))
-    return build_scenario(tree)
+    for steps, value in edits:
+        tree = _with_value(tree, steps, value)
+    try:
+        built = build_scenario(tree)
+        return built, run_scenario(built), None
+    except (MemsmagError, ValueError, ArithmeticError) as exc:
+        # The scenario is invalid or cannot be evaluated, or its arithmetic
+        # left the float range (t**3 overflowing, a width underflowing to
+        # zero). One line per failure so the error fits a single table cell.
+        return None, None, f"{type(exc).__name__}: " + " ".join(str(exc).split())
 
 
 def sweep(
@@ -203,24 +219,14 @@ def sweep(
         values = np.geomspace(start, stop, steps)
     else:
         raise ValueError(f"scale must be 'linear' or 'log', got {scale!r}")
-
-    # Surface a bad path once, up front, rather than once per point.
-    _with_value(scenario.tree, parameter_path, float(values[0]))
-
-    reports, errors = [], []
-    for value in values:
-        try:
-            reports.append(run_scenario(_at_value(scenario, [(parameter_path, value)])))
-            errors.append(None)
-        except (MemsmagError, ValueError) as exc:
-            reports.append(None)
-            # One line per failure so the error fits a single table cell.
-            errors.append(f"{type(exc).__name__}: " + " ".join(str(exc).split()))
+    values = [float(v) for v in values]
+    field = _resolve_path(scenario.tree, parameter_path)
+    points = [_run_point(scenario, [(field, value)]) for value in values]
     return SweepResult(
         parameter_path=parameter_path,
-        values=[float(v) for v in values],
-        reports=reports,
-        errors=errors,
+        values=values,
+        reports=[report for _, report, _ in points],
+        errors=[error for _, _, error in points],
     )
 
 
@@ -278,33 +284,23 @@ def optimize(
     params = [_normalize_parameter(p) for p in free_parameters]
     if not 1 <= len(params) <= MAX_FREE_PARAMETERS:
         raise ValueError(f"need 1..{MAX_FREE_PARAMETERS} free parameters")
-    for path, _, _ in params:
-        _with_value(scenario.tree, path, 1.0)
+    fields = [_resolve_path(scenario.tree, path) for path, _, _ in params]
     limits = dict(DEFAULT_CONSTRAINTS)
     limits.update(constraints or {})
     score = _objective_fn(objective)
     dim = len(params)
 
     trace = []
-    best = {"value": None, "point": None, "report": None}
+    best = {"value": None, "scenario": None, "report": None}
 
     def evaluate(z):
-        z = np.asarray(z, dtype=float)
+        # Nelder-Mead with bounds clips every vertex into the unit box.
         physical = tuple(
             float(lo + zi * (hi - lo)) for zi, (_, lo, hi) in zip(z, params)
         )
-        violation = float(sum(max(0.0, -zi) + max(0.0, zi - 1.0) for zi in z))
-        report = None
-        if violation == 0.0:
-            try:
-                report = run_scenario(
-                    _at_value(scenario, zip((p for p, _, _ in params), physical))
-                )
-            except (MemsmagError, ValueError):
-                violation = 1.0
-            else:
-                violation = _constraint_violation(report, limits)
-        feasible = violation == 0.0 and report is not None
+        built, report, _ = _run_point(scenario, zip(fields, physical))
+        violation = 1.0 if report is None else _constraint_violation(report, limits)
+        feasible = violation == 0.0
         value = score(report) if feasible else _PENALTY * (1.0 + violation)
         trace.append(
             {
@@ -314,7 +310,7 @@ def optimize(
             }
         )
         if feasible and (best["value"] is None or value < best["value"]):
-            best.update(value=value, point=physical, report=report)
+            best.update(value=value, scenario=built, report=report)
         return value
 
     starts = [np.full(dim, 0.5)]
@@ -341,12 +337,7 @@ def optimize(
 
     if best["value"] is None:
         raise InfeasibleError("no evaluated point satisfied the constraints")
-    assignments = list(zip((p for p, _, _ in params), best["point"]))
-    return OptimizeResult(
-        best=_at_value(scenario, assignments),
-        report=best["report"],
-        trace=trace,
-    )
+    return OptimizeResult(best=best["scenario"], report=best["report"], trace=trace)
 
 
 def oracle_check(scenario: Scenario) -> dict:

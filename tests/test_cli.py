@@ -1,6 +1,11 @@
+import copy
+import random
+
 import numpy as np
+import pytest
 import yaml
 
+from memsmag import default_scenario
 from memsmag.cli import CONFIG_DIR_ENV, main
 
 
@@ -218,3 +223,78 @@ def test_optimize_bad_param_spec(tmp_path):
         ]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("sweep", ["--path", "drive.bogus", "--start", "1", "--stop", "2", "--steps", "2"]),
+    ("optimize", ["--param", "drive.bogus:1:2"]),
+])
+def test_unknown_parameter_path_is_invalid_input(tmp_path, capsys, command, flag):
+    out = tmp_path / "out.csv"
+    code = main([command, "--config", _empty_config(tmp_path), *flag, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: drive.bogus: no such field in the scenario\n"
+    assert not out.exists()
+
+
+_THICK_TOP_LAYER = """
+sensor:
+  support_beam:
+    layers:
+      - {material: silicon, thickness: 100.0e-9}
+      - {material: silicon_nitride, thickness: 280.0e-9}
+      - {material: aluminum, thickness: 1.0e+300}
+"""
+
+
+@pytest.mark.parametrize("config, error", [
+    (_THICK_TOP_LAYER, "OverflowError"),
+    ("sensor: {support_beam: {width: 1.0e-320}}", "ZeroDivisionError"),
+], ids=["thick-layer", "narrow-beam"])
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_arithmetic_failure_is_runtime_failure(tmp_path, capsys, config, error, command):
+    path = tmp_path / "scenario.yaml"
+    path.write_text(config)
+    argv = [command, "--config", str(path)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "report.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error}: ")
+    assert err.count("\n") == 1
+
+
+def _numeric_leaves(node, path=()):
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        if isinstance(node, (int, float)) and not isinstance(node, bool):
+            yield path
+        return
+    for key, child in children:
+        yield from _numeric_leaves(child, path + (key,))
+
+
+def test_extreme_numeric_leaves_never_raise(tmp_path):
+    # Validation bounds some fields but not every magnitude, so extremes in
+    # one to three leaves reach the model: each run must end with an exit
+    # code, never an uncaught exception.
+    rng = random.Random(20080601)
+    extremes = (0, -1, 1e-320, 1e-300, 0.5, 2.0, 1e150, 1e300)
+    trees = {kind: default_scenario(kind).tree for kind in ("lorentz", "ferro")}
+    leaves = {kind: list(_numeric_leaves(tree)) for kind, tree in trees.items()}
+    config = tmp_path / "scenario.yaml"
+    report = str(tmp_path / "report.csv")
+    for _ in range(100):
+        kind = rng.choice(sorted(trees))
+        tree = copy.deepcopy(trees[kind])
+        for path in rng.sample(leaves[kind], rng.randint(1, 3)):
+            node = tree
+            for step in path[:-1]:
+                node = node[step]
+            node[path[-1]] = rng.choice(extremes)
+        config.write_text(yaml.safe_dump(tree))
+        for argv in (["simulate", "--out", report], ["verify"]):
+            assert main(argv + ["--config", str(config)]) in (0, 1, 2)

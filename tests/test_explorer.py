@@ -207,6 +207,49 @@ def test_optimize_scaling_invariance():
     assert [e["feasible"] for e in plain.trace] == [e["feasible"] for e in scaled.trace]
 
 
+def test_optimize_keeps_the_scenario_it_built(monkeypatch):
+    import memsmag.explorer as explorer
+
+    builds = []
+
+    def counted(tree):
+        builds.append(tree)
+        return build_scenario(tree)
+
+    monkeypatch.setattr(explorer, "build_scenario", counted)
+    result = optimize(
+        default_scenario("lorentz"),
+        [("drive.amplitude", 1e-3, 12e-3)],
+        objective="sensitivity",
+    )
+    assert len(builds) == len(result.trace)
+    assert result.report.scenario is result.best.tree
+
+
+def test_sweep_overflow_points_keep_slots():
+    result = sweep(
+        default_scenario("lorentz"),
+        "sensor.support_beam.layers[2].thickness",
+        1e-7,
+        1e300,
+        8,
+        scale="log",
+    )
+    assert result.reports[0] is not None
+    assert result.errors[0] is None
+    assert result.reports[-1] is None
+    assert result.errors[-1].startswith("OverflowError: ")
+
+
+def test_optimize_box_reaching_arithmetic_failures():
+    scenario = default_scenario("lorentz")
+    result = optimize(scenario, [("sensor.support_beam.layers[2].thickness", 0.5e-6, 1e300)])
+    assert not all(entry["feasible"] for entry in result.trace)
+    assert result.best.sensor.beam.layers[2].thickness < 1e-3
+    with pytest.raises(InfeasibleError):
+        optimize(scenario, [("sensor.support_beam.width", 1e-320, 1e-319)])
+
+
 def test_optimize_infeasible_box():
     with pytest.raises(InfeasibleError):
         optimize(
