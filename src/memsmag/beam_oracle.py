@@ -62,6 +62,11 @@ def solve_static(
     ei = section.flexural_rigidity
     n = grid_size
     h = geom.length / (n - 1)
+    if h**2 == 0.0:
+        raise SingularSystemError(
+            f"beam length {geom.length!r} m is too short for {n} nodes: "
+            "the squared grid step underflows to 0"
+        )
     a = np.zeros((n, n))
     b = np.zeros(n)
 

@@ -1,9 +1,9 @@
 """Lumped second-order dynamics of the suspended structure.
 
-Analytic frequency response of the spring/mass/damper reduction, numeric
-resonance search, and time-domain integration under square-wave or dc drive
-with the bridge voltage computed sample by sample from the instantaneous
-anchor stress.
+Analytic frequency response of the spring/mass/damper reduction, its
+closed-form resonance peak, and time-domain integration under square-wave
+or dc drive with the bridge voltage computed sample by sample from the
+instantaneous anchor stress.
 """
 
 import math
@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import NoPeakError, StepTooLargeError, UnsettledError
 from .mechanics import LumpedResonator
@@ -82,34 +81,29 @@ def frequency_response(resonator: LumpedResonator, frequency: float) -> Frequenc
 def find_resonance(
     resonator: LumpedResonator, f_min: float, f_max: float, points: int = 64
 ) -> float:
-    """Locate the amplitude peak by log sweep plus parabolic refinement.
+    """Displacement amplitude peak, f0 * sqrt(1 - 1/(2 Q^2)).
 
-    Sweeps `points` log-spaced frequencies, then refines the bracketed
-    maximum between the neighbors of the coarse argmax. Raises NoPeak when
-    the amplitude is monotone over the range (peak at an endpoint), which
-    includes any resonator with Q <= 1/sqrt(2).
+    A log sweep of `points` frequencies over [f_min, f_max] decides whether
+    the range holds the peak: NoPeak is raised when the sampled amplitude
+    is largest at an endpoint, which includes any resonator with
+    Q <= 1/sqrt(2).
     """
     if not 0 < f_min < f_max:
         raise ValueError("need 0 < f_min < f_max")
     if points < MIN_SWEEP_POINTS:
         raise ValueError(f"points must be >= {MIN_SWEEP_POINTS}")
 
+    f0 = resonator.natural_frequency
+    q = resonator.quality_factor
     freqs = np.geomspace(f_min, f_max, points)
-    r = freqs / resonator.natural_frequency
-    amps = 1.0 / np.hypot(1.0 - r * r, r / resonator.quality_factor)
+    r = freqs / f0
+    amps = 1.0 / np.hypot(1.0 - r * r, r / q)
     peak = int(np.argmax(amps))
     if peak == 0 or peak == points - 1:
         raise NoPeakError(
             f"no interior amplitude peak in [{f_min}, {f_max}] Hz"
         )
-
-    result = minimize_scalar(
-        lambda f: -frequency_response(resonator, f).amplitude,
-        bounds=(freqs[peak - 1], freqs[peak + 1]),
-        method="bounded",
-        options={"xatol": 1e-9 * freqs[peak]},
-    )
-    return float(result.x)
+    return f0 * math.sqrt(1.0 - 0.5 / q**2)
 
 
 def simulate_transient(
@@ -246,3 +240,12 @@ def steady_state_amplitude(series: TimeSeries, settle_fraction: float = 0.5) -> 
             f"amplitude still changing: {amp_prev:.6e} -> {amp_last:.6e} m"
         )
     return SteadyState(displacement=_half_ptp(tail), voltage=_half_ptp(tail_v))
+
+
+def __getattr__(name):
+    # Only for perfbench/spans.py's lookup without a default (CHANGES.md FOUND on EXTERNAL).
+    if name == "minimize_scalar":
+        from scipy.optimize import minimize_scalar
+
+        return minimize_scalar
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,5 +1,7 @@
 import copy
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -262,6 +264,26 @@ def test_arithmetic_failure_is_runtime_failure(tmp_path, capsys, config, error, 
     err = capsys.readouterr().err
     assert err.startswith(f"error: {error}: ")
     assert err.count("\n") == 1
+
+
+def test_verify_underflowing_grid_step_is_one_named_error(tmp_path, capsys):
+    path = tmp_path / "scenario.yaml"
+    path.write_text("sensor: {support_beam: {length: 1.0e-320}}")
+    assert main(["verify", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: beam length 1e-320 m is too short")
+    assert err.count("\n") == 1
+
+
+def test_cold_import_loads_no_scipy():
+    code = (
+        "import sys, memsmag, memsmag.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True
+    )
+    assert proc.stdout == "[]\n"
 
 
 def _numeric_leaves(node, path=()):

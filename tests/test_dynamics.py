@@ -87,6 +87,14 @@ def test_find_resonance_sharp_peak():
     assert abs(found - expected) / expected < 5e-3
 
 
+@pytest.mark.parametrize("q", [5.0, 1000.0])
+def test_find_resonance_is_the_closed_form_peak(q):
+    res = lumped_resonator(default_scenario("lorentz").sensor.support_beam, q)
+    f0 = res.natural_frequency
+    expected = f0 * math.sqrt(1.0 - 1.0 / (2.0 * q**2))
+    assert find_resonance(res, f0 / 10, f0 * 10) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
 def test_find_resonance_no_peak():
     _, res = _default_parts()
     f0 = res.natural_frequency

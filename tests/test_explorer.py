@@ -5,6 +5,7 @@ import math
 import pytest
 import yaml
 
+from memsmag import dynamics, explorer
 from memsmag import (
     DEFAULT_CONSTRAINTS,
     HIGH_CURRENT_WARNING,
@@ -309,6 +310,32 @@ def test_emit_deterministic_bytes(tmp_path):
         emit_report(report, fmt, b)
         assert a.read_bytes() == b.read_bytes()
         assert a.stat().st_size > 0
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("make", [
+    lambda: run_scenario(default_scenario("lorentz")),
+    lambda: run_scenario(default_scenario("ferro")),
+    lambda: sweep(default_scenario("lorentz"), "quality_factor", 0.0, 5.0, 20),
+], ids=["lorentz", "ferro", "failing-sweep"])
+def test_libyaml_emitter_gives_the_same_bytes(monkeypatch, make):
+    obj = make()
+    monkeypatch.setattr(explorer, "_DUMPER", yaml.CSafeDumper)
+    fast = explorer._structured_text(obj)
+    monkeypatch.setattr(explorer, "_DUMPER", yaml.SafeDumper)
+    assert explorer._structured_text(obj) == fast
+
+
+def test_scipy_names_resolve_after_optimize():
+    import scipy.optimize
+
+    optimize(default_scenario("lorentz"), [("drive.amplitude", 1e-3, 2e-3)])
+    assert explorer.minimize is scipy.optimize.minimize
+    assert dynamics.minimize_scalar is scipy.optimize.minimize_scalar
+    with pytest.raises(AttributeError):
+        explorer.minimize_scalar
+    with pytest.raises(AttributeError):
+        dynamics.minimize
 
 
 def test_sweep_csv_with_failed_row_parses(tmp_path):
