@@ -13,7 +13,7 @@ import numpy as np
 
 from .dynamics import frequency_response, simulate_transient
 from .errors import MemsmagError, ParseError, UnknownPathError, ValidationError
-from .noise import NOISE_FIELDS, noise_budget
+from .noise import NOISE_FIELDS
 from .scenario import Scenario, load_scenario
 from .explorer import (
     emit_report,
@@ -88,14 +88,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_noise(args) -> int:
-    scenario = _load(args)
-    budget = noise_budget(
-        scenario.sensor,
-        scenario.drive,
-        scenario.environment,
-        scenario.noise_band,
-        scenario.sensor.resonator(scenario.quality_factor),
-    )
+    budget = run_scenario(_load(args)).noise
     text = ""
     for name, attr in NOISE_FIELDS:
         value = getattr(budget, attr)

@@ -122,12 +122,11 @@ def max_anchor_stress(
     length: float,
     width: float,
     thickness: float,
-    load_share_count: int = 3,
+    load_share_count: int,
 ) -> float:
     """Peak bending stress at the anchor, 6*l*F / (w*t^2*n).
 
-    The tip load is shared by `load_share_count` anchored beams (3 for the
-    M-shaped loop: two legs plus the gauge beam).
+    The tip load is shared by `load_share_count` anchored beams.
     """
     if load_share_count < 1:
         raise ValueError("load_share_count must be >= 1")

@@ -37,12 +37,14 @@ from .transduction import (
 )
 
 # One row per sensor kind: the design record it builds, the key of its
-# beam, and the bounds of its own numeric fields in the order they are
-# checked. Every other sensor key is shared by both kinds.
+# beam, the bound on its drive amplitude, and the bounds of its own numeric
+# fields in the order they are checked. Every other sensor key is shared by
+# both kinds. The loop needs current to feel a field; the plate does not.
 _SENSORS = {
     "lorentz": (
         LorentzDesign,
         "support_beam",
+        {"gt": 0},
         (
             ("top_beam_length", {"gt": 0}),
             ("loop_resistance", {"gt": 0}),
@@ -52,12 +54,13 @@ _SENSORS = {
     "ferro": (
         FerroDesign,
         "suspension",
+        {"ge": 0},
         (
             ("plate_length", {"gt": 0}),
             ("plate_width", {"gt": 0}),
             ("plate_thickness", {"gt": 0}),
             ("plate_density", {"gt": 0}),
-            ("magnetization", {"ge": 0}),
+            ("magnetization", {"gt": 0}),
             ("suspension_count", {"ge": 1, "integer": True}),
             ("misalignment", {}),
         ),
@@ -242,7 +245,7 @@ def _validate_sensor(node, overrides, violations) -> None:
     if kind not in SENSOR_KINDS:
         violations.append(f"sensor.kind: must be one of {SENSOR_KINDS}, got {kind!r}")
         return
-    design, beam_key, numbers = _SENSORS[kind]
+    design, beam_key, _, numbers = _SENSORS[kind]
     _check_keys(node, design, "sensor.", violations, extra=("kind",))
     _num(node, "bridge_bias", "sensor.", violations, gt=0)
     _validate_gauge(node.get("gauge"), overrides, "sensor.gauge.", violations)
@@ -251,7 +254,7 @@ def _validate_sensor(node, overrides, violations) -> None:
     _validate_beam(node.get(beam_key), f"sensor.{beam_key}.", violations)
 
 
-def _validate_drive(node, violations) -> None:
+def _validate_drive(node, kind, violations) -> None:
     if not isinstance(node, dict):
         violations.append("drive: expected a mapping")
         return
@@ -259,7 +262,9 @@ def _validate_drive(node, violations) -> None:
     waveform = node.get("waveform")
     if waveform not in ("dc", "square"):
         violations.append(f"drive.waveform: must be 'dc' or 'square', got {waveform!r}")
-    _num(node, "amplitude", "drive.", violations, ge=0)
+    # A kind that is itself invalid, and so already reported, gets >= 0.
+    amplitude = _SENSORS[kind][2] if kind in SENSOR_KINDS else {"ge": 0}
+    _num(node, "amplitude", "drive.", violations, **amplitude)
     if waveform == "square":
         _num(node, "frequency", "drive.", violations, gt=0)
     elif "frequency" in node:
@@ -309,8 +314,10 @@ def validate_tree(tree: dict) -> list:
     """Every invariant violation in the resolved tree, dotted-path labeled."""
     violations = []
     _check_keys(tree, Scenario, "", violations)
-    _validate_sensor(tree.get("sensor"), tree.get("material_overrides"), violations)
-    _validate_drive(tree.get("drive"), violations)
+    sensor = tree.get("sensor")
+    _validate_sensor(sensor, tree.get("material_overrides"), violations)
+    kind = sensor.get("kind") if isinstance(sensor, dict) else None
+    _validate_drive(tree.get("drive"), kind, violations)
     _validate_environment(tree.get("environment"), violations)
 
     band = tree.get("noise_band")
@@ -346,7 +353,7 @@ def _build_beam(node: dict, overrides: dict) -> BeamGeometry:
 
 
 def _build_sensor(node: dict, overrides: dict) -> SensorDesign:
-    design, beam_key, numbers = _SENSORS[node["kind"]]
+    design, beam_key, _, numbers = _SENSORS[node["kind"]]
     values = {key: value for key, value in node.items() if key != "kind"}
     for key, bounds in numbers:
         if bounds.get("integer"):

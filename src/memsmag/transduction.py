@@ -11,7 +11,6 @@ temperature rise.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import InvalidCalibrationError, MissingPropertyError
 from .mechanics import (
@@ -83,21 +82,15 @@ class SensorDesign:
         """One beam reduced to a spring/mass/damper, tip mass included."""
         return lumped_resonator(self.beam, quality_factor, tip_mass=self.tip_mass)
 
-    def anchor_stress(self, tip_force: float, share_count: Optional[int] = None) -> float:
-        """Anchor bending stress when share_count beams carry tip_force.
-
-        share_count defaults to the design's load_share_count; pass 1 for
-        the force on a single beam.
-        """
+    def anchor_stress(self, tip_force: float) -> float:
+        """Anchor bending stress when load_share_count beams carry tip_force."""
         beam = self.beam
-        if share_count is None:
-            share_count = self.load_share_count
         return max_anchor_stress(
             tip_force * self.anchor_moment_ratio,
             beam.length,
             beam.width,
             beam.total_thickness,
-            share_count,
+            self.load_share_count,
         )
 
     def bridge_voltage(self, stress: float) -> float:
@@ -121,7 +114,7 @@ class LorentzDesign(SensorDesign):
     gauge: GaugeSpec
     loop_resistance: float  # Ohm
     bridge_bias: float  # V
-    load_share_count: int = 3  # anchored beams sharing the tip load
+    load_share_count: int = 3  # two legs plus the gauge beam share the tip load
 
     tip_mass = 0.0  # kg, the loop's top beam is not modeled as a rigid mass
 

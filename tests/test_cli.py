@@ -112,6 +112,30 @@ def test_noise_out_file(tmp_path, capsys):
     assert out.read_text() == captured.out
 
 
+@pytest.mark.parametrize("config, field", [
+    ("drive: {amplitude: 0.0}", "drive.amplitude: must be > 0"),
+    ("sensor: {kind: ferro, magnetization: 0.0}", "sensor.magnetization: must be > 0"),
+], ids=["lorentz-no-current", "ferro-no-magnetization"])
+def test_zero_drive_is_invalid_input(tmp_path, capsys, config, field):
+    path = tmp_path / "scenario.yaml"
+    path.write_text(config)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 1
+    assert field in capsys.readouterr().err
+
+
+def test_noise_fails_like_simulate(tmp_path, capsys):
+    # A field along the current gives no signal; both commands stop in the
+    # report's noise stage with the same named line.
+    path = tmp_path / "scenario.yaml"
+    path.write_text("environment: {field_angle: 0.0}")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+    simulate_err = capsys.readouterr().err
+    assert main(["noise", "--config", str(path)]) == 2
+    noise_err = capsys.readouterr().err
+    assert noise_err == simulate_err
+    assert noise_err.startswith("error: noise: sensitivity must be nonzero")
+
+
 def test_sweep_cli(tmp_path):
     out = tmp_path / "sweep.csv"
     code = main(

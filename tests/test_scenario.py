@@ -243,7 +243,7 @@ _BROKEN = {
             "sensor.support_beam.layers[1]: expected a mapping",
             "drive.phase: unknown field",
             "drive.waveform: must be 'dc' or 'square', got 'sine'",
-            "drive.amplitude: must be >= 0, got -1.0",
+            "drive.amplitude: must be > 0, got -1.0",
             "environment.humidity: unknown field",
             "environment.field_angle: must be a finite number, got nan",
             "environment.temperature: must be > 0, got 0.0",
@@ -287,7 +287,7 @@ _BROKEN = {
             "sensor.plate_width: must be > 0, got -1.0",
             "sensor.plate_thickness: expected a number, got 'thin'",
             "sensor.plate_density: must be > 0, got 0",
-            "sensor.magnetization: must be >= 0, got -1.0",
+            "sensor.magnetization: must be > 0, got -1.0",
             "sensor.suspension_count: must be >= 1, got 0",
             "sensor.misalignment: must be a finite number, got inf",
             "sensor.suspension.length: must be > 0, got -1.0",
