@@ -6,6 +6,7 @@ runtime failures and failed verification.
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -16,6 +17,8 @@ from .errors import MemsmagError, ParseError, UnknownPathError, ValidationError
 from .noise import NOISE_FIELDS
 from .scenario import Scenario, load_scenario
 from .explorer import (
+    DEFAULT_CONSTRAINTS,
+    MAX_SWEEP_POINTS,
     emit_report,
     optimize,
     oracle_check,
@@ -102,12 +105,14 @@ def _cmd_noise(args) -> int:
 
 
 def _cmd_freq_response(args) -> int:
+    if not 2 <= args.points <= MAX_SWEEP_POINTS:
+        raise ValueError(f"--points must be between 2 and {MAX_SWEEP_POINTS}, got {args.points}")
     scenario = _load(args)
     resonator = scenario.sensor.resonator(scenario.quality_factor)
     f_min = args.f_min if args.f_min is not None else resonator.natural_frequency / 10.0
     f_max = args.f_max if args.f_max is not None else resonator.natural_frequency * 10.0
-    if not 0 < f_min < f_max:
-        raise ValueError("need 0 < f-min < f-max")
+    if not 0 < f_min < f_max < math.inf:
+        raise ValueError(f"need finite 0 < --f-min < --f-max, got {f_min!r} and {f_max!r}")
     lines = ["frequency_Hz,amplitude_m_per_N,phase_rad"]
     for frequency in np.geomspace(f_min, f_max, args.points):
         point = frequency_response(resonator, float(frequency))
@@ -123,13 +128,16 @@ def _cmd_transient(args) -> int:
     period = 1.0 / resonator.natural_frequency
     drive = scenario.drive
     if drive.waveform == "square" and drive.frequency > 0:
-        duration = args.duration or 20.0 / drive.frequency
-        dt = args.dt or min(period, 1.0 / drive.frequency) / 200.0
+        duration, dt = 20.0 / drive.frequency, min(period, 1.0 / drive.frequency) / 200.0
     else:
-        duration = args.duration or 20.0 * period
-        dt = args.dt or period / 200.0
+        duration, dt = 20.0 * period, period / 200.0
     series = simulate_transient(
-        resonator, scenario.sensor, drive, scenario.environment, duration, dt
+        resonator,
+        scenario.sensor,
+        drive,
+        scenario.environment,
+        duration if args.duration is None else args.duration,
+        dt if args.dt is None else args.dt,
     )
     series.to_csv(args.out)
     return 0
@@ -197,8 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("min_detectable_field", "sensitivity"),
         default="min_detectable_field",
     )
-    sub.add_argument("--max-stress-fraction", type=float, default=0.5)
-    sub.add_argument("--max-temperature-rise", type=float, default=1.0)
+    sub.add_argument(
+        "--max-stress-fraction", type=float, default=DEFAULT_CONSTRAINTS["max_stress_fraction"]
+    )
+    sub.add_argument(
+        "--max-temperature-rise", type=float, default=DEFAULT_CONSTRAINTS["max_temperature_rise"]
+    )
     _add_output(sub, required=False)
     sub.set_defaults(handler=_cmd_optimize)
 

@@ -124,7 +124,7 @@ def simulate_transient(
     through instantaneous anchor stress, gauge, and bridge. Starts from rest
     unless initial conditions are given.
     """
-    if duration <= 0 or dt <= 0:
+    if not (0 < duration < math.inf and 0 < dt < math.inf):
         raise ValueError("duration and dt must be > 0")
     if duration / dt > MAX_TRANSIENT_STEPS:
         raise ValueError(

@@ -38,6 +38,9 @@ _PENALTY = 1e30
 
 MAX_FREE_PARAMETERS = 6
 
+# Most points one sweep or frequency table may hold; each keeps its row.
+MAX_SWEEP_POINTS = 10_000
+
 
 @dataclass
 class SimulationReport:
@@ -119,7 +122,7 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
             f"beam slenderness {slenderness:.1f} < {SLENDERNESS_WARN_LIMIT}; "
             "slender-beam bending theory is questionable here"
         )
-    return SimulationReport(
+    report = SimulationReport(
         sensitivity=signal_gain,
         offset=chain.offset,
         output_at_field=chain.output,
@@ -134,6 +137,12 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
         warnings=warnings_list,
         scenario=scenario.tree,
     )
+    for name, get in REPORT_COLUMNS:
+        value = get(report)
+        # An unstressed beam's margin is infinite by design.
+        if not math.isfinite(value) and not (name == "stress_margin" and value == math.inf):
+            raise OverflowError(f"report figure {name} is not finite: {value}")
+    return report
 
 
 _TOKEN_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)((?:\[\d+\])*)$")
@@ -211,8 +220,8 @@ def sweep(
     Points that fail keep their slot: the report is None and the error
     column records what went wrong, so a sweep never dies half way.
     """
-    if steps < 2:
-        raise ValueError("steps must be >= 2")
+    if not 2 <= steps <= MAX_SWEEP_POINTS:
+        raise ValueError(f"steps must be between 2 and {MAX_SWEEP_POINTS}, got {steps}")
     if scale == "linear":
         values = np.linspace(start, stop, steps)
     elif scale == "log":
@@ -256,10 +265,23 @@ def _objective_fn(objective) -> Callable:
     )
 
 
+def _constraint_limits(constraints) -> dict:
+    """DEFAULT_CONSTRAINTS with `constraints` applied, each limit checked."""
+    limits = dict(DEFAULT_CONSTRAINTS)
+    for name, limit in (constraints or {}).items():
+        if name not in limits:
+            raise ValueError(
+                f"unknown constraint {name!r}; valid: {', '.join(DEFAULT_CONSTRAINTS)}"
+            )
+        if not 0 < limit < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {limit}")
+        limits[name] = limit
+    return limits
+
+
 def _constraint_violation(report: SimulationReport, limits: dict) -> float:
     violation = 0.0
-    fraction = limits["max_stress_fraction"]
-    margin_limit = 1.0 / fraction if fraction > 0 else math.inf
+    margin_limit = 1.0 / limits["max_stress_fraction"]
     if report.stress_margin < margin_limit:
         violation += margin_limit / report.stress_margin - 1.0
     max_rise = limits["max_temperature_rise"]
@@ -290,8 +312,7 @@ def optimize(
     if not 1 <= len(params) <= MAX_FREE_PARAMETERS:
         raise ValueError(f"need 1..{MAX_FREE_PARAMETERS} free parameters")
     fields = [_resolve_path(scenario.tree, path) for path, _, _ in params]
-    limits = dict(DEFAULT_CONSTRAINTS)
-    limits.update(constraints or {})
+    limits = _constraint_limits(constraints)
     score = _objective_fn(objective)
     dim = len(params)
 

@@ -18,7 +18,6 @@ import yaml
 
 from .errors import MissingPropertyError, NotFoundError, ParseError, ValidationError
 from .materials import (
-    CAPABILITY_FIELDS,
     LayerSpec,
     Material,
     bound_violations,
@@ -100,25 +99,27 @@ def default_tree(kind: str = "lorentz") -> dict:
     return copy.deepcopy(_packaged_tree(kind))
 
 
-def _deep_merge(base, override):
-    if isinstance(base, dict) and isinstance(override, dict):
-        merged = dict(base)
-        for key, value in override.items():
-            merged[key] = _deep_merge(base[key], value) if key in base else value
-        return merged
-    return override
+def _resolve(base, node):
+    """`node` merged over `base` as a new tree, numeric strings as floats.
 
-
-def _coerce_numbers(node):
-    """Turn numeric-looking strings into floats, recursively.
-
-    YAML leaves exponent forms like 4.8e5 as strings unless they carry both
-    a decimal point and a signed exponent; accept them all as numbers.
+    Mappings merge key by key (base keys first); anything else in `node`
+    wins. Every dict and list is copied, so the result shares nothing
+    mutable with either input. YAML leaves exponent forms like 4.8e5 as
+    strings unless they carry a decimal point and a signed exponent, so
+    every string that float() accepts becomes a number.
     """
     if isinstance(node, dict):
-        return {k: _coerce_numbers(v) for k, v in node.items()}
+        base = base if isinstance(base, dict) else {}
+        merged = {
+            key: _resolve(value, node[key] if key in node else value)
+            for key, value in base.items()
+        }
+        for key, value in node.items():
+            if key not in base:
+                merged[key] = _resolve(value, value)
+        return merged
     if isinstance(node, list):
-        return [_coerce_numbers(v) for v in node]
+        return [_resolve(value, value) for value in node]
     if isinstance(node, str):
         try:
             return float(node)
@@ -133,12 +134,19 @@ def _field_names(record) -> frozenset:
     return frozenset(f.name for f in fields(record)) - {"tree"}
 
 
-def _check_keys(node: dict, record, path: str, violations: list, extra=()) -> None:
-    """Flag each key that is neither a field of `record` nor in `extra`."""
+def _check_keys(node, record, path: str, violations: list, extra=()) -> bool:
+    """Flag each key that is neither a field of `record` nor in `extra`.
+
+    False, after a violation, when `node` is not a mapping at all.
+    """
+    if not isinstance(node, dict):
+        violations.append(f"{path[:-1]}: expected a mapping")
+        return False
     allowed = _field_names(record)
     for key in node:
         if key not in allowed and key not in extra:
             violations.append(f"{path}{key}: unknown field")
+    return True
 
 
 def _finite(value) -> bool:
@@ -147,7 +155,10 @@ def _finite(value) -> bool:
 
 
 def _num(node, key, path, violations, *, ge=None, gt=None, integer=False):
-    """Fetch a numeric field, recording a violation instead of raising."""
+    """Fetch a numeric field, recording a violation instead of raising.
+
+    An integer field comes back as an int.
+    """
     if key not in node:
         violations.append(f"{path}{key}: missing")
         return None
@@ -167,159 +178,184 @@ def _num(node, key, path, violations, *, ge=None, gt=None, integer=False):
     if ge is not None and not value >= ge:
         violations.append(f"{path}{key}: must be >= {ge}, got {value}")
         return None
-    return value
+    return int(value) if integer else value
 
 
-def _check_material_name(node, key, path, violations):
-    """The built-in material name at node[key], or None after a violation."""
-    name = node.get(key)
-    if not isinstance(name, str):
-        violations.append(f"{path}{key}: expected a material name, got {name!r}")
-        return None
-    try:
-        builtin_material(name)
-    except NotFoundError as exc:
-        violations.append(f"{path}{key}: {exc}")
-        return None
-    return name
+def _materials(node, violations) -> dict:
+    """Each built-in material named in `node`, by name, its overrides applied.
 
-
-def _validate_beam(node, path, violations) -> None:
+    Every override is checked. One that is unset (None) or numeric and in
+    bound applies even when it breaks another rule, so the gauge film check
+    sees the film the overrides describe; the material is used to build
+    records only when every override is valid.
+    """
+    materials = {}
+    if node is None:
+        return materials
     if not isinstance(node, dict):
-        violations.append(f"{path[:-1]}: expected a mapping")
-        return
-    _check_keys(node, BeamGeometry, path, violations)
-    _num(node, "length", path, violations, gt=0)
-    _num(node, "width", path, violations, gt=0)
+        violations.append("material_overrides: expected a mapping")
+        return materials
+    for name, given in node.items():
+        path = f"material_overrides.{name}."
+        try:
+            material = builtin_material(name)
+        except NotFoundError as exc:
+            violations.append(f"{path[:-1]}: {exc}")
+            continue
+        if not isinstance(given, dict):
+            violations.append(f"{path[:-1]}: expected a mapping of material fields")
+            continue
+        applied, rejected = {}, set()
+        for fname, value in given.items():
+            if fname not in _MATERIAL_FIELDS:
+                violations.append(f"{path}{fname}: unknown material field")
+                continue
+            if _num(given, fname, path, violations) is None:
+                rejected.add(fname)
+            if value is None or isinstance(value, (int, float)):
+                applied[fname] = value
+        for fname, requirement in bound_violations(applied):
+            if fname not in rejected:
+                violations.append(f"{path}{fname}: {requirement}, got {applied[fname]}")
+            del applied[fname]
+        materials[name] = override_material(material, **applied)
+    return materials
+
+
+def _material(node, path, violations, materials):
+    """The material named by node["material"], or None after a violation."""
+    name = node.get("material")
+    if not isinstance(name, str):
+        violations.append(f"{path}material: expected a material name, got {name!r}")
+        return None
+    if name in materials:
+        return materials[name]
+    try:
+        return builtin_material(name)
+    except NotFoundError as exc:
+        violations.append(f"{path}material: {exc}")
+        return None
+
+
+def _layer(node, path, violations, materials):
+    start = len(violations)
+    if not _check_keys(node, LayerSpec, path, violations):
+        return None
+    values = {
+        "material": _material(node, path, violations, materials),
+        "thickness": _num(node, "thickness", path, violations, gt=0),
+    }
+    if "residual_stress" in node:
+        values["residual_stress"] = _num(node, "residual_stress", path, violations)
+    return None if len(violations) > start else LayerSpec(**values)
+
+
+def _beam(node, path, violations, materials):
+    start = len(violations)
+    if not _check_keys(node, BeamGeometry, path, violations):
+        return None
+    length = _num(node, "length", path, violations, gt=0)
+    width = _num(node, "width", path, violations, gt=0)
     layers = node.get("layers")
     if not isinstance(layers, list) or not layers:
         violations.append(f"{path}layers: need at least one layer")
-        return
-    for i, layer in enumerate(layers):
-        lpath = f"{path}layers[{i}]."
-        if not isinstance(layer, dict):
-            violations.append(f"{lpath[:-1]}: expected a mapping")
-            continue
-        _check_keys(layer, LayerSpec, lpath, violations)
-        _check_material_name(layer, "material", lpath, violations)
-        _num(layer, "thickness", lpath, violations, gt=0)
-        if "residual_stress" in layer:
-            _num(layer, "residual_stress", lpath, violations)
+        return None
+    layers = [
+        _layer(layer, f"{path}layers[{i}].", violations, materials)
+        for i, layer in enumerate(layers)
+    ]
+    return None if len(violations) > start else BeamGeometry(length, width, layers)
 
 
-def _validate_gauge(node, overrides, path, violations) -> None:
-    if not isinstance(node, dict):
-        violations.append(f"{path[:-1]}: expected a mapping")
-        return
-    _check_keys(node, GaugeSpec, path, violations)
-    for key in ("length", "width", "thickness", "resistance"):
-        _num(node, key, path, violations, gt=0)
-    name = _check_material_name(node, "material", path, violations)
-    if name is None:
-        return
-    # The film must be piezoresistive once its overrides apply. The
-    # override values themselves are checked under material_overrides, and
-    # the film is built only from unset (None) or in-bound numeric ones.
-    film = builtin_material(name)
-    own = overrides.get(name) if isinstance(overrides, dict) else None
-    if isinstance(own, dict):
-        needed = CAPABILITY_FIELDS["piezoresistive"]
-        applied = {
-            f: v for f, v in own.items()
-            if f in needed and (v is None or isinstance(v, (int, float)))
-        }
-        for fname, _ in bound_violations(applied):
-            del applied[fname]
-        film = override_material(film, **applied)
-    try:
-        validate_for(film, "piezoresistive")
-    except MissingPropertyError as exc:
-        violations.append(f"{path}material: {exc}")
+def _gauge(node, path, violations, materials):
+    start = len(violations)
+    if not _check_keys(node, GaugeSpec, path, violations):
+        return None
+    values = {
+        key: _num(node, key, path, violations, gt=0)
+        for key in ("length", "width", "thickness", "resistance")
+    }
+    film = _material(node, path, violations, materials)
+    if film is not None:
+        try:
+            validate_for(film, "piezoresistive")
+        except MissingPropertyError as exc:
+            violations.append(f"{path}material: {exc}")
+    return None if len(violations) > start else GaugeSpec(**values, material=film)
 
 
-def _validate_sensor(node, overrides, violations) -> None:
+def _sensor(node, row, violations, materials):
     if not isinstance(node, dict):
         violations.append("sensor: expected a mapping")
-        return
-    kind = node.get("kind")
-    if kind not in SENSOR_KINDS:
-        violations.append(f"sensor.kind: must be one of {SENSOR_KINDS}, got {kind!r}")
-        return
-    design, beam_key, _, numbers = _SENSORS[kind]
+        return None
+    if row is None:
+        violations.append(f"sensor.kind: must be one of {SENSOR_KINDS}, got {node.get('kind')!r}")
+        return None
+    design, beam_key, _, numbers = row
+    start = len(violations)
     _check_keys(node, design, "sensor.", violations, extra=("kind",))
-    _num(node, "bridge_bias", "sensor.", violations, gt=0)
-    _validate_gauge(node.get("gauge"), overrides, "sensor.gauge.", violations)
+    values = {
+        "bridge_bias": _num(node, "bridge_bias", "sensor.", violations, gt=0),
+        "gauge": _gauge(node.get("gauge"), "sensor.gauge.", violations, materials),
+    }
     for key, bounds in numbers:
-        _num(node, key, "sensor.", violations, **bounds)
-    _validate_beam(node.get(beam_key), f"sensor.{beam_key}.", violations)
+        values[key] = _num(node, key, "sensor.", violations, **bounds)
+    values[beam_key] = _beam(node.get(beam_key), f"sensor.{beam_key}.", violations, materials)
+    return None if len(violations) > start else design(**values)
 
 
-def _validate_drive(node, kind, violations) -> None:
-    if not isinstance(node, dict):
-        violations.append("drive: expected a mapping")
-        return
-    _check_keys(node, Drive, "drive.", violations)
+def _drive(node, amplitude, violations):
+    start = len(violations)
+    if not _check_keys(node, Drive, "drive.", violations):
+        return None
     waveform = node.get("waveform")
     if waveform not in ("dc", "square"):
         violations.append(f"drive.waveform: must be 'dc' or 'square', got {waveform!r}")
-    # A kind that is itself invalid, and so already reported, gets >= 0.
-    amplitude = _SENSORS[kind][2] if kind in SENSOR_KINDS else {"ge": 0}
-    _num(node, "amplitude", "drive.", violations, **amplitude)
+    values = {
+        "waveform": waveform,
+        "amplitude": _num(node, "amplitude", "drive.", violations, **amplitude),
+    }
     if waveform == "square":
-        _num(node, "frequency", "drive.", violations, gt=0)
+        values["frequency"] = _num(node, "frequency", "drive.", violations, gt=0)
     elif "frequency" in node:
-        _num(node, "frequency", "drive.", violations, ge=0)
+        values["frequency"] = _num(node, "frequency", "drive.", violations, ge=0)
+    return None if len(violations) > start else Drive(**values)
 
 
-def _validate_environment(node, violations) -> None:
-    if not isinstance(node, dict):
-        violations.append("environment: expected a mapping")
-        return
-    _check_keys(node, Environment, "environment.", violations)
-    _num(node, "field_magnitude", "environment.", violations, ge=0)
-    _num(node, "field_angle", "environment.", violations)
-    _num(node, "temperature", "environment.", violations, gt=0)
-    _num(node, "snr_target", "environment.", violations, gt=0)
+def _environment(node, violations):
+    start = len(violations)
+    if not _check_keys(node, Environment, "environment.", violations):
+        return None
+    values = {
+        "field_magnitude": _num(node, "field_magnitude", "environment.", violations, ge=0),
+        "field_angle": _num(node, "field_angle", "environment.", violations),
+        "temperature": _num(node, "temperature", "environment.", violations, gt=0),
+        "snr_target": _num(node, "snr_target", "environment.", violations, gt=0),
+    }
+    return None if len(violations) > start else Environment(**values)
 
 
-def _validate_overrides(node, violations) -> None:
-    if node is None:
-        return
-    if not isinstance(node, dict):
-        violations.append("material_overrides: expected a mapping")
-        return
-    for name, fields in node.items():
-        path = f"material_overrides.{name}"
-        try:
-            builtin_material(name)
-        except NotFoundError as exc:
-            violations.append(f"{path}: {exc}")
-            continue
-        if not isinstance(fields, dict):
-            violations.append(f"{path}: expected a mapping of material fields")
-            continue
-        numbers = {}
-        for fname in fields:
-            if fname not in _MATERIAL_FIELDS:
-                violations.append(f"{path}.{fname}: unknown material field")
-                continue
-            value = _num(fields, fname, f"{path}.", violations)
-            if value is not None:
-                numbers[fname] = value
-        for fname, requirement in bound_violations(numbers):
-            violations.append(f"{path}.{fname}: {requirement}, got {numbers[fname]}")
+def _parse(tree: dict):
+    """(Scenario, []) for a valid resolved tree, else (None, violations).
 
-
-def validate_tree(tree: dict) -> list:
-    """Every invariant violation in the resolved tree, dotted-path labeled."""
+    One walk: each section function checks a field where it reads it and
+    returns its record, or None after it records violations.
+    """
+    # Layers and the gauge need the overridden materials, but override
+    # violations are reported last.
+    late = []
+    materials = _materials(tree.get("material_overrides"), late)
     violations = []
     _check_keys(tree, Scenario, "", violations)
     sensor = tree.get("sensor")
-    _validate_sensor(sensor, tree.get("material_overrides"), violations)
     kind = sensor.get("kind") if isinstance(sensor, dict) else None
-    _validate_drive(tree.get("drive"), kind, violations)
-    _validate_environment(tree.get("environment"), violations)
-
+    row = _SENSORS[kind] if kind in SENSOR_KINDS else None
+    values = {
+        "sensor": _sensor(sensor, row, violations, materials),
+        # A kind that is itself invalid, and so already reported, gets >= 0.
+        "drive": _drive(tree.get("drive"), row[2] if row else {"ge": 0}, violations),
+        "environment": _environment(tree.get("environment"), violations),
+    }
     band = tree.get("noise_band")
     if (
         not isinstance(band, (list, tuple))
@@ -329,41 +365,19 @@ def validate_tree(tree: dict) -> list:
         violations.append(f"noise_band: expected two finite frequencies, got {band!r}")
     elif not 0 < band[0] < band[1]:
         violations.append(f"noise_band: must satisfy 0 < f1 < f2, got {band!r}")
-
-    _num(tree, "quality_factor", "", violations, gt=0.5)
-    _num(tree, "offset_coefficient", "", violations, ge=0)
-    _num(tree, "thermal_resistance", "", violations, ge=0)
-    _validate_overrides(tree.get("material_overrides"), violations)
-    return violations
-
-
-def _resolve_material(name: str, overrides: dict) -> Material:
-    material = builtin_material(name)
-    if name in overrides:
-        material = override_material(material, **overrides[name])
-    return material
+    values["quality_factor"] = _num(tree, "quality_factor", "", violations, gt=0.5)
+    values["offset_coefficient"] = _num(tree, "offset_coefficient", "", violations, ge=0)
+    values["thermal_resistance"] = _num(tree, "thermal_resistance", "", violations, ge=0)
+    violations += late
+    if violations:
+        return None, violations
+    overrides = tree.get("material_overrides") or {}
+    return Scenario(**values, noise_band=tuple(band), material_overrides=overrides, tree=tree), []
 
 
-def _build_beam(node: dict, overrides: dict) -> BeamGeometry:
-    layers = [
-        LayerSpec(**{**layer, "material": _resolve_material(layer["material"], overrides)})
-        for layer in node["layers"]
-    ]
-    return BeamGeometry(**{**node, "layers": layers})
-
-
-def _build_sensor(node: dict, overrides: dict) -> SensorDesign:
-    design, beam_key, _, numbers = _SENSORS[node["kind"]]
-    values = {key: value for key, value in node.items() if key != "kind"}
-    for key, bounds in numbers:
-        if bounds.get("integer"):
-            values[key] = int(values[key])
-    gauge = node["gauge"]
-    values["gauge"] = GaugeSpec(
-        **{**gauge, "material": _resolve_material(gauge["material"], overrides)}
-    )
-    values[beam_key] = _build_beam(node[beam_key], overrides)
-    return design(**values)
+def validate_tree(tree: dict) -> list:
+    """Every invariant violation in the resolved tree, dotted-path labeled."""
+    return _parse(tree)[1]
 
 
 def build_scenario(tree: dict) -> Scenario:
@@ -379,26 +393,10 @@ def build_scenario(tree: dict) -> Scenario:
     sensor_node = tree.get("sensor", {})
     if isinstance(sensor_node, dict) and sensor_node.get("kind") in SENSOR_KINDS:
         kind = sensor_node["kind"]
-    # Coercion rebuilds every dict and list: the one copy per build, so the
-    # resolved tree shares nothing with the caller's tree or the defaults.
-    resolved = _coerce_numbers(_deep_merge(_packaged_tree(kind), tree))
-
-    violations = validate_tree(resolved)
+    scenario, violations = _parse(_resolve(_packaged_tree(kind), tree))
     if violations:
         raise ValidationError(violations)
-
-    overrides = resolved.get("material_overrides") or {}
-    return Scenario(
-        **{
-            **resolved,
-            "sensor": _build_sensor(resolved["sensor"], overrides),
-            "drive": Drive(**resolved["drive"]),
-            "environment": Environment(**resolved["environment"]),
-            "noise_band": tuple(resolved["noise_band"]),
-            "material_overrides": overrides,
-        },
-        tree=resolved,
-    )
+    return scenario
 
 
 def load_scenario(path) -> Scenario:

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 import yaml
 
-from memsmag import default_scenario
-from memsmag.cli import CONFIG_DIR_ENV, main
+from memsmag import DEFAULT_CONSTRAINTS, default_scenario
+from memsmag.cli import CONFIG_DIR_ENV, build_parser, main
+from memsmag.explorer import MAX_SWEEP_POINTS
 
 
 def _empty_config(tmp_path):
@@ -219,6 +220,50 @@ def test_transient_step_cap(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--duration", "0"], ["--dt", "0"], ["--duration", "nan"], ["--dt", "nan"],
+])
+def test_transient_zero_or_nan_flag_is_invalid_input(tmp_path, capsys, flags):
+    out = tmp_path / "transient.csv"
+    code = main(["transient", "--config", _empty_config(tmp_path), *flags, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: duration and dt must be > 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--points", "0"], "--points"),
+    (["--points", "-3"], "--points"),
+    (["--points", str(MAX_SWEEP_POINTS + 1)], "--points"),
+    (["--f-max", "inf"], "--f-max"),
+    (["--f-min", "nan"], "--f-min"),
+])
+def test_freq_response_bad_range_is_invalid_input(tmp_path, capsys, monkeypatch, flags, named):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the table allocated its points")
+
+    monkeypatch.setattr(np, "geomspace", no_allocation)
+    out = tmp_path / "response.csv"
+    argv = ["freq-response", "--config", _empty_config(tmp_path), *flags, "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_sweep_point_cap_is_invalid_input(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--config", _empty_config(tmp_path), "--path", "drive.amplitude",
+            "--start", "0.001", "--stop", "0.01", "--steps", str(MAX_SWEEP_POINTS + 1),
+            "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: steps must be between 2 and {MAX_SWEEP_POINTS}, got {MAX_SWEEP_POINTS + 1}\n"
+    )
+    assert not out.exists()
+
+
 def test_optimize_cli(tmp_path, capsys):
     code = main(
         [
@@ -236,6 +281,27 @@ def test_optimize_cli(tmp_path, capsys):
     assert "drive.amplitude = 0.01" in captured.out
     assert "objective = " in captured.out
     assert "evaluations = " in captured.out
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--max-temperature-rise", "0"),
+    ("--max-stress-fraction", "0"),
+    ("--max-stress-fraction", "nan"),
+    ("--max-temperature-rise", "inf"),
+])
+def test_optimize_bad_constraint_is_invalid_input(tmp_path, capsys, flag, value):
+    argv = ["optimize", "--config", _empty_config(tmp_path),
+            "--param", "drive.amplitude:0.001:0.012", flag, value]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag[2:].replace('-', '_')} must be finite and > 0")
+    assert err.count("\n") == 1
+
+
+def test_optimize_flag_defaults_are_the_library_defaults():
+    args = build_parser().parse_args(["optimize", "--param", "drive.amplitude:0.001:0.012"])
+    assert args.max_stress_fraction == DEFAULT_CONSTRAINTS["max_stress_fraction"]
+    assert args.max_temperature_rise == DEFAULT_CONSTRAINTS["max_temperature_rise"]
 
 
 def test_optimize_bad_param_spec(tmp_path):
@@ -271,6 +337,17 @@ sensor:
       - {material: silicon_nitride, thickness: 280.0e-9}
       - {material: aluminum, thickness: 1.0e+300}
 """
+
+
+def test_non_finite_report_is_runtime_failure(tmp_path, capsys):
+    path = tmp_path / "scenario.yaml"
+    path.write_text("environment: {field_magnitude: 1.0e+301}")
+    out = tmp_path / "report.csv"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: OverflowError: report figure output_at_field_V is not finite: inf\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("config, error", [

@@ -136,8 +136,11 @@ def test_transient_argument_checks():
     args = (res, scenario.sensor, scenario.drive, scenario.environment)
     with pytest.raises(StepTooLargeError):
         simulate_transient(*args, duration=1.0, dt=1.0)
-    with pytest.raises(ValueError):
-        simulate_transient(*args, duration=0.0, dt=1e-7)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="duration and dt must be > 0"):
+            simulate_transient(*args, duration=bad, dt=1e-7)
+        with pytest.raises(ValueError, match="duration and dt must be > 0"):
+            simulate_transient(*args, duration=1e-3, dt=bad)
     ok_dt = 1.0 / (200 * res.natural_frequency)
     with pytest.raises(ValueError, match="10 drive periods"):
         simulate_transient(*args, duration=1.0 / scenario.drive.frequency, dt=ok_dt)

@@ -78,6 +78,29 @@ def test_low_current_has_no_warning():
 def test_zero_field_output_equals_offset():
     report = run_scenario(build_scenario({"environment": {"field_magnitude": 0.0}}))
     assert report.output_at_field == report.offset
+    # An unstressed beam's infinite margin is the one non-finite figure allowed.
+    assert report.stress_margin == math.inf
+
+
+@pytest.mark.parametrize("tree, figure", [
+    ({"environment": {"field_magnitude": 1.0e301}}, "output_at_field_V"),
+    ({"sensor": {"top_beam_length": 1.0e300}}, "sensitivity_V_per_T"),
+])
+def test_non_finite_report_is_an_overflow(tree, figure):
+    with pytest.raises(OverflowError, match=f"report figure {figure} is not finite"):
+        run_scenario(build_scenario(tree))
+
+
+def test_non_finite_reports_fail_their_sweep_points_and_optimizer_points():
+    scenario = default_scenario("lorentz")
+    result = sweep(scenario, "environment.field_magnitude", 1.0e299, 1.0e302, 4)
+    assert result.reports[0] is not None
+    assert result.reports[-1] is None
+    assert result.errors[-1] == (
+        "OverflowError: report figure output_at_field_V is not finite: inf"
+    )
+    with pytest.raises(InfeasibleError):
+        optimize(scenario, [("environment.field_magnitude", 1.0e300, 1.0e302)])
 
 
 def test_stage_prefix_on_failures():
@@ -281,6 +304,35 @@ def test_optimize_argument_errors():
         optimize(scenario, [("drive.amplitude", 1e-3, 2e-3)], objective="bogus")
     with pytest.raises(UnknownPathError):
         optimize(scenario, [("drive.bogus", 1e-3, 2e-3)])
+
+
+@pytest.mark.parametrize("constraints, message", [
+    ({"max_stres_fraction": 0.5}, "unknown constraint 'max_stres_fraction'"),
+    ({"max_temperature_rise": 0.0}, "max_temperature_rise must be finite and > 0"),
+    ({"max_temperature_rise": -1.0}, "max_temperature_rise must be finite and > 0"),
+    ({"max_stress_fraction": 0.0}, "max_stress_fraction must be finite and > 0"),
+    ({"max_stress_fraction": math.nan}, "max_stress_fraction must be finite and > 0"),
+    ({"max_stress_fraction": math.inf}, "max_stress_fraction must be finite and > 0"),
+])
+def test_optimize_rejects_bad_constraints_before_evaluating(monkeypatch, constraints, message):
+    def no_evaluation(*args):
+        raise AssertionError("a point was evaluated")
+
+    monkeypatch.setattr(explorer, "_run_point", no_evaluation)
+    with pytest.raises(ValueError, match=message):
+        optimize(default_scenario("lorentz"), [("drive.amplitude", 1e-3, 12e-3)],
+                 constraints=constraints)
+
+
+def test_sweep_point_cap_allocates_nothing(monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the sweep allocated its points")
+
+    monkeypatch.setattr(explorer.np, "linspace", no_allocation)
+    monkeypatch.setattr(explorer, "_run_point", no_allocation)
+    with pytest.raises(ValueError, match=f"steps must be between 2 and {explorer.MAX_SWEEP_POINTS}"):
+        sweep(default_scenario("lorentz"), "drive.amplitude", 1e-3, 1e-2,
+              explorer.MAX_SWEEP_POINTS + 1)
 
 
 def test_optimize_trace_records_every_point():

@@ -16,7 +16,9 @@ from memsmag import (
     default_tree,
     load_scenario,
     override_material,
+    validate_tree,
 )
+from memsmag.scenario import _packaged_tree, _resolve
 
 
 def test_defaults_build_both_kinds():
@@ -314,6 +316,42 @@ def test_every_section_violation_in_order(kind):
     with pytest.raises(ValidationError) as excinfo:
         build_scenario(tree)
     assert excinfo.value.violations == expected
+
+
+@pytest.mark.parametrize("kind", sorted(_BROKEN))
+def test_validate_tree_agrees_with_build(kind):
+    tree, expected = _BROKEN[kind]
+    assert validate_tree(_resolve(_packaged_tree(kind), tree)) == expected
+
+
+def test_partial_tree_keeps_merge_order():
+    # Default keys keep their places and new keys follow in the order given,
+    # so unknown fields are reported section by section in that order.
+    tree = {"zz": 1.0, "environment": {"humidity": 0.5}, "aa": 2.0,
+            "drive": {"phase": 0.0, "amplitude": 0.02, "bias": 1.0}}
+    with pytest.raises(ValidationError) as excinfo:
+        build_scenario(tree)
+    assert excinfo.value.violations == [
+        "zz: unknown field",
+        "aa: unknown field",
+        "drive.phase: unknown field",
+        "drive.bias: unknown field",
+        "environment.humidity: unknown field",
+    ]
+    built = build_scenario({"noise_band": [2.0, 50.0], "drive": {"amplitude": 0.02}})
+    assert list(built.tree) == list(default_tree("lorentz"))
+    assert list(built.tree["drive"]) == list(default_tree("lorentz")["drive"])
+
+
+def test_null_override_unsets_the_gauge_film_property():
+    # The film check applies the unset value; the override itself is not a number.
+    with pytest.raises(ValidationError) as excinfo:
+        build_scenario({"material_overrides": {"silicon": {"pi_longitudinal": None}}})
+    assert excinfo.value.violations == [
+        "sensor.gauge.material: material 'silicon' is missing required properties: "
+        "pi_longitudinal",
+        "material_overrides.silicon.pi_longitudinal: expected a number, got None",
+    ]
 
 
 @pytest.mark.parametrize("kind", ["lorentz", "ferro"])
