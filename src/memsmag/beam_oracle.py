@@ -158,10 +158,11 @@ def convergence_order(
     if any(b <= a for a, b in zip(grid_list, grid_list[1:])):
         raise ValueError("grids must be strictly increasing")
 
-    kwargs = {"tip_force": tip_force} if tip_force is not None else {"tip_moment": tip_moment}
-    return _fitted_order(
-        geom.length, [solve_static(geom, grid_size=g, **kwargs) for g in grid_list]
-    )
+    solutions = [
+        solve_static(geom, grid_size=g, tip_force=tip_force, tip_moment=tip_moment)
+        for g in grid_list
+    ]
+    return _fitted_order(geom.length, solutions)
 
 
 def _fitted_order(length: float, solutions: list[BeamSolution]) -> float:

@@ -39,14 +39,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _config_path(args) -> str:
-    if args.config:
-        return args.config
-    return os.path.join(os.environ.get(CONFIG_DIR_ENV, "."), DEFAULT_CONFIG_NAME)
-
-
 def _load(args) -> Scenario:
-    return load_scenario(_config_path(args))
+    default = os.path.join(os.environ.get(CONFIG_DIR_ENV, "."), DEFAULT_CONFIG_NAME)
+    return load_scenario(args.config or default)
 
 
 def _cmd_simulate(args) -> int:
@@ -77,13 +72,10 @@ def _cmd_optimize(args) -> int:
         "max_temperature_rise": args.max_temperature_rise,
     }
     result = optimize(_load(args), params, args.objective, constraints)
-    best_eval = min(
-        (entry for entry in result.trace if entry["feasible"]),
-        key=lambda entry: entry["objective"],
-    )
+    best = result.evaluation
     for path, _, _ in params:
-        print(f"{path} = {best_eval['params'][path]!r}")
-    print(f"objective = {best_eval['objective']!r}")
+        print(f"{path} = {best['params'][path]!r}")
+    print(f"objective = {best['objective']!r}")
     print(f"evaluations = {len(result.trace)}")
     if args.out:
         emit_report(result.report, args.format, args.out)

@@ -16,8 +16,6 @@ from .errors import NoPeakError, StepTooLargeError, UnsettledError
 from .mechanics import LumpedResonator
 from .transduction import Drive, Environment, SensorDesign
 
-MIN_SWEEP_POINTS = 16
-
 # Steps per natural period below which RK4 phase error is unacceptable.
 MIN_STEPS_PER_PERIOD = 50
 
@@ -78,32 +76,21 @@ def frequency_response(resonator: LumpedResonator, frequency: float) -> Frequenc
     return FrequencyResponsePoint(frequency=frequency, amplitude=amplitude, phase=phase)
 
 
-def find_resonance(
-    resonator: LumpedResonator, f_min: float, f_max: float, points: int = 64
-) -> float:
+def find_resonance(resonator: LumpedResonator, f_min: float, f_max: float) -> float:
     """Displacement amplitude peak, f0 * sqrt(1 - 1/(2 Q^2)).
 
-    A log sweep of `points` frequencies over [f_min, f_max] decides whether
-    the range holds the peak: NoPeak is raised when the sampled amplitude
-    is largest at an endpoint, which includes any resonator with
-    Q <= 1/sqrt(2).
+    NoPeak is raised when the amplitude has no maximum strictly inside
+    (f_min, f_max): either Q^2 <= 1/2, so it falls from dc on, or the peak
+    lies outside the range.
     """
     if not 0 < f_min < f_max:
         raise ValueError("need 0 < f_min < f_max")
-    if points < MIN_SWEEP_POINTS:
-        raise ValueError(f"points must be >= {MIN_SWEEP_POINTS}")
-
-    f0 = resonator.natural_frequency
     q = resonator.quality_factor
-    freqs = np.geomspace(f_min, f_max, points)
-    r = freqs / f0
-    amps = 1.0 / np.hypot(1.0 - r * r, r / q)
-    peak = int(np.argmax(amps))
-    if peak == 0 or peak == points - 1:
-        raise NoPeakError(
-            f"no interior amplitude peak in [{f_min}, {f_max}] Hz"
-        )
-    return f0 * math.sqrt(1.0 - 0.5 / q**2)
+    if q * q > 0.5:
+        peak = resonator.natural_frequency * math.sqrt(1.0 - 0.5 / q**2)
+        if f_min < peak < f_max:
+            return peak
+    raise NoPeakError(f"no interior amplitude peak in [{f_min}, {f_max}] Hz")
 
 
 def simulate_transient(

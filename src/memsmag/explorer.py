@@ -34,7 +34,9 @@ DEFAULT_CONSTRAINTS = {"max_stress_fraction": 0.5, "max_temperature_rise": 1.0}
 
 # Death penalty for constraint-violating optimizer points; grows with the
 # relative violation so the walk is still guided back toward feasibility.
+# The violation is capped so that every penalty stays finite.
 _PENALTY = 1e30
+_MAX_VIOLATION = 1e250
 
 MAX_FREE_PARAMETERS = 6
 
@@ -71,6 +73,7 @@ class SweepResult:
 class OptimizeResult:
     best: Scenario
     report: SimulationReport
+    evaluation: dict  # the trace record of the best point
     trace: list  # one {params, objective, feasible} record per evaluation
 
 
@@ -242,10 +245,7 @@ def sweep(
 
 
 def _normalize_parameter(param):
-    if isinstance(param, dict):
-        path, lower, upper = param["path"], param["lower"], param["upper"]
-    else:
-        path, lower, upper = param
+    path, lower, upper = param
     lower, upper = float(lower), float(upper)
     if not (math.isfinite(lower) and math.isfinite(upper)) or not lower < upper:
         raise ValueError(f"{path}: bounds must be finite with lower < upper")
@@ -280,14 +280,17 @@ def _constraint_limits(constraints) -> dict:
 
 
 def _constraint_violation(report: SimulationReport, limits: dict) -> float:
+    """Summed relative violation of the limits, at most _MAX_VIOLATION."""
     violation = 0.0
     margin_limit = 1.0 / limits["max_stress_fraction"]
-    if report.stress_margin < margin_limit:
-        violation += margin_limit / report.stress_margin - 1.0
+    margin = report.stress_margin
+    if margin < margin_limit:
+        # A margin that underflowed to 0 violates the limit without bound.
+        violation += margin_limit / margin - 1.0 if margin > 0.0 else math.inf
     max_rise = limits["max_temperature_rise"]
     if report.temperature_rise > max_rise:
         violation += report.temperature_rise / max_rise - 1.0
-    return violation
+    return min(violation, _MAX_VIOLATION)
 
 
 def optimize(
@@ -317,9 +320,10 @@ def optimize(
     dim = len(params)
 
     trace = []
-    best = {"value": None, "scenario": None, "report": None}
+    best = None  # (scenario, report, trace record) of the best feasible point
 
     def evaluate(z):
+        nonlocal best
         # Nelder-Mead with bounds clips every vertex into the unit box.
         physical = tuple(
             float(lo + zi * (hi - lo)) for zi, (_, lo, hi) in zip(z, params)
@@ -328,15 +332,14 @@ def optimize(
         violation = 1.0 if report is None else _constraint_violation(report, limits)
         feasible = violation == 0.0
         value = score(report) if feasible else _PENALTY * (1.0 + violation)
-        trace.append(
-            {
-                "params": {p: x for (p, _, _), x in zip(params, physical)},
-                "objective": value,
-                "feasible": feasible,
-            }
-        )
-        if feasible and (best["value"] is None or value < best["value"]):
-            best.update(value=value, scenario=built, report=report)
+        record = {
+            "params": {p: x for (p, _, _), x in zip(params, physical)},
+            "objective": value,
+            "feasible": feasible,
+        }
+        trace.append(record)
+        if feasible and (best is None or value < best[2]["objective"]):
+            best = built, report, record
         return value
 
     starts = [np.full(dim, 0.5)]
@@ -361,9 +364,9 @@ def optimize(
             },
         )
 
-    if best["value"] is None:
+    if best is None:
         raise InfeasibleError("no evaluated point satisfied the constraints")
-    return OptimizeResult(best=best["scenario"], report=best["report"], trace=trace)
+    return OptimizeResult(*best, trace=trace)
 
 
 def oracle_check(scenario: Scenario) -> dict:

@@ -22,8 +22,8 @@ SLENDERNESS_WARN_LIMIT = 10.0
 
 # Post-anneal tensile stress in the aluminum film vs anneal temperature.
 # (673.15 K, 150 MPa) is the measured 30 s RTA anchor point; the 423.15 K
-# entry is a synthetic as-deposited point at the evaporation temperature,
-# kept configurable through the scenario file.
+# entry is a synthetic as-deposited point at the evaporation temperature.
+# No scenario key sets it; pass anneal_stress's `calibration` to change it.
 DEFAULT_ANNEAL_TABLE = ((423.15, 30e6), (673.15, 150e6))  # (K, Pa)
 
 

@@ -121,6 +121,11 @@ def noise_budget(
     voltage = design.bridge_bias / 2.0
 
     electrical = thermal_electrical_psd(gauge.resistance, env.temperature)
+    if electrical == 0.0:  # the corner frequency divides by it
+        raise DomainError(
+            f"Johnson PSD 4 k_B T R underflows to 0 at environment.temperature "
+            f"{env.temperature!r} K and sensor.gauge.resistance {gauge.resistance!r} Ohm"
+        )
     gain = design.bridge_voltage(design.anchor_stress(1.0))
     mechanical = thermal_mechanical_psd(resonator.damping, env.temperature) * gain**2
 

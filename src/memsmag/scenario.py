@@ -81,7 +81,6 @@ class Scenario:
     quality_factor: float
     offset_coefficient: float
     thermal_resistance: float  # K/W, loop-to-substrate
-    material_overrides: dict
     tree: dict  # resolved key tree, echoed into reports
 
 
@@ -154,6 +153,11 @@ def _finite(value) -> bool:
     return abs(value) <= sys.float_info.max
 
 
+def _is_number(value) -> bool:
+    # A bool is an int to Python but not a number in a scenario.
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _num(node, key, path, violations, *, ge=None, gt=None, integer=False):
     """Fetch a numeric field, recording a violation instead of raising.
 
@@ -163,7 +167,7 @@ def _num(node, key, path, violations, *, ge=None, gt=None, integer=False):
         violations.append(f"{path}{key}: missing")
         return None
     value = node[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         violations.append(f"{path}{key}: expected a number, got {value!r}")
         return None
     if not _finite(value):
@@ -346,7 +350,7 @@ def _parse(tree: dict):
     late = []
     materials = _materials(tree.get("material_overrides"), late)
     violations = []
-    _check_keys(tree, Scenario, "", violations)
+    _check_keys(tree, Scenario, "", violations, extra=("material_overrides",))
     sensor = tree.get("sensor")
     kind = sensor.get("kind") if isinstance(sensor, dict) else None
     row = _SENSORS[kind] if kind in SENSOR_KINDS else None
@@ -360,7 +364,7 @@ def _parse(tree: dict):
     if (
         not isinstance(band, (list, tuple))
         or len(band) != 2
-        or not all(isinstance(f, (int, float)) and _finite(f) for f in band)
+        or not all(_is_number(f) and _finite(f) for f in band)
     ):
         violations.append(f"noise_band: expected two finite frequencies, got {band!r}")
     elif not 0 < band[0] < band[1]:
@@ -371,8 +375,7 @@ def _parse(tree: dict):
     violations += late
     if violations:
         return None, violations
-    overrides = tree.get("material_overrides") or {}
-    return Scenario(**values, noise_band=tuple(band), material_overrides=overrides, tree=tree), []
+    return Scenario(**values, noise_band=tuple(band), tree=tree), []
 
 
 def validate_tree(tree: dict) -> list:

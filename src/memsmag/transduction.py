@@ -12,7 +12,7 @@ temperature rise.
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidCalibrationError, MissingPropertyError
+from .errors import DomainError, InvalidCalibrationError, MissingPropertyError
 from .mechanics import (
     BeamGeometry,
     LumpedResonator,
@@ -154,7 +154,14 @@ class FerroDesign(SensorDesign):
 
     @property
     def plate_volume(self) -> float:
-        return self.plate_length * self.plate_width * self.plate_thickness
+        volume = self.plate_length * self.plate_width * self.plate_thickness
+        if volume == 0.0:
+            raise DomainError(
+                f"plate volume underflows to 0: sensor.plate_length {self.plate_length!r} m"
+                f" * sensor.plate_width {self.plate_width!r} m"
+                f" * sensor.plate_thickness {self.plate_thickness!r} m"
+            )
+        return volume
 
     @property
     def plate_mass(self) -> float:

@@ -137,6 +137,32 @@ def test_noise_fails_like_simulate(tmp_path, capsys):
     assert noise_err.startswith("error: noise: sensitivity must be nonzero")
 
 
+def test_underflowing_temperature_fails_simulate_and_noise_alike(tmp_path, capsys):
+    path = tmp_path / "scenario.yaml"
+    path.write_text("environment: {temperature: 1.0e-320}")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+    simulate_err = capsys.readouterr().err
+    assert main(["noise", "--config", str(path)]) == 2
+    noise_err = capsys.readouterr().err
+    assert noise_err == simulate_err
+    assert noise_err.startswith(
+        "error: noise: Johnson PSD 4 k_B T R underflows to 0 at environment.temperature 1e-320 K"
+    )
+    assert noise_err.count("\n") == 1
+
+
+def test_underflowing_plate_volume_is_a_runtime_failure(tmp_path, capsys):
+    path = tmp_path / "scenario.yaml"
+    path.write_text("sensor: {kind: ferro, plate_length: 1.0e-320}")
+    out = tmp_path / "r.csv"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: transduction: plate volume underflows to 0: sensor.plate_length 1e-320 m"
+        " * sensor.plate_width 5e-05 m * sensor.plate_thickness 5e-07 m\n"
+    )
+    assert not out.exists()
+
+
 def test_sweep_cli(tmp_path):
     out = tmp_path / "sweep.csv"
     code = main(
@@ -281,6 +307,18 @@ def test_optimize_cli(tmp_path, capsys):
     assert "drive.amplitude = 0.01" in captured.out
     assert "objective = " in captured.out
     assert "evaluations = " in captured.out
+
+
+@pytest.mark.parametrize("yield_stress", ["5.0e-324", "1.0e-300"])
+def test_optimize_underflowing_stress_margin_is_infeasible(tmp_path, capsys, yield_stress):
+    # The margin underflows to 0 or its violation would overflow the
+    # penalty; either way every score stays finite and no warning escapes.
+    path = tmp_path / "scenario.yaml"
+    path.write_text(f"material_overrides: {{silicon: {{yield_stress: {yield_stress}}}}}")
+    assert main(["optimize", "--config", str(path), "--param", "drive.amplitude:0.001:0.012"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no evaluated point satisfied the constraints\n"
 
 
 @pytest.mark.parametrize("flag, value", [

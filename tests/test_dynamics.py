@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from memsmag import (
     Drive,
@@ -112,8 +114,35 @@ def test_find_resonance_argument_checks():
     _, res = _default_parts()
     with pytest.raises(ValueError):
         find_resonance(res, 2e3, 1e3)
-    with pytest.raises(ValueError):
-        find_resonance(res, 1e3, 2e3, points=8)
+
+
+_LORENTZ_BEAM = default_scenario("lorentz").sensor.support_beam
+
+
+@settings(max_examples=300, derandomize=True)
+@given(
+    q=st.floats(0.5, 1e6, exclude_min=True),
+    low=st.floats(1e-3, 1e3),
+    high=st.floats(1e-3, 1e3),
+)
+def test_find_resonance_is_the_interior_amplitude_maximum(q, low, high):
+    # For any Q > 1/2 and 0 < f_min < f_max: a peak comes back exactly when
+    # Q^2 > 1/2 and it lies strictly inside the range, and the amplitude is
+    # no larger a relative 1e-3 to either side of it.
+    assume(low < high)
+    res = lumped_resonator(_LORENTZ_BEAM, q)
+    f0 = res.natural_frequency
+    f_min, f_max = low * f0, high * f0
+    peak = f0 * math.sqrt(1.0 - 0.5 / q**2) if q * q > 0.5 else None
+    if peak is None or not f_min < peak < f_max:
+        with pytest.raises(NoPeakError):
+            find_resonance(res, f_min, f_max)
+        return
+    assert find_resonance(res, f_min, f_max) == peak
+    top = frequency_response(res, peak).amplitude
+    for side in (1.0 - 1e-3, 1.0 + 1e-3):
+        # Rounding alone may lift a flat maximum's neighbour by an ulp or so.
+        assert frequency_response(res, peak * side).amplitude <= top * (1.0 + 1e-12)
 
 
 def test_transient_zero_field_stays_at_rest():

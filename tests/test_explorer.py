@@ -338,7 +338,7 @@ def test_sweep_point_cap_allocates_nothing(monkeypatch):
 def test_optimize_trace_records_every_point():
     result = optimize(
         default_scenario("lorentz"),
-        [{"path": "drive.amplitude", "lower": 1e-3, "upper": 12e-3}],
+        [("drive.amplitude", 1e-3, 12e-3)],
         objective="sensitivity",
     )
     assert result.trace
@@ -351,6 +351,38 @@ def test_optimize_trace_records_every_point():
         else:
             assert entry["objective"] >= 1e30
     assert min(feasible_values) == -result.report.sensitivity
+
+
+@pytest.mark.parametrize("kind, params, objective", [
+    ("lorentz", [("drive.amplitude", 1e-3, 12e-3)], "sensitivity"),
+    ("lorentz", [("sensor.support_beam.length", 200e-6, 800e-6),
+                 ("sensor.support_beam.width", 5e-6, 40e-6)], "min_detectable_field"),
+    ("ferro", [("sensor.plate_length", 50e-6, 400e-6)], "min_detectable_field"),
+])
+def test_optimize_evaluation_is_the_first_best_trace_record(kind, params, objective):
+    result = optimize(default_scenario(kind), params, objective)
+    feasible = [entry for entry in result.trace if entry["feasible"]]
+    best = min(entry["objective"] for entry in feasible)
+    first = next(entry for entry in feasible if entry["objective"] == best)
+    assert result.evaluation is first
+    for path, _, _ in params:
+        node = result.best.tree
+        for step in explorer._resolve_path(result.best.tree, path):
+            node = node[step]
+        assert result.evaluation["params"][path] == node
+
+
+@pytest.mark.parametrize("yield_stress", [5.0e-324, 1.0e-300])
+def test_optimize_scores_stay_finite_when_the_stress_margin_underflows(yield_stress):
+    # A margin that underflows to 0, or a violation that would overflow
+    # the penalty, scores a finite penalty; no warning escapes Nelder-Mead.
+    scenario = build_scenario({"material_overrides": {"silicon": {"yield_stress": yield_stress}}})
+    assert run_scenario(scenario).stress_margin < 1e-280
+    with pytest.raises(InfeasibleError):
+        optimize(scenario, [("drive.amplitude", 1e-3, 12e-3)])
+    result = optimize(scenario, [("material_overrides.silicon.yield_stress", yield_stress, 7e9)])
+    assert all(math.isfinite(entry["objective"]) for entry in result.trace)
+    assert not all(entry["feasible"] for entry in result.trace)
 
 
 def test_emit_deterministic_bytes(tmp_path):

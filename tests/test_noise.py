@@ -11,6 +11,7 @@ from memsmag import (
     Environment,
     GaugeSpec,
     MissingPropertyError,
+    build_scenario,
     builtin_material,
     carrier_count,
     default_scenario,
@@ -178,6 +179,16 @@ def test_budget_needs_flicker_parameters():
             scenario.noise_band,
             scenario.sensor.resonator(scenario.quality_factor),
         )
+
+
+@pytest.mark.parametrize("kind", ["lorentz", "ferro"])
+def test_underflowing_johnson_psd_is_a_named_domain_error(kind):
+    # A validated temperature can still underflow 4 k_B T R, which the
+    # corner frequency divides by.
+    scenario = build_scenario({"sensor": {"kind": kind}, "environment": {"temperature": 1.0e-320}})
+    with pytest.raises(DomainError, match=r"^noise: Johnson PSD 4 k_B T R underflows to 0 at "
+                       r"environment\.temperature 1e-320 K and sensor\.gauge\.resistance "):
+        run_scenario(scenario)
 
 
 def test_snr_scaling():

@@ -136,6 +136,12 @@ def test_scalar_validations():
         build_scenario({"noise_band": [0.0, 100.0]})
     with pytest.raises(ValidationError, match="noise_band"):
         build_scenario({"noise_band": [100.0]})
+    # A bool is not a frequency, as it is not a number for _num.
+    with pytest.raises(ValidationError) as excinfo:
+        build_scenario({"noise_band": [True, 100.0]})
+    assert excinfo.value.violations == [
+        "noise_band: expected two finite frequencies, got [True, 100.0]"
+    ]
     with pytest.raises(ValidationError, match="drive.waveform"):
         build_scenario({"drive": {"waveform": "triangle"}})
     with pytest.raises(ValidationError, match="beam.layers\\[0\\].thickness"):

@@ -3,12 +3,14 @@ import math
 import pytest
 
 from memsmag import (
+    DomainError,
     Drive,
     Environment,
     MissingPropertyError,
     bridge_output,
     builtin_material,
     default_scenario,
+    build_scenario,
     end_to_end_response,
     ferro_deflection,
     ferro_torque,
@@ -39,6 +41,16 @@ def test_ferro_torque_example():
     assert ferro_torque(4.8e5, volume, 0.4, 0.0) == 0.0
     with pytest.raises(ValueError):
         ferro_torque(4.8e5, 0.0, 0.4, math.pi / 2)
+
+
+def test_underflowing_plate_volume_is_a_named_domain_error():
+    design = build_scenario({"sensor": {"kind": "ferro", "plate_length": 1.0e-320}}).sensor
+    with pytest.raises(DomainError) as excinfo:
+        design.plate_volume
+    assert str(excinfo.value) == (
+        "plate volume underflows to 0: sensor.plate_length 1e-320 m"
+        " * sensor.plate_width 5e-05 m * sensor.plate_thickness 5e-07 m"
+    )
 
 
 def test_gauge_response_examples():
