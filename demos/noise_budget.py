@@ -7,17 +7,17 @@ appears at the output through the same gain as the signal.
 
 import numpy as np
 
-from memsmag import default_scenario, noise_budget
+from memsmag import default_scenario, noise_budget, sensitivity
 
 
 def main():
     scenario = default_scenario("lorentz")
     budget = noise_budget(
         scenario.sensor,
-        scenario.drive,
         scenario.environment,
         scenario.noise_band,
         scenario.sensor.resonator(scenario.quality_factor),
+        sensitivity(scenario.sensor, scenario.drive, scenario.environment),
     )
 
     print(f"johnson floor      {budget.thermal_electrical_psd:.3e} V^2/Hz")

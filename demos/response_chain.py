@@ -8,7 +8,6 @@ into a resistance change, and the bridge reads it out as volts.
 from memsmag import (
     bridge_output,
     default_scenario,
-    end_to_end_response,
     lorentz_force,
     max_anchor_stress,
     piezo_fractional_resistance,
@@ -39,11 +38,9 @@ def main():
     print(f"gauge dR/R         {fraction:8.2e}")
     print(f"bridge signal      {volts * 1e6:8.3f} uV")
 
-    chain = end_to_end_response(sensor, drive, env, scenario.offset_coefficient)
-    print(f"self-heat offset   {chain.offset * 1e6:8.3f} uV")
-    print(f"total output       {chain.output * 1e6:8.3f} uV")
-
     report = run_scenario(scenario)
+    print(f"self-heat offset   {report.offset * 1e6:8.3f} uV")
+    print(f"total output       {report.output_at_field * 1e6:8.3f} uV")
     print(f"sensitivity        {report.sensitivity * 1e3:8.4f} mV/T")
     print(f"min detectable     {report.min_detectable_field * 1e6:8.3f} uT")
     for warning in report.warnings:

@@ -42,17 +42,14 @@ from .mechanics import (
     tip_deflection,
 )
 from .transduction import (
-    ChainResponse,
     Drive,
     Environment,
     FerroDesign,
     FerroResponse,
     GaugeSpec,
-    JouleHeating,
     LorentzDesign,
     SensorDesign,
     bridge_output,
-    end_to_end_response,
     ferro_deflection,
     ferro_torque,
     fit_power_law_offset,

@@ -21,11 +21,13 @@ from .errors import InfeasibleError, MemsmagError, UnknownPathError
 from .mechanics import SLENDERNESS_WARN_LIMIT, composite_section, tip_deflection
 from .noise import NOISE_FIELDS, NoiseBudget, noise_budget
 from .scenario import Scenario, build_scenario
-from .transduction import end_to_end_response, joule_temperature_rise, sensitivity
+from .transduction import joule_offset, joule_temperature_rise, sensitivity
 
 # libyaml's emitter is about 3x faster; tests check that its bytes match.
 _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
+# Self-heating is negligible below this drive amplitude.
+HIGH_CURRENT_THRESHOLD = 1e-3  # A
 HIGH_CURRENT_WARNING = (
     "drive amplitude exceeds 1 mA: self-heating is not negligible"
 )
@@ -104,20 +106,23 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
     sensor, drive, env = scenario.sensor, scenario.drive, scenario.environment
     with _stage("transduction"):
         signal_gain = sensitivity(sensor, drive, env)
-        chain = end_to_end_response(sensor, drive, env, scenario.offset_coefficient)
-        heating = joule_temperature_rise(
+        force = sensor.tip_force(drive, env, env.field_magnitude)
+        stress = sensor.anchor_stress(force)
+        offset = joule_offset(drive.amplitude, scenario.offset_coefficient)
+        output = sensor.bridge_voltage(stress) + offset
+        temperature_rise = joule_temperature_rise(
             drive.amplitude, sensor.loop_resistance, scenario.thermal_resistance
         )
     with _stage("mechanics"):
         resonator = sensor.resonator(scenario.quality_factor)
-        deflection = chain.force / (sensor.load_share_count * resonator.stiffness)
-        margin = _stress_margin(sensor.beam, chain.stress)
+        deflection = force / (sensor.load_share_count * resonator.stiffness)
+        margin = _stress_margin(sensor.beam, stress)
 
     with _stage("noise"):
-        budget = noise_budget(sensor, drive, env, scenario.noise_band, resonator)
+        budget = noise_budget(sensor, env, scenario.noise_band, resonator, signal_gain)
 
     warnings_list = []
-    if heating.high_current:
+    if drive.amplitude > HIGH_CURRENT_THRESHOLD:
         warnings_list.append(HIGH_CURRENT_WARNING)
     slenderness = sensor.beam.length / sensor.beam.total_thickness
     if slenderness < SLENDERNESS_WARN_LIMIT:
@@ -127,16 +132,16 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
         )
     report = SimulationReport(
         sensitivity=signal_gain,
-        offset=chain.offset,
-        output_at_field=chain.output,
+        offset=offset,
+        output_at_field=output,
         tip_deflection=deflection,
-        anchor_stress=chain.stress,
+        anchor_stress=stress,
         stress_margin=margin,
         resonant_frequency=resonator.natural_frequency,
         quality_factor=scenario.quality_factor,
         noise=budget,
         min_detectable_field=budget.min_detectable_field,
-        temperature_rise=heating.temperature_rise,
+        temperature_rise=temperature_rise,
         warnings=warnings_list,
         scenario=scenario.tree,
     )

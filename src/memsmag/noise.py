@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, MissingPropertyError
 from .mechanics import LumpedResonator
-from .transduction import Drive, Environment, GaugeSpec, SensorDesign, sensitivity
+from .transduction import Environment, GaugeSpec, SensorDesign
 
 BOLTZMANN = 1.380649e-23  # J/K
 
@@ -101,17 +101,19 @@ def min_detectable_field(sensitivity: float, rms: float, snr_target: float = 1.0
 
 def noise_budget(
     design: SensorDesign,
-    drive: Drive,
     env: Environment,
     band: tuple,
     resonator: LumpedResonator,
+    sensitivity: float,
 ) -> NoiseBudget:
     """Full budget at the bridge output for one operating point.
 
     Flicker needs the gauge material's Hooge alpha and carrier density; the
     mechanical term uses the damping of `resonator`, which should be the
     design's own, design.resonator(Q), referred through the bridge volts
-    per unit tip force.
+    per unit tip force. `sensitivity` (V/T) should be the design's own,
+    transduction.sensitivity(design, drive, env); the SNR and the minimum
+    detectable field scale with it.
     """
     gauge = design.gauge
     if gauge.material.hooge_alpha is None:
@@ -133,8 +135,12 @@ def noise_budget(
     corner = flicker_scale / electrical
 
     rms = rms_noise(electrical + mechanical, flicker_scale, band)
-    signal_gain = sensitivity(design, drive, env)
-    signal = abs(signal_gain * env.field_magnitude)
+    if rms == 0.0:  # the SNR divides by it
+        raise DomainError(
+            f"band RMS noise underflows to 0 over noise_band {band[0]!r} to {band[1]!r} Hz "
+            f"at environment.temperature {env.temperature!r} K"
+        )
+    signal = abs(sensitivity * env.field_magnitude)
     return NoiseBudget(
         thermal_electrical_psd=electrical,
         thermal_mechanical_psd_referred=mechanical,
@@ -143,5 +149,5 @@ def noise_budget(
         rms=rms,
         corner_frequency=corner,
         snr=signal / rms,
-        min_detectable_field=min_detectable_field(signal_gain, rms, env.snr_target),
+        min_detectable_field=min_detectable_field(sensitivity, rms, env.snr_target),
     )

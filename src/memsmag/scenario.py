@@ -9,6 +9,7 @@ tree rides along in the built Scenario so reports can echo the exact inputs.
 """
 
 import copy
+import re
 import sys
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -98,14 +99,19 @@ def default_tree(kind: str = "lorentz") -> dict:
     return copy.deepcopy(_packaged_tree(kind))
 
 
+# A signed ASCII decimal number with an optional exponent: 45, -0.5, 4.8e5.
+_DECIMAL_RE = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
 def _resolve(base, node):
     """`node` merged over `base` as a new tree, numeric strings as floats.
 
     Mappings merge key by key (base keys first); anything else in `node`
     wins. Every dict and list is copied, so the result shares nothing
     mutable with either input. YAML leaves exponent forms like 4.8e5 as
-    strings unless they carry a decimal point and a signed exponent, so
-    every string that float() accepts becomes a number.
+    strings unless they carry a decimal point and a signed exponent, so a
+    string that is wholly a decimal number, exponent optional, becomes a
+    float; any other string (" 30 ", "1_000", "nan") stays a string.
     """
     if isinstance(node, dict):
         base = base if isinstance(base, dict) else {}
@@ -119,11 +125,8 @@ def _resolve(base, node):
         return merged
     if isinstance(node, list):
         return [_resolve(value, value) for value in node]
-    if isinstance(node, str):
-        try:
-            return float(node)
-        except ValueError:
-            return node
+    if isinstance(node, str) and _DECIMAL_RE.fullmatch(node):
+        return float(node)
     return node
 
 

@@ -27,9 +27,6 @@ DEFAULT_OFFSET_COEFFICIENT = 0.3  # V/A^2
 # Measured (current A, offset V) pairs for the power-law calibration mode.
 OFFSET_CALIBRATION_POINTS = ((10e-3, 0.03e-3), (50e-3, 0.1e-3))
 
-# Self-heating is negligible below this drive amplitude.
-HIGH_CURRENT_THRESHOLD = 1e-3  # A
-
 # The released plate does not sit perfectly parallel to the substrate.
 DEFAULT_MISALIGNMENT = math.radians(5.0)  # rad
 
@@ -197,20 +194,6 @@ class FerroResponse:
     anchor_stress: float  # Pa
 
 
-@dataclass
-class ChainResponse:
-    output: float  # V, signal plus offset
-    stress: float  # Pa, at the beam anchor
-    force: float  # N, equivalent tip force shared by the beams
-    offset: float  # V, field-independent self-heating term
-
-
-@dataclass
-class JouleHeating:
-    temperature_rise: float  # K
-    high_current: bool  # amplitude above the neglect threshold
-
-
 def _gauge_pi(gauge: GaugeSpec) -> float:
     pi = gauge.material.pi_longitudinal
     if pi is None:
@@ -303,31 +286,8 @@ def power_law_offset(current: float, coefficient: float, exponent: float) -> flo
 
 def joule_temperature_rise(
     current: float, loop_resistance: float, thermal_resistance: float
-) -> JouleHeating:
-    """Loop temperature rise I^2*R_loop*R_th, flagged above 1 mA drive."""
+) -> float:
+    """Loop temperature rise I^2*R_loop*R_th in kelvin."""
     if min(current, loop_resistance, thermal_resistance) < 0:
         raise ValueError("current, loop_resistance, thermal_resistance must be >= 0")
-    rise = current**2 * loop_resistance * thermal_resistance
-    return JouleHeating(
-        temperature_rise=rise, high_current=current > HIGH_CURRENT_THRESHOLD
-    )
-
-
-def end_to_end_response(
-    design: SensorDesign,
-    drive: Drive,
-    env: Environment,
-    offset_coefficient: float = DEFAULT_OFFSET_COEFFICIENT,
-) -> ChainResponse:
-    """Static output of the chain with the self-heating offset.
-
-    The field-dependent part is odd in B; the offset is even in I and takes
-    no field argument, so output(-B) + output(B) = 2*offset identically.
-    """
-    force = design.tip_force(drive, env, env.field_magnitude)
-    stress = design.anchor_stress(force)
-    signal = design.bridge_voltage(stress)
-    offset = joule_offset(drive.amplitude, offset_coefficient)
-    return ChainResponse(
-        output=signal + offset, stress=stress, force=force, offset=offset
-    )
+    return current**2 * loop_resistance * thermal_resistance

@@ -151,6 +151,24 @@ def test_underflowing_temperature_fails_simulate_and_noise_alike(tmp_path, capsy
     assert noise_err.count("\n") == 1
 
 
+def test_underflowing_band_rms_fails_simulate_and_noise_alike(tmp_path, capsys):
+    path = tmp_path / "scenario.yaml"
+    path.write_text(
+        "environment: {temperature: 1.0e-300}\n"
+        "noise_band: [1.0, 1.0000000001]\n"
+        "material_overrides: {silicon: {hooge_alpha: 0.0}}\n"
+    )
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+    simulate_err = capsys.readouterr().err
+    assert main(["noise", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", simulate_err)
+    assert captured.err == (
+        "error: noise: band RMS noise underflows to 0 over noise_band 1.0 to 1.0000000001 Hz"
+        " at environment.temperature 1e-300 K\n"
+    )
+
+
 def test_underflowing_plate_volume_is_a_runtime_failure(tmp_path, capsys):
     path = tmp_path / "scenario.yaml"
     path.write_text("sensor: {kind: ferro, plate_length: 1.0e-320}")

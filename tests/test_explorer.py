@@ -75,6 +75,26 @@ def test_low_current_has_no_warning():
     assert report.warnings == []
 
 
+@pytest.mark.parametrize("kind", ["lorentz", "ferro"])
+def test_one_pass_through_the_chain_per_report(monkeypatch, kind):
+    # The sensitivity walks the chain at 1 T and the static response at the
+    # ambient field; the noise budget adds one anchor stress for its
+    # mechanical gain.
+    scenario = default_scenario(kind)
+    design = type(scenario.sensor)
+    calls = {"tip_force": 0, "anchor_stress": 0}
+    for name in calls:
+        stage = getattr(design, name)
+
+        def counted(self, *args, _stage=stage, _name=name):
+            calls[_name] += 1
+            return _stage(self, *args)
+
+        monkeypatch.setattr(design, name, counted)
+    run_scenario(scenario)
+    assert calls == {"tip_force": 2, "anchor_stress": 3}
+
+
 def test_zero_field_output_equals_offset():
     report = run_scenario(build_scenario({"environment": {"field_magnitude": 0.0}}))
     assert report.output_at_field == report.offset

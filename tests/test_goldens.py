@@ -1,0 +1,96 @@
+"""Pinned CLI bytes on both packaged defaults.
+
+Each case runs `cli.main` in process on a packaged default config and
+compares the bytes it writes (the output file, or stdout for `noise`) with
+the file of the same name under tests/goldens/. A change to the model or
+to the serializers that moves any digit fails here.
+
+`optimize` and `transient` are left out because their outputs are due to
+change on purpose; `verify` and `freq-response` because LAPACK and
+np.geomspace may move their last digits from one build to another.
+
+Regenerate every golden file, after a deliberate change, with
+
+    PYTHONPATH=src python tests/test_goldens.py
+"""
+
+import contextlib
+import io
+import tempfile
+from importlib import resources
+from pathlib import Path
+
+import pytest
+
+from memsmag.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "goldens"
+
+KINDS = ("lorentz", "ferro")
+
+# Golden file name -> (argv after --config, whether the bytes go to stdout).
+CASES = {
+    "simulate.csv": (["simulate", "--format", "csv"], False),
+    "simulate.yaml": (["simulate", "--format", "structured-text"], False),
+    "noise.txt": (["noise"], True),
+    "sweep_quality_factor.csv": (
+        ["sweep", "--path", "quality_factor", "--start", "0", "--stop", "5", "--steps", "6"],
+        False,
+    ),
+    "sweep_quality_factor.yaml": (
+        [
+            "sweep", "--path", "quality_factor", "--start", "0", "--stop", "5", "--steps", "6",
+            "--format", "structured-text",
+        ],
+        False,
+    ),
+    "sweep_field_magnitude.csv": (
+        ["sweep", "--path", "environment.field_magnitude", "--start", "0", "--stop", "1",
+         "--steps", "5"],
+        False,
+    ),
+}
+
+
+def _config(kind: str) -> str:
+    return str(resources.files("memsmag").joinpath(f"configs/default_{kind}.yaml"))
+
+
+def _run(kind: str, name: str, out: Path, capture) -> bytes:
+    """Bytes the CLI gives for one golden case; `capture()` reads stdout."""
+    argv, to_stdout = CASES[name]
+    argv = argv[:1] + ["--config", _config(kind)] + argv[1:]
+    if not to_stdout:
+        argv += ["--out", str(out)]
+    code = main(argv)
+    stdout, stderr = capture()
+    assert (code, stderr) == (0, "")
+    return stdout.encode() if to_stdout else out.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("kind", KINDS)
+def test_cli_bytes_match_golden(kind, name, tmp_path, capsys):
+    got = _run(kind, name, tmp_path / name, lambda: tuple(capsys.readouterr()))
+    assert got == (GOLDEN_DIR / kind / name).read_bytes()
+
+
+def _regenerate() -> None:
+    for kind in KINDS:
+        (GOLDEN_DIR / kind).mkdir(parents=True, exist_ok=True)
+        for name in sorted(CASES):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with tempfile.TemporaryDirectory() as tmp:
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    data = _run(
+                        kind,
+                        name,
+                        Path(tmp) / name,
+                        lambda: (stdout.getvalue(), stderr.getvalue()),
+                    )
+            (GOLDEN_DIR / kind / name).write_bytes(data)
+            print(f"wrote {GOLDEN_DIR / kind / name} ({len(data)} bytes)")
+
+
+if __name__ == "__main__":
+    _regenerate()

@@ -21,6 +21,7 @@ from memsmag import (
     override_material,
     rms_noise,
     run_scenario,
+    sensitivity,
     thermal_electrical_psd,
     thermal_mechanical_psd,
 )
@@ -62,10 +63,10 @@ def _unit_budget(resistance=1000.0, **overrides):
     sensor = dataclasses.replace(scenario.sensor, gauge=gauge, bridge_bias=2.0)
     return noise_budget(
         sensor,
-        scenario.drive,
         scenario.environment,
         scenario.noise_band,
         sensor.resonator(scenario.quality_factor),
+        sensitivity(sensor, scenario.drive, scenario.environment),
     )
 
 
@@ -146,10 +147,10 @@ def test_default_budget():
     scenario = default_scenario("lorentz")
     budget = noise_budget(
         scenario.sensor,
-        scenario.drive,
         scenario.environment,
         scenario.noise_band,
         scenario.sensor.resonator(scenario.quality_factor),
+        sensitivity(scenario.sensor, scenario.drive, scenario.environment),
     )
     assert 50.0 <= budget.corner_frequency <= 200.0
     assert budget.corner_frequency == pytest.approx(128.764, rel=1e-5)
@@ -170,14 +171,15 @@ def test_default_budget():
 
 def test_budget_needs_flicker_parameters():
     scenario = default_scenario("lorentz")
+    signal_gain = sensitivity(scenario.sensor, scenario.drive, scenario.environment)
     scenario.sensor.gauge.material = builtin_material("silicon_nitride")
     with pytest.raises(MissingPropertyError):
         noise_budget(
             scenario.sensor,
-            scenario.drive,
             scenario.environment,
             scenario.noise_band,
             scenario.sensor.resonator(scenario.quality_factor),
+            signal_gain,
         )
 
 
@@ -198,11 +200,42 @@ def test_snr_scaling():
 
     def at(field, temperature=300.0):
         env = Environment(field_magnitude=field, temperature=temperature)
-        return noise_budget(sensor, drive, env, band, resonator).snr
+        return noise_budget(sensor, env, band, resonator, sensitivity(sensor, drive, env)).snr
 
     assert at(0.0) == 0.0
     assert at(2e-3) == pytest.approx(2 * at(1e-3), rel=1e-9)
     assert at(1e-3, temperature=400.0) < at(1e-3, temperature=300.0)
+
+
+def test_budget_scales_with_the_given_sensitivity():
+    scenario = default_scenario("lorentz")
+    sensor, env = scenario.sensor, scenario.environment
+    resonator = sensor.resonator(scenario.quality_factor)
+    gain = sensitivity(sensor, scenario.drive, env)
+    once = noise_budget(sensor, env, scenario.noise_band, resonator, gain)
+    twice = noise_budget(sensor, env, scenario.noise_band, resonator, 2.0 * gain)
+    assert twice.rms == once.rms
+    assert twice.snr == pytest.approx(2.0 * once.snr, rel=1e-12)
+    assert twice.min_detectable_field == pytest.approx(once.min_detectable_field / 2.0, rel=1e-12)
+
+
+_UNDERFLOWING_RMS = {
+    "environment": {"temperature": 1.0e-300},
+    "noise_band": [1.0, 1.0000000001],
+    "material_overrides": {"silicon": {"hooge_alpha": 0.0}},
+}
+
+
+def test_underflowing_band_rms_is_a_named_domain_error():
+    # The white PSD times a tiny band underflows and no flicker term is
+    # left, so the RMS that the SNR divides by is 0.
+    scenario = build_scenario(_UNDERFLOWING_RMS)
+    with pytest.raises(DomainError) as excinfo:
+        run_scenario(scenario)
+    assert str(excinfo.value) == (
+        "noise: band RMS noise underflows to 0 over noise_band 1.0 to 1.0000000001 Hz"
+        " at environment.temperature 1e-300 K"
+    )
 
 
 @pytest.mark.parametrize("kind", ["lorentz", "ferro"])

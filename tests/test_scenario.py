@@ -105,6 +105,31 @@ def test_numeric_strings_coerced():
     assert ferro.sensor.magnetization == 4.8e5
 
 
+@pytest.mark.parametrize("field, text", [
+    ("drive.amplitude", "1_000"),
+    ("quality_factor", " 30 "),
+    ("quality_factor", "nan"),
+    ("environment.temperature", "inf"),
+    ("quality_factor", "3e1_0"),
+    ("quality_factor", "\u0663\u0660"),
+])
+def test_only_number_shaped_strings_coerced(field, text):
+    # float() accepts all of these; a scenario takes none of them.
+    section, _, key = field.rpartition(".")
+    tree = {section: {key: text}} if section else {key: text}
+    with pytest.raises(ValidationError) as excinfo:
+        build_scenario(tree)
+    assert excinfo.value.violations == [f"{field}: expected a number, got {text!r}"]
+
+
+def test_signed_and_bare_point_strings_coerced():
+    scenario = build_scenario(
+        {"quality_factor": "+.45e2", "environment": {"field_angle": "-1."}}
+    )
+    assert scenario.quality_factor == 45.0
+    assert scenario.environment.field_angle == -1.0
+
+
 def test_material_override_applies():
     tree = {
         "sensor": {"kind": "ferro"},

@@ -11,7 +11,6 @@ from memsmag import (
     builtin_material,
     default_scenario,
     build_scenario,
-    end_to_end_response,
     ferro_deflection,
     ferro_torque,
     fit_power_law_offset,
@@ -88,12 +87,13 @@ def test_sensitivity_needs_gauge_coefficient():
 
 
 def test_chain_identity():
-    # The end-to-end output must equal the hand-chained stage products.
+    # The design's stages must equal the hand-chained stage products.
     from memsmag import max_anchor_stress
 
     scenario = default_scenario("lorentz")
     sensor, drive, env = scenario.sensor, scenario.drive, scenario.environment
-    chain = end_to_end_response(sensor, drive, env)
+    chain_force = sensor.tip_force(drive, env, env.field_magnitude)
+    chain_signal = sensor.bridge_voltage(sensor.anchor_stress(chain_force))
     beam = sensor.support_beam
     force = lorentz_force(
         drive.amplitude, sensor.top_beam_length, env.field_magnitude, env.field_angle
@@ -105,20 +105,20 @@ def test_chain_identity():
         piezo_fractional_resistance(stress, sensor.gauge.material.pi_longitudinal),
         sensor.bridge_bias,
     )
-    assert chain.output - chain.offset == pytest.approx(signal, rel=1e-12)
-    assert chain.force == pytest.approx(force, rel=1e-12, abs=0)
+    assert chain_signal == pytest.approx(signal, rel=1e-12)
+    assert chain_force == pytest.approx(force, rel=1e-12, abs=0)
 
 
 def test_chain_odd_in_field():
     scenario = default_scenario("lorentz")
     sensor, drive = scenario.sensor, scenario.drive
-    plus = end_to_end_response(sensor, drive, Environment(field_magnitude=1e-3))
-    minus = end_to_end_response(sensor, drive, Environment(field_magnitude=-1e-3))
-    assert plus.output - plus.offset == pytest.approx(
-        -(minus.output - minus.offset), rel=1e-12
-    )
-    zero = end_to_end_response(sensor, drive, Environment(field_magnitude=0.0))
-    assert zero.output == zero.offset
+
+    def signal(field):
+        env = Environment(field_magnitude=field)
+        return sensor.bridge_voltage(sensor.anchor_stress(sensor.tip_force(drive, env, field)))
+
+    assert signal(1e-3) == pytest.approx(-signal(-1e-3), rel=1e-12)
+    assert signal(0.0) == 0.0
 
 
 def test_joule_offset_examples():
@@ -148,12 +148,9 @@ def test_power_law_offset_calibration():
 
 
 def test_joule_temperature_rise():
-    assert joule_temperature_rise(0.0, 100.0, 1e4).temperature_rise == 0.0
+    assert joule_temperature_rise(0.0, 100.0, 1e4) == 0.0
     # I^2 * R_loop * R_th: (10 mA)^2 * 100 Ohm * 1e4 K/W.
-    heating = joule_temperature_rise(10e-3, 100.0, 1e4)
-    assert heating.temperature_rise == pytest.approx(100.0, rel=1e-12)
-    assert heating.high_current
-    assert not joule_temperature_rise(1e-3, 100.0, 1e4).high_current
+    assert joule_temperature_rise(10e-3, 100.0, 1e4) == pytest.approx(100.0, rel=1e-12)
     with pytest.raises(ValueError):
         joule_temperature_rise(-1e-3, 100.0, 1e4)
 
