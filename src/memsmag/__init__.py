@@ -45,12 +45,10 @@ from .transduction import (
     Drive,
     Environment,
     FerroDesign,
-    FerroResponse,
     GaugeSpec,
     LorentzDesign,
     SensorDesign,
     bridge_output,
-    ferro_deflection,
     ferro_torque,
     fit_power_law_offset,
     joule_offset,

@@ -17,14 +17,19 @@ import numpy as np
 import yaml
 
 from .beam_oracle import _fitted_order, solve_static
-from .errors import InfeasibleError, MemsmagError, UnknownPathError
+from .errors import InfeasibleError, MemsmagError, UnknownPathError, ValidationError
 from .mechanics import SLENDERNESS_WARN_LIMIT, composite_section, tip_deflection
 from .noise import NOISE_FIELDS, NoiseBudget, noise_budget
-from .scenario import Scenario, build_scenario
+from .scenario import Scenario, _parse
 from .transduction import joule_offset, joule_temperature_rise, sensitivity
 
+
 # libyaml's emitter is about 3x faster; tests check that its bytes match.
-_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+class _DUMPER(getattr(yaml, "CSafeDumper", yaml.SafeDumper)):
+    # Sweep points and optimizer results share unchanged subtrees; each is
+    # written out in full, so structured text never holds anchors or aliases.
+    def ignore_aliases(self, data):
+        return True
 
 # Self-heating is negligible below this drive amplitude.
 HIGH_CURRENT_THRESHOLD = 1e-3  # A
@@ -199,6 +204,8 @@ def _with_value(tree, steps: list, value: float):
 def _run_point(scenario: Scenario, edits):
     """Build and run `scenario` with each (steps, value) edit applied.
 
+    The edited tree is already resolved, so it is parsed as it stands, and
+    each section the edits left untouched keeps `scenario`'s record.
     Returns (scenario, report, None), or (None, None, error) where the
     point fails and error is one line naming the exception type.
     """
@@ -206,7 +213,9 @@ def _run_point(scenario: Scenario, edits):
     for steps, value in edits:
         tree = _with_value(tree, steps, value)
     try:
-        built = build_scenario(tree)
+        built, violations = _parse(tree, scenario)
+        if violations:
+            raise ValidationError(violations)
         return built, run_scenario(built), None
     except (MemsmagError, ValueError, ArithmeticError) as exc:
         # The scenario is invalid or cannot be evaluated, or its arithmetic

@@ -342,11 +342,17 @@ def _environment(node, violations):
     return None if len(violations) > start else Environment(**values)
 
 
-def _parse(tree: dict):
+def _parse(tree: dict, parent: Scenario | None = None):
     """(Scenario, []) for a valid resolved tree, else (None, violations).
 
     One walk: each section function checks a field where it reads it and
     returns its record, or None after it records violations.
+
+    With a `parent` built from its own tree, a section whose node is the
+    very object the parent's tree holds keeps the parent's record, which
+    that node built without violations: `environment` always, `sensor`
+    when `material_overrides` is the same object too, and `drive` when
+    `sensor` is too, since its amplitude bound depends on the kind.
     """
     # Layers and the gauge need the overridden materials, but override
     # violations are reported last.
@@ -357,11 +363,26 @@ def _parse(tree: dict):
     sensor = tree.get("sensor")
     kind = sensor.get("kind") if isinstance(sensor, dict) else None
     row = _SENSORS[kind] if kind in SENSOR_KINDS else None
+
+    def same(*keys):
+        # A valid parent holds every section, so None (absent) never matches
+        # one; absent material_overrides in both trees do match.
+        return parent is not None and all(tree.get(k) is parent.tree.get(k) for k in keys)
+
     values = {
-        "sensor": _sensor(sensor, row, violations, materials),
+        "sensor": (
+            parent.sensor if same("sensor", "material_overrides")
+            else _sensor(sensor, row, violations, materials)
+        ),
         # A kind that is itself invalid, and so already reported, gets >= 0.
-        "drive": _drive(tree.get("drive"), row[2] if row else {"ge": 0}, violations),
-        "environment": _environment(tree.get("environment"), violations),
+        "drive": (
+            parent.drive if same("drive", "sensor")
+            else _drive(tree.get("drive"), row[2] if row else {"ge": 0}, violations)
+        ),
+        "environment": (
+            parent.environment if same("environment")
+            else _environment(tree.get("environment"), violations)
+        ),
     }
     band = tree.get("noise_band")
     if (

@@ -16,7 +16,6 @@ from .errors import DomainError, InvalidCalibrationError, MissingPropertyError
 from .mechanics import (
     BeamGeometry,
     LumpedResonator,
-    composite_section,
     lumped_resonator,
     max_anchor_stress,
 )
@@ -188,12 +187,6 @@ class FerroDesign(SensorDesign):
         return END_MOMENT_TIP_FORCE * torque / self.suspension.length
 
 
-@dataclass
-class FerroResponse:
-    tip_deflection: float  # m
-    anchor_stress: float  # Pa
-
-
 def _gauge_pi(gauge: GaugeSpec) -> float:
     pi = gauge.material.pi_longitudinal
     if pi is None:
@@ -211,23 +204,6 @@ def ferro_torque(magnetization: float, plate_volume: float, field: float, angle:
     if plate_volume <= 0:
         raise ValueError("plate_volume must be > 0")
     return magnetization * plate_volume * field * math.sin(angle)
-
-
-def ferro_deflection(design: FerroDesign, torque: float) -> FerroResponse:
-    """Suspension response to a plate torque, split equally across beams.
-
-    Each beam carries the end moment M0 = torque/suspension_count; tip
-    deflection is M0*l^2/(2EI) and the anchor stress is that of a tip force
-    M0/l.
-    """
-    beam = design.suspension
-    moment = torque / design.suspension_count
-    section = composite_section(beam)
-    deflection = moment * beam.length**2 / (2.0 * section.flexural_rigidity)
-    stress = max_anchor_stress(
-        moment / beam.length, beam.length, beam.width, beam.total_thickness, 1
-    )
-    return FerroResponse(tip_deflection=deflection, anchor_stress=stress)
 
 
 def piezo_fractional_resistance(stress: float, pi_longitudinal: float) -> float:

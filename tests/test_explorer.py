@@ -10,13 +10,14 @@ from memsmag import (
     DEFAULT_CONSTRAINTS,
     HIGH_CURRENT_WARNING,
     InfeasibleError,
+    MemsmagError,
     MissingPropertyError,
     UnknownPathError,
     build_scenario,
     builtin_material,
+    composite_section,
     default_scenario,
     emit_report,
-    ferro_deflection,
     ferro_torque,
     optimize,
     oracle_check,
@@ -57,7 +58,10 @@ def test_ferro_report_fields():
         report.sensitivity * 0.4, rel=1e-12
     )
     assert report.warnings == []
-    # The reported deflection is the static plate response to the net torque.
+    # The reported deflection is the static plate response to the net torque:
+    # each suspension beam carries the end moment M0 = torque/count, which
+    # deflects its tip by M0 l^2/(2EI) and stresses its anchor like a tip
+    # force M0/l, 6 M0/(w t^2).
     sensor, env = scenario.sensor, scenario.environment
     torque = ferro_torque(
         sensor.magnetization,
@@ -65,9 +69,15 @@ def test_ferro_report_fields():
         env.field_magnitude,
         env.field_angle + sensor.misalignment,
     )
-    response = ferro_deflection(sensor, torque)
-    assert report.tip_deflection == pytest.approx(response.tip_deflection, rel=1e-12)
-    assert report.anchor_stress == pytest.approx(response.anchor_stress, rel=1e-12)
+    beam = sensor.suspension
+    moment = torque / sensor.suspension_count
+    rigidity = composite_section(beam).flexural_rigidity
+    assert report.tip_deflection == pytest.approx(
+        moment * beam.length**2 / (2.0 * rigidity), rel=1e-12
+    )
+    assert report.anchor_stress == pytest.approx(
+        6.0 * moment / (beam.width * beam.total_thickness**2), rel=1e-12
+    )
 
 
 def test_low_current_has_no_warning():
@@ -215,6 +225,80 @@ def test_sweep_and_optimize_leave_tree_unchanged(kind, path):
     assert best.tree["drive"] == before["drive"]
 
 
+def _numeric_paths(node, path=""):
+    """The dotted path of every numeric leaf under `node`."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _numeric_paths(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _numeric_paths(value, f"{path}[{i}]")
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+# Each side of every bound a scenario field has: 0, 0.5 (quality_factor,
+# poisson_ratio) and 1 (the beam counts).
+_BOUND_NEIGHBOURS = [
+    math.nextafter(bound, side) for bound in (0.0, 0.5, 1.0) for side in (-math.inf, math.inf)
+]
+
+
+def _edit_values(tree, steps, value):
+    values = [value * (1 + 1e-3), value * (1 - 1e-3), 0.0, -1.0, 1e-320, 1e300]
+    values += _BOUND_NEIGHBOURS
+    if isinstance(value, int):
+        values.append(value + 0.5)
+    if steps[0] == "noise_band":
+        other = tree["noise_band"][1 - steps[1]]
+        values += [math.nextafter(other, -math.inf), math.nextafter(other, math.inf)]
+    return values
+
+
+def _fresh_point(tree):
+    """What a full build of `tree` gives, in _run_point's result shape."""
+    try:
+        built = build_scenario(tree)
+        return built, run_scenario(built), None
+    except (MemsmagError, ValueError, ArithmeticError) as exc:
+        return None, None, f"{type(exc).__name__}: " + " ".join(str(exc).split())
+
+
+@pytest.mark.parametrize("parent", [
+    {},
+    {"sensor": {"kind": "ferro"}},
+    {"material_overrides": {
+        "aluminum": {"youngs_modulus": 69.0e9, "yield_stress": 1.6e8},
+        "silicon": {"pi_longitudinal": 1.1e-9, "hooge_alpha": 2.0e-6},
+    }},
+], ids=["lorentz", "ferro", "overrides"])
+def test_point_reusing_parent_sections_matches_a_fresh_build(parent):
+    scenario = build_scenario(parent)
+    paths = list(_numeric_paths(scenario.tree))
+    overridden = any(path.startswith("material_overrides.") for path in paths)
+    assert overridden == ("material_overrides" in parent)
+    for path in paths:
+        steps = explorer._resolve_path(scenario.tree, path)
+        value = scenario.tree
+        for step in steps:
+            value = value[step]
+        section = steps[0]
+        # Which of the parent's records the point may keep, by the edited section.
+        kept = {
+            "environment": section != "environment",
+            "sensor": section not in ("sensor", "material_overrides"),
+            "drive": section not in ("sensor", "drive"),
+        }
+        for new in _edit_values(scenario.tree, steps, value):
+            got = explorer._run_point(scenario, [(steps, new)])
+            assert got == _fresh_point(explorer._with_value(scenario.tree, steps, new)), (
+                path, new)
+            if got[0] is not None:
+                for name, keep in kept.items():
+                    assert (getattr(got[0], name) is getattr(scenario, name)) == keep, (
+                        path, new, name)
+
+
 def test_optimize_pushes_to_bound():
     result = optimize(
         default_scenario("lorentz"),
@@ -255,12 +339,13 @@ def test_optimize_keeps_the_scenario_it_built(monkeypatch):
     import memsmag.explorer as explorer
 
     builds = []
+    parse = explorer._parse
 
-    def counted(tree):
+    def counted(tree, parent):
         builds.append(tree)
-        return build_scenario(tree)
+        return parse(tree, parent)
 
-    monkeypatch.setattr(explorer, "build_scenario", counted)
+    monkeypatch.setattr(explorer, "_parse", counted)
     result = optimize(
         default_scenario("lorentz"),
         [("drive.amplitude", 1e-3, 12e-3)],
@@ -424,10 +509,12 @@ def test_emit_deterministic_bytes(tmp_path):
 ], ids=["lorentz", "ferro", "failing-sweep"])
 def test_libyaml_emitter_gives_the_same_bytes(monkeypatch, make):
     obj = make()
-    monkeypatch.setattr(explorer, "_DUMPER", yaml.CSafeDumper)
+    no_aliases = {"ignore_aliases": explorer._DUMPER.ignore_aliases}
+    monkeypatch.setattr(explorer, "_DUMPER", type("C", (yaml.CSafeDumper,), no_aliases))
     fast = explorer._structured_text(obj)
-    monkeypatch.setattr(explorer, "_DUMPER", yaml.SafeDumper)
+    monkeypatch.setattr(explorer, "_DUMPER", type("P", (yaml.SafeDumper,), no_aliases))
     assert explorer._structured_text(obj) == fast
+    assert "&id" not in fast
 
 
 def test_scipy_names_resolve_after_optimize():

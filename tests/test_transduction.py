@@ -9,9 +9,9 @@ from memsmag import (
     MissingPropertyError,
     bridge_output,
     builtin_material,
+    composite_section,
     default_scenario,
     build_scenario,
-    ferro_deflection,
     ferro_torque,
     fit_power_law_offset,
     joule_offset,
@@ -157,16 +157,29 @@ def test_joule_temperature_rise():
 
 def test_ferro_deflection_splits_torque():
     scenario = default_scenario("ferro")
-    sensor = scenario.sensor
-    zero = ferro_deflection(sensor, 0.0)
-    assert zero.tip_deflection == 0.0
-    assert zero.anchor_stress == 0.0
-    response = ferro_deflection(sensor, 4.8e-10)
-    assert response.tip_deflection > 10e-6
-    half = ferro_deflection(sensor, 2.4e-10)
-    assert half.tip_deflection == pytest.approx(
-        response.tip_deflection / 2, rel=1e-12
-    )
+    sensor, drive, env = scenario.sensor, scenario.drive, scenario.environment
+    beam = sensor.suspension
+    stiffness = sensor.resonator(scenario.quality_factor).stiffness
+    rigidity = composite_section(beam).flexural_rigidity
+    deflections = []
+    for field in (0.0, 0.2, 0.4):
+        force = sensor.tip_force(drive, env, field)
+        deflection = force / (sensor.load_share_count * stiffness)
+        # Oracle: each suspension beam carries the end moment
+        # M0 = torque/count, which deflects its tip by M0 l^2/(2EI) and
+        # stresses its anchor like a tip force M0/l, 6 M0/(w t^2).
+        torque = ferro_torque(
+            sensor.magnetization, sensor.plate_volume, field, env.field_angle + sensor.misalignment
+        )
+        moment = torque / sensor.suspension_count
+        assert deflection == pytest.approx(moment * beam.length**2 / (2.0 * rigidity), rel=1e-12)
+        assert sensor.anchor_stress(force) == pytest.approx(
+            6.0 * moment / (beam.width * beam.total_thickness**2), rel=1e-12
+        )
+        deflections.append(deflection)
+    assert deflections[0] == 0.0
+    assert deflections[2] > 10e-6
+    assert deflections[1] == pytest.approx(deflections[2] / 2, rel=1e-12)
 
 
 def test_ferro_misalignment_keeps_aligned_field_responsive():
