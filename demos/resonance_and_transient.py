@@ -12,7 +12,6 @@ from memsmag import (
     find_resonance,
     frequency_response,
     lorentz_force,
-    lumped_resonator,
     simulate_transient,
     steady_state_amplitude,
 )
@@ -21,7 +20,7 @@ from memsmag import (
 def main():
     scenario = default_scenario("lorentz")
     sensor, env = scenario.sensor, scenario.environment
-    resonator = lumped_resonator(sensor.support_beam, scenario.quality_factor)
+    resonator = sensor.resonator(scenario.quality_factor)
     f0 = resonator.natural_frequency
 
     print(f"stiffness          {resonator.stiffness:8.3f} N/m")

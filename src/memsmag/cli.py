@@ -14,12 +14,12 @@ import numpy as np
 
 from .dynamics import frequency_response, simulate_transient
 from .errors import MemsmagError, ParseError, UnknownPathError, ValidationError
-from .noise import NOISE_FIELDS
 from .scenario import Scenario, load_scenario
 from .explorer import (
     DEFAULT_CONSTRAINTS,
     MAX_SWEEP_POINTS,
     emit_report,
+    noise_figures,
     optimize,
     oracle_check,
     run_scenario,
@@ -83,11 +83,10 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_noise(args) -> int:
-    budget = run_scenario(_load(args)).noise
+    figures = noise_figures(run_scenario(_load(args)).noise)
     text = ""
-    for name, attr in NOISE_FIELDS:
-        value = getattr(budget, attr)
-        shown = f"{value[0]!r} {value[1]!r}" if name == "band_Hz" else repr(value)
+    for name, value in figures.items():
+        shown = " ".join(map(repr, value)) if isinstance(value, list) else repr(value)
         text += f"{name} = {shown}\n"
     sys.stdout.write(text)
     if args.out:

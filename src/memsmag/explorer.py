@@ -19,7 +19,7 @@ import yaml
 from .beam_oracle import _fitted_order, solve_static
 from .errors import InfeasibleError, MemsmagError, UnknownPathError, ValidationError
 from .mechanics import SLENDERNESS_WARN_LIMIT, composite_section, tip_deflection
-from .noise import NOISE_FIELDS, NoiseBudget, noise_budget
+from .noise import NoiseBudget, noise_budget
 from .scenario import Scenario, _parse
 from .transduction import joule_offset, joule_temperature_rise, sensitivity
 
@@ -373,7 +373,6 @@ def optimize(
                 "initial_simplex": simplex,
                 "xatol": 1e-5,
                 "fatol": 1e-300,
-                "maxiter": 400 * dim,
                 "maxfev": 400 * dim,
             },
         )
@@ -440,67 +439,65 @@ REPORT_COLUMNS = (
 )
 
 
+def noise_figures(budget: NoiseBudget) -> dict:
+    """Each figure of `budget` under its output name, in printed order.
+
+    The `noise` command and the structured-text `noise` subtree both print
+    these; the band is its two ends in Hz.
+    """
+    return {
+        "thermal_electrical_psd_V2_per_Hz": float(budget.thermal_electrical_psd),
+        "thermal_mechanical_psd_referred_V2_per_Hz": float(budget.thermal_mechanical_psd_referred),
+        "flicker_scale_V2": float(budget.flicker_scale),
+        "corner_frequency_Hz": float(budget.corner_frequency),
+        "band_Hz": [float(f) for f in budget.band],
+        "rms_V": float(budget.rms),
+        "snr": float(budget.snr),
+        "min_detectable_field_T": float(budget.min_detectable_field),
+    }
+
+
 def _report_tree(report: SimulationReport) -> dict:
     tree = {name: float(get(report)) for name, get in REPORT_COLUMNS if not name.startswith("noise_")}
-    tree["noise"] = {}
-    for name, attr in NOISE_FIELDS:
-        value = getattr(report.noise, attr)
-        tree["noise"][name] = [float(f) for f in value] if name == "band_Hz" else float(value)
+    tree["noise"] = noise_figures(report.noise)
     tree["warnings"] = list(report.warnings)
     tree["scenario"] = report.scenario
     return tree
 
 
-def _scenario_comment(tree: dict) -> list:
-    dumped = yaml.dump(tree, Dumper=_DUMPER, sort_keys=True, default_flow_style=False)
-    return [f"# {line}" for line in dumped.splitlines()]
+def _csv_row(report: SimulationReport) -> list:
+    return [_fmt(get(report)) for _, get in REPORT_COLUMNS] + ["; ".join(report.warnings)]
 
 
-def _csv_rows(rows: list) -> str:
+def _render(obj: Union[SimulationReport, SweepResult], format: str) -> str:
+    """The text `emit_report` writes for a report or a sweep."""
+    if format not in ("csv", "structured-text"):
+        raise ValueError(f"format must be 'csv' or 'structured-text', got {format!r}")
+    header = [name for name, _ in REPORT_COLUMNS] + ["warnings"]
+    if isinstance(obj, SimulationReport):
+        tree, echo, rows = _report_tree(obj), obj.scenario, [header, _csv_row(obj)]
+    else:
+        points, echo, rows = [], None, [[obj.parameter_path] + header + ["error"]]
+        for value, report, error in zip(obj.values, obj.reports, obj.errors):
+            if report is not None:
+                points.append({"value": float(value), "report": _report_tree(report)})
+                rows.append([_fmt(value)] + _csv_row(report) + [""])
+            else:
+                points.append({"value": float(value), "error": error})
+                rows.append([_fmt(value)] + [""] * len(header) + [error or "failed"])
+        tree = {"parameter_path": obj.parameter_path, "points": points}
+    # Structured text is the tree; a single report's CSV echoes its
+    # scenario in the same encoding, as '#' comment lines.
+    dumped = tree if format == "structured-text" else echo
+    text = "" if dumped is None else yaml.dump(
+        dumped, Dumper=_DUMPER, sort_keys=True, default_flow_style=False
+    )
+    if format == "structured-text":
+        return text
     buffer = io.StringIO()
+    buffer.writelines(f"# {line}\n" for line in text.splitlines())
     csv.writer(buffer, lineterminator="\n").writerows(rows)
     return buffer.getvalue()
-
-
-def _report_csv(report: SimulationReport) -> str:
-    header = [name for name, _ in REPORT_COLUMNS] + ["warnings"]
-    row = [_fmt(get(report)) for _, get in REPORT_COLUMNS]
-    row.append("; ".join(report.warnings))
-    comments = "\n".join(_scenario_comment(report.scenario))
-    return comments + "\n" + _csv_rows([header, row])
-
-
-def _sweep_csv(result: SweepResult) -> str:
-    rows = [
-        [result.parameter_path]
-        + [name for name, _ in REPORT_COLUMNS]
-        + ["warnings", "error"]
-    ]
-    for value, report, error in zip(result.values, result.reports, result.errors):
-        if report is not None:
-            row = [_fmt(value)]
-            row += [_fmt(get(report)) for _, get in REPORT_COLUMNS]
-            row += ["; ".join(report.warnings), ""]
-        else:
-            row = [_fmt(value)] + [""] * (len(REPORT_COLUMNS) + 1) + [error or "failed"]
-        rows.append(row)
-    return _csv_rows(rows)
-
-
-def _structured_text(obj) -> str:
-    if isinstance(obj, SimulationReport):
-        tree = _report_tree(obj)
-    else:
-        points = []
-        for value, report, error in zip(obj.values, obj.reports, obj.errors):
-            point = {"value": float(value)}
-            if report is not None:
-                point["report"] = _report_tree(report)
-            else:
-                point["error"] = error
-            points.append(point)
-        tree = {"parameter_path": obj.parameter_path, "points": points}
-    return yaml.dump(tree, Dumper=_DUMPER, sort_keys=True, default_flow_style=False)
 
 
 def emit_report(obj: Union[SimulationReport, SweepResult], format: str, path) -> None:
@@ -511,12 +508,7 @@ def emit_report(obj: Union[SimulationReport, SweepResult], format: str, path) ->
     mirrors the full field tree including the scenario echo and re-parses
     with every numeric field exact.
     """
-    if format == "csv":
-        text = _report_csv(obj) if isinstance(obj, SimulationReport) else _sweep_csv(obj)
-    elif format == "structured-text":
-        text = _structured_text(obj)
-    else:
-        raise ValueError(f"format must be 'csv' or 'structured-text', got {format!r}")
+    text = _render(obj, format)
     with open(path, "w", newline="") as handle:
         handle.write(text)
 

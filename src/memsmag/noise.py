@@ -4,7 +4,7 @@ Johnson noise of the active gauge, Hooge flicker noise, and the suspension's
 thermomechanical force noise referred to output volts through the same
 static force-to-voltage gain as the signal. The closed-form band integral
 and the derived figures: corner frequency, RMS, SNR, minimum detectable
-field. NOISE_FIELDS names the budget's figures for every text output.
+field.
 """
 
 import math
@@ -15,19 +15,6 @@ from .mechanics import LumpedResonator
 from .transduction import Environment, GaugeSpec, SensorDesign
 
 BOLTZMANN = 1.380649e-23  # J/K
-
-# Output name of each budget figure, in printed order, and the NoiseBudget
-# attribute it reads.
-NOISE_FIELDS = (
-    ("thermal_electrical_psd_V2_per_Hz", "thermal_electrical_psd"),
-    ("thermal_mechanical_psd_referred_V2_per_Hz", "thermal_mechanical_psd_referred"),
-    ("flicker_scale_V2", "flicker_scale"),
-    ("corner_frequency_Hz", "corner_frequency"),
-    ("band_Hz", "band"),
-    ("rms_V", "rms"),
-    ("snr", "snr"),
-    ("min_detectable_field_T", "min_detectable_field"),
-)
 
 
 @dataclass

@@ -113,6 +113,25 @@ def test_noise_out_file(tmp_path, capsys):
     assert out.read_text() == captured.out
 
 
+@pytest.mark.parametrize("config", [
+    "{}", "sensor: {kind: ferro}", "noise_band: [1, 10000]",
+], ids=["lorentz", "ferro", "integer-band"])
+def test_noise_prints_the_structured_text_noise_figures(tmp_path, capsys, config):
+    path = tmp_path / "scenario.yaml"
+    path.write_text(config)
+    report = tmp_path / "report.yaml"
+    argv = ["simulate", "--config", str(path), "--out", str(report), "--format", "structured-text"]
+    assert main(argv) == 0
+    figures = yaml.safe_load(report.read_text())["noise"]
+    assert main(["noise", "--config", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(figures)
+    for line in lines:
+        name, _, shown = line.partition(" = ")
+        value = figures[name]
+        assert shown == " ".join(map(repr, value if isinstance(value, list) else [value]))
+
+
 @pytest.mark.parametrize("config, field", [
     ("drive: {amplitude: 0.0}", "drive.amplitude: must be > 0"),
     ("sensor: {kind: ferro, magnetization: 0.0}", "sensor.magnetization: must be > 0"),

@@ -511,9 +511,9 @@ def test_libyaml_emitter_gives_the_same_bytes(monkeypatch, make):
     obj = make()
     no_aliases = {"ignore_aliases": explorer._DUMPER.ignore_aliases}
     monkeypatch.setattr(explorer, "_DUMPER", type("C", (yaml.CSafeDumper,), no_aliases))
-    fast = explorer._structured_text(obj)
+    fast = explorer._render(obj, "structured-text")
     monkeypatch.setattr(explorer, "_DUMPER", type("P", (yaml.SafeDumper,), no_aliases))
-    assert explorer._structured_text(obj) == fast
+    assert explorer._render(obj, "structured-text") == fast
     assert "&id" not in fast
 
 
@@ -578,8 +578,12 @@ def test_structured_text_sweep_roundtrip(tmp_path):
 
 def test_emit_unknown_format(tmp_path):
     report = run_scenario(default_scenario("lorentz"))
-    with pytest.raises(ValueError):
-        emit_report(report, "parquet", tmp_path / "report.parquet")
+    result = sweep(default_scenario("lorentz"), "quality_factor", 0.4, 2.0, 3)
+    for obj in (report, result):
+        path = tmp_path / "out.xml"
+        with pytest.raises(ValueError, match="'xml'"):
+            emit_report(obj, "xml", path)
+        assert not path.exists()
 
 
 def test_oracle_check_both_kinds():
