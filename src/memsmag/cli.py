@@ -58,6 +58,18 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _print_figures(figures: dict, out=None) -> None:
+    """Write `name = value` lines, a list as its items, to stdout and any `out`."""
+    text = "".join(
+        f"{name} = {' '.join(map(repr, value)) if isinstance(value, list) else repr(value)}\n"
+        for name, value in figures.items()
+    )
+    sys.stdout.write(text)
+    if out:
+        with open(out, "w", newline="") as handle:
+            handle.write(text)
+
+
 def _parse_param(text: str):
     parts = text.rsplit(":", 2)
     if len(parts) != 3:
@@ -73,25 +85,16 @@ def _cmd_optimize(args) -> int:
     }
     result = optimize(_load(args), params, args.objective, constraints)
     best = result.evaluation
-    for path, _, _ in params:
-        print(f"{path} = {best['params'][path]!r}")
-    print(f"objective = {best['objective']!r}")
-    print(f"evaluations = {len(result.trace)}")
+    _print_figures(
+        {**best["params"], "objective": best["objective"], "evaluations": len(result.trace)}
+    )
     if args.out:
         emit_report(result.report, args.format, args.out)
     return 0
 
 
 def _cmd_noise(args) -> int:
-    figures = noise_figures(run_scenario(_load(args)).noise)
-    text = ""
-    for name, value in figures.items():
-        shown = " ".join(map(repr, value)) if isinstance(value, list) else repr(value)
-        text += f"{name} = {shown}\n"
-    sys.stdout.write(text)
-    if args.out:
-        with open(args.out, "w", newline="") as handle:
-            handle.write(text)
+    _print_figures(noise_figures(run_scenario(_load(args)).noise), args.out)
     return 0
 
 
@@ -136,11 +139,10 @@ def _cmd_transient(args) -> int:
 
 def _cmd_verify(args) -> int:
     checks = oracle_check(_load(args))
-    for name, value in checks.items():
-        if name != "passed":
-            print(f"{name} = {value!r}")
-    print("verify: PASS" if checks["passed"] else "verify: FAIL")
-    return 0 if checks["passed"] else 2
+    passed = checks.pop("passed")
+    _print_figures(checks)
+    print("verify: PASS" if passed else "verify: FAIL")
+    return 0 if passed else 2
 
 
 def _add_config(parser) -> None:

@@ -22,6 +22,8 @@ MIN_STEPS_PER_PERIOD = 50
 # Most steps one transient may take; each step stores four float64 samples.
 MAX_TRANSIENT_STEPS = 10_000_000
 
+TRANSIENT_COLUMNS = ("t_s", "x_m", "v_m_per_s", "V_out_V")  # one per TimeSeries array
+
 
 @dataclass
 class FrequencyResponsePoint:
@@ -49,7 +51,7 @@ class TimeSeries:
             path,
             data,
             delimiter=",",
-            header="t_s,x_m,v_m_per_s,V_out_V",
+            header=",".join(TRANSIENT_COLUMNS),
             comments="",
             fmt="%.17g",
         )
@@ -109,7 +111,8 @@ def simulate_transient(
     square waveform applies the forcing with exact sign flips every half
     period; dc applies it constantly. The voltage column maps displacement
     through instantaneous anchor stress, gauge, and bridge. Starts from rest
-    unless initial conditions are given.
+    unless initial conditions are given. Raises OverflowError naming the
+    first step-map coefficient or output column that leaves the float range.
     """
     if not (0 < duration < math.inf and 0 < dt < math.inf):
         raise ValueError("duration and dt must be > 0")
@@ -151,19 +154,27 @@ def simulate_transient(
     # RK4 on y' = A y + b F(t), y = (x, v), is the step map y+ = P y +
     # g1 F(t) + g2 F(t + h/2) + g3 F(t + h), P the 4th-order Taylor sum of hA.
     m = resonator.effective_mass
-    ha = dt * np.array(
-        [[0.0, 1.0], [-resonator.stiffness / m, -resonator.damping / m]]
-    )
-    eye = np.eye(2)
-    ha2 = ha @ ha
-    ha3 = ha2 @ ha
-    step = eye + ha + ha2 / 2.0 + ha3 / 6.0 + ha2 @ ha2 / 24.0
-    g3 = np.array([0.0, dt / (6.0 * m)])
-    g1 = (eye + ha + ha2 / 2.0 + ha3 / 4.0) @ g3
-    g2 = (4.0 * eye + 2.0 * ha + ha2 / 2.0) @ g3
-    (pxx, pxv, g1x, g2x, g3x), (pvx, pvv, g1v, g2v, g3v) = np.column_stack(
-        (step, g1, g2, g3)
-    ).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        ha = dt * np.array(
+            [[0.0, 1.0], [-resonator.stiffness / m, -resonator.damping / m]]
+        )
+        eye = np.eye(2)
+        ha2 = ha @ ha
+        ha3 = ha2 @ ha
+        step = eye + ha + ha2 / 2.0 + ha3 / 6.0 + ha2 @ ha2 / 24.0
+        g3 = np.array([0.0, dt / (6.0 * m)])
+        g1 = (eye + ha + ha2 / 2.0 + ha3 / 4.0) @ g3
+        g2 = (4.0 * eye + 2.0 * ha + ha2 / 2.0) @ g3
+    step_map = np.column_stack((step, g1, g2, g3))
+    bad = np.argwhere(~np.isfinite(step_map))
+    if bad.size:
+        row, col = bad[0]
+        name = f"P[{row}][{col}]" if col < 2 else f"g{col - 1}[{row}]"
+        raise OverflowError(
+            f"transient step map coefficient {name} is {float(step_map[row, col])}: stiffness"
+            f" {resonator.stiffness!r} N/m, damping {resonator.damping!r} N*s/m, mass {m!r} kg"
+        )
+    (pxx, pxv, g1x, g2x, g3x), (pvx, pvv, g1v, g2v, g3v) = step_map.tolist()
 
     steps = int(round(duration / dt))
     x = np.empty(steps + 1)
@@ -180,12 +191,19 @@ def simulate_transient(
         x[i + 1], v[i + 1] = xi, vi
 
     time = np.arange(steps + 1) * dt
+    with np.errstate(over="ignore", invalid="ignore"):
+        voltage = volts_per_meter * x
+    for name, column in zip(TRANSIENT_COLUMNS[1:], (x, v, voltage)):
+        bad = np.flatnonzero(~np.isfinite(column))
+        if bad.size:
+            value, t = float(column[bad[0]]), float(time[bad[0]])
+            raise OverflowError(f"transient column {name} is {value} at t = {t!r} s")
     return TimeSeries(
         dt=dt,
         time=time,
         displacement=x,
         velocity=v,
-        output_voltage=volts_per_meter * x,
+        output_voltage=voltage,
         drive_period=period,
     )
 

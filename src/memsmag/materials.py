@@ -6,7 +6,7 @@ provenance comment so the numbers can be audited and overridden from a
 scenario config instead of silently edited here.
 """
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import MissingPropertyError, NotFoundError
 
@@ -77,8 +77,8 @@ class LayerSpec:
     """One layer of a beam stack, bottom to top. Tensile stress is positive."""
 
     material: Material
-    thickness: float  # m
-    residual_stress: float = 0.0  # Pa, tensile positive
+    thickness: float = field(metadata={"gt": 0})  # m
+    residual_stress: float = field(default=0.0, metadata={"optional": True})  # Pa, tensile positive
 
     def __post_init__(self):
         if self.thickness <= 0:

@@ -7,7 +7,7 @@ that drives the post-release lift-up.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,8 +31,8 @@ DEFAULT_ANNEAL_TABLE = ((423.15, 30e6), (673.15, 150e6))  # (K, Pa)
 class BeamGeometry:
     """Rectangular multilayer cantilever, layers listed bottom to top."""
 
-    length: float  # m
-    width: float  # m
+    length: float = field(metadata={"gt": 0})  # m
+    width: float = field(metadata={"gt": 0})  # m
     layers: list[LayerSpec]
 
     def __post_init__(self):

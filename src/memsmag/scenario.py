@@ -2,8 +2,9 @@
 
 A scenario is a plain key tree (YAML on disk, dicts in memory) in SI base
 units with no unit suffixes. The keys of each mapping are the field names
-of the record it builds (see _SENSORS for the sensor kinds). User files are
-merged over the packaged default for the chosen sensor kind, every
+of the record it builds (see _SENSORS for the sensor kinds), and a numeric
+field's bound is declared in the field's metadata (see _record). User files
+are merged over the packaged default for the chosen sensor kind, every
 invariant is checked with all violations collected, and the fully resolved
 tree rides along in the built Scenario so reports can echo the exact inputs.
 """
@@ -11,8 +12,8 @@ tree rides along in the built Scenario so reports can echo the exact inputs.
 import copy
 import re
 import sys
-from dataclasses import dataclass, fields
-from functools import lru_cache
+from dataclasses import dataclass, field, fields
+from functools import lru_cache, partial
 from importlib import resources
 
 import yaml
@@ -37,34 +38,12 @@ from .transduction import (
 )
 
 # One row per sensor kind: the design record it builds, the key of its
-# beam, the bound on its drive amplitude, and the bounds of its own numeric
-# fields in the order they are checked. Every other sensor key is shared by
-# both kinds. The loop needs current to feel a field; the plate does not.
+# beam and the bound on its drive amplitude. Every other sensor key is
+# shared by both kinds. The loop needs current to feel a field; the plate
+# does not.
 _SENSORS = {
-    "lorentz": (
-        LorentzDesign,
-        "support_beam",
-        {"gt": 0},
-        (
-            ("top_beam_length", {"gt": 0}),
-            ("loop_resistance", {"gt": 0}),
-            ("load_share_count", {"ge": 1, "integer": True}),
-        ),
-    ),
-    "ferro": (
-        FerroDesign,
-        "suspension",
-        {"ge": 0},
-        (
-            ("plate_length", {"gt": 0}),
-            ("plate_width", {"gt": 0}),
-            ("plate_thickness", {"gt": 0}),
-            ("plate_density", {"gt": 0}),
-            ("magnetization", {"gt": 0}),
-            ("suspension_count", {"ge": 1, "integer": True}),
-            ("misalignment", {}),
-        ),
-    ),
+    "lorentz": (LorentzDesign, "support_beam", {"gt": 0}),
+    "ferro": (FerroDesign, "suspension", {"ge": 0}),
 }
 SENSOR_KINDS = tuple(_SENSORS)
 
@@ -79,9 +58,9 @@ class Scenario:
     drive: Drive
     environment: Environment
     noise_band: tuple
-    quality_factor: float
-    offset_coefficient: float
-    thermal_resistance: float  # K/W, loop-to-substrate
+    quality_factor: float = field(metadata={"gt": 0.5})
+    offset_coefficient: float = field(metadata={"ge": 0})  # V/A^2
+    thermal_resistance: float = field(metadata={"ge": 0})  # K/W, loop-to-substrate
     tree: dict  # resolved key tree, echoed into reports
 
 
@@ -130,25 +109,18 @@ def _resolve(base, node):
     return node
 
 
+def _bounds(metadata) -> tuple:
+    """(ge, gt, integer, optional) as a numeric field's metadata declares them."""
+    get = metadata.get
+    return get("ge"), get("gt"), get("integer", False), get("optional", False)
+
+
 @lru_cache(maxsize=None)
-def _field_names(record) -> frozenset:
+def _schema(record) -> tuple:
+    """The keys a `record` mapping may hold, and (name, *bounds) per field."""
+    specs = tuple((f.name, *_bounds(f.metadata)) for f in fields(record))
     # Scenario.tree echoes the key tree; it is not a key of it.
-    return frozenset(f.name for f in fields(record)) - {"tree"}
-
-
-def _check_keys(node, record, path: str, violations: list, extra=()) -> bool:
-    """Flag each key that is neither a field of `record` nor in `extra`.
-
-    False, after a violation, when `node` is not a mapping at all.
-    """
-    if not isinstance(node, dict):
-        violations.append(f"{path[:-1]}: expected a mapping")
-        return False
-    allowed = _field_names(record)
-    for key in node:
-        if key not in allowed and key not in extra:
-            violations.append(f"{path}{key}: unknown field")
-    return True
+    return frozenset(spec[0] for spec in specs) - {"tree"}, specs
 
 
 def _finite(value) -> bool:
@@ -161,31 +133,59 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _num(node, key, path, violations, *, ge=None, gt=None, integer=False):
+def _num(node, key, path, violations, ge=None, gt=None, integer=False):
     """Fetch a numeric field, recording a violation instead of raising.
 
     An integer field comes back as an int.
     """
+    value = node.get(key)
+    # _is_number and _finite written out: this runs for each numeric field
+    # of each build, sweep point and optimizer evaluation.
     if key not in node:
-        violations.append(f"{path}{key}: missing")
+        problem = "missing"
+    elif not isinstance(value, (int, float)) or isinstance(value, bool):
+        problem = f"expected a number, got {value!r}"
+    elif not abs(value) <= sys.float_info.max:
+        problem = f"must be a finite number, got {value}"
+    elif integer and int(value) != value:
+        problem = f"expected an integer, got {value!r}"
+    elif gt is not None and not value > gt:
+        problem = f"must be > {gt}, got {value}"
+    elif ge is not None and not value >= ge:
+        problem = f"must be >= {ge}, got {value}"
+    else:
+        return int(value) if integer else value
+    violations.append(f"{path}{key}: {problem}")
+    return None
+
+
+def _record(record, sections, node, path, violations, materials, specs=None, extra=()):
+    """The `record` that mapping `node` at dotted `path` describes, or None
+    after violations.
+
+    Keys must be fields of `record` or in `extra`. Fields are read in
+    declaration order, so violations come in that order. A field named in
+    `sections` is read by reader(value, path, violations, materials), a
+    partial of _record for a nested record. Any other field is a number held
+    to the bounds its metadata declares ("gt" or "ge", "integer", and
+    "optional" for a key that may be absent), or to `specs` when given.
+    """
+    if not isinstance(node, dict):
+        violations.append(f"{path}: expected a mapping")
         return None
-    value = node[key]
-    if not _is_number(value):
-        violations.append(f"{path}{key}: expected a number, got {value!r}")
-        return None
-    if not _finite(value):
-        violations.append(f"{path}{key}: must be a finite number, got {value}")
-        return None
-    if integer and int(value) != value:
-        violations.append(f"{path}{key}: expected an integer, got {value!r}")
-        return None
-    if gt is not None and not value > gt:
-        violations.append(f"{path}{key}: must be > {gt}, got {value}")
-        return None
-    if ge is not None and not value >= ge:
-        violations.append(f"{path}{key}: must be >= {ge}, got {value}")
-        return None
-    return int(value) if integer else value
+    start = len(violations)
+    prefix = f"{path}." if path else ""
+    keys, declared = _schema(record)
+    for key in node:
+        if key not in keys and key not in extra:
+            violations.append(f"{prefix}{key}: unknown field")
+    values = {}
+    for name, ge, gt, integer, optional in specs or declared:
+        if name in sections:
+            values[name] = sections[name](node.get(name), prefix + name, violations, materials)
+        elif not optional or name in node:
+            values[name] = _num(node, name, prefix, violations, ge, gt, integer)
+    return None if len(violations) > start else record(**values)
 
 
 def _materials(node, violations) -> dict:
@@ -229,124 +229,99 @@ def _materials(node, violations) -> dict:
     return materials
 
 
-def _material(node, path, violations, materials):
-    """The material named by node["material"], or None after a violation."""
-    name = node.get("material")
+def _material(name, path, violations, materials):
+    """The material `name` names, overrides applied, or None after a violation."""
     if not isinstance(name, str):
-        violations.append(f"{path}material: expected a material name, got {name!r}")
+        violations.append(f"{path}: expected a material name, got {name!r}")
         return None
     if name in materials:
         return materials[name]
     try:
         return builtin_material(name)
     except NotFoundError as exc:
-        violations.append(f"{path}material: {exc}")
+        violations.append(f"{path}: {exc}")
         return None
 
 
-def _layer(node, path, violations, materials):
-    start = len(violations)
-    if not _check_keys(node, LayerSpec, path, violations):
-        return None
-    values = {
-        "material": _material(node, path, violations, materials),
-        "thickness": _num(node, "thickness", path, violations, gt=0),
-    }
-    if "residual_stress" in node:
-        values["residual_stress"] = _num(node, "residual_stress", path, violations)
-    return None if len(violations) > start else LayerSpec(**values)
-
-
-def _beam(node, path, violations, materials):
-    start = len(violations)
-    if not _check_keys(node, BeamGeometry, path, violations):
-        return None
-    length = _num(node, "length", path, violations, gt=0)
-    width = _num(node, "width", path, violations, gt=0)
-    layers = node.get("layers")
-    if not isinstance(layers, list) or not layers:
-        violations.append(f"{path}layers: need at least one layer")
-        return None
-    layers = [
-        _layer(layer, f"{path}layers[{i}].", violations, materials)
-        for i, layer in enumerate(layers)
-    ]
-    return None if len(violations) > start else BeamGeometry(length, width, layers)
-
-
-def _gauge(node, path, violations, materials):
-    start = len(violations)
-    if not _check_keys(node, GaugeSpec, path, violations):
-        return None
-    values = {
-        key: _num(node, key, path, violations, gt=0)
-        for key in ("length", "width", "thickness", "resistance")
-    }
-    film = _material(node, path, violations, materials)
+def _film(name, path, violations, materials):
+    """The gauge film: a material that has the piezoresistive properties."""
+    film = _material(name, path, violations, materials)
     if film is not None:
         try:
             validate_for(film, "piezoresistive")
         except MissingPropertyError as exc:
-            violations.append(f"{path}material: {exc}")
-    return None if len(violations) > start else GaugeSpec(**values, material=film)
+            violations.append(f"{path}: {exc}")
+    return film
 
 
-def _sensor(node, row, violations, materials):
+_layer = partial(_record, LayerSpec, {"material": _material})
+
+
+def _layers(node, path, violations, materials):
+    if not isinstance(node, list) or not node:
+        violations.append(f"{path}: need at least one layer")
+        return None
+    return [_layer(layer, f"{path}[{i}]", violations, materials) for i, layer in enumerate(node)]
+
+
+_beam = partial(_record, BeamGeometry, {"layers": _layers})
+_gauge = partial(_record, GaugeSpec, {"material": _film})
+
+
+def _sensor(node, path, violations, materials):
     if not isinstance(node, dict):
-        violations.append("sensor: expected a mapping")
+        violations.append(f"{path}: expected a mapping")
         return None
-    if row is None:
-        violations.append(f"sensor.kind: must be one of {SENSOR_KINDS}, got {node.get('kind')!r}")
+    kind = node.get("kind")
+    if kind not in SENSOR_KINDS:
+        violations.append(f"{path}.kind: must be one of {SENSOR_KINDS}, got {kind!r}")
         return None
-    design, beam_key, _, numbers = row
-    start = len(violations)
-    _check_keys(node, design, "sensor.", violations, extra=("kind",))
-    values = {
-        "bridge_bias": _num(node, "bridge_bias", "sensor.", violations, gt=0),
-        "gauge": _gauge(node.get("gauge"), "sensor.gauge.", violations, materials),
-    }
-    for key, bounds in numbers:
-        values[key] = _num(node, key, "sensor.", violations, **bounds)
-    values[beam_key] = _beam(node.get(beam_key), f"sensor.{beam_key}.", violations, materials)
-    return None if len(violations) > start else design(**values)
+    design, beam_key, _ = _SENSORS[kind]
+    sections = {"gauge": _gauge, beam_key: _beam}
+    return _record(design, sections, node, path, violations, materials, extra=("kind",))
 
 
-def _drive(node, amplitude, violations):
-    start = len(violations)
-    if not _check_keys(node, Drive, "drive.", violations):
-        return None
-    waveform = node.get("waveform")
+def _waveform(waveform, path, violations, materials):
     if waveform not in ("dc", "square"):
-        violations.append(f"drive.waveform: must be 'dc' or 'square', got {waveform!r}")
-    values = {
-        "waveform": waveform,
-        "amplitude": _num(node, "amplitude", "drive.", violations, **amplitude),
-    }
-    if waveform == "square":
-        values["frequency"] = _num(node, "frequency", "drive.", violations, gt=0)
-    elif "frequency" in node:
-        values["frequency"] = _num(node, "frequency", "drive.", violations, ge=0)
-    return None if len(violations) > start else Drive(**values)
+        violations.append(f"{path}: must be 'dc' or 'square', got {waveform!r}")
+    return waveform
 
 
-def _environment(node, violations):
-    start = len(violations)
-    if not _check_keys(node, Environment, "environment.", violations):
-        return None
-    values = {
-        "field_magnitude": _num(node, "field_magnitude", "environment.", violations, ge=0),
-        "field_angle": _num(node, "field_angle", "environment.", violations),
-        "temperature": _num(node, "temperature", "environment.", violations, gt=0),
-        "snr_target": _num(node, "snr_target", "environment.", violations, gt=0),
-    }
-    return None if len(violations) > start else Environment(**values)
+@lru_cache(maxsize=None)
+def _drive_specs(kind, square: bool) -> tuple:
+    """Drive's (name, *bounds) specs: the amplitude takes the bound of sensor
+    `kind` (>= 0 for an invalid kind, already reported), and a square drive
+    needs a frequency > 0."""
+    bounds = {"amplitude": _SENSORS[kind][2] if kind in _SENSORS else {"ge": 0}}
+    if square:
+        bounds["frequency"] = {"gt": 0}
+    return tuple((f.name, *_bounds(bounds.get(f.name, f.metadata))) for f in fields(Drive))
+
+
+def _drive(node, path, violations, materials, kind):
+    specs = _drive_specs(kind, isinstance(node, dict) and node.get("waveform") == "square")
+    return _record(Drive, {"waveform": _waveform}, node, path, violations, materials, specs)
+
+
+def _noise_band(band, path, violations, materials):
+    if (
+        not isinstance(band, (list, tuple))
+        or len(band) != 2
+        or not all(_is_number(f) and _finite(f) for f in band)
+    ):
+        violations.append(f"{path}: expected two finite frequencies, got {band!r}")
+    elif not 0 < band[0] < band[1]:
+        violations.append(f"{path}: must satisfy 0 < f1 < f2, got {band!r}")
+    else:
+        return tuple(band)
+    return None
+
+
+_environment = partial(_record, Environment, {})
 
 
 def _parse(tree: dict, parent: Scenario | None = None):
     """(Scenario, []) for a valid resolved tree, else (None, violations).
-
-    One walk: each section function checks a field where it reads it and
-    returns its record, or None after it records violations.
 
     With a `parent` built from its own tree, a section whose node is the
     very object the parent's tree holds keeps the parent's record, which
@@ -358,48 +333,35 @@ def _parse(tree: dict, parent: Scenario | None = None):
     # violations are reported last.
     late = []
     materials = _materials(tree.get("material_overrides"), late)
-    violations = []
-    _check_keys(tree, Scenario, "", violations, extra=("material_overrides",))
     sensor = tree.get("sensor")
     kind = sensor.get("kind") if isinstance(sensor, dict) else None
-    row = _SENSORS[kind] if kind in SENSOR_KINDS else None
 
-    def same(*keys):
-        # A valid parent holds every section, so None (absent) never matches
-        # one; absent material_overrides in both trees do match.
-        return parent is not None and all(tree.get(k) is parent.tree.get(k) for k in keys)
+    def kept(*keys):
+        # A reader of the parent's record for section keys[0], when each key's
+        # node is the parent's. A valid parent holds every section, so None
+        # (absent) never matches; absent material_overrides in both trees do.
+        if parent is None:
+            return None
+        for key in keys:
+            if tree.get(key) is not parent.tree.get(key):
+                return None
+        record = getattr(parent, keys[0])
+        return lambda *_: record
 
-    values = {
-        "sensor": (
-            parent.sensor if same("sensor", "material_overrides")
-            else _sensor(sensor, row, violations, materials)
-        ),
-        # A kind that is itself invalid, and so already reported, gets >= 0.
-        "drive": (
-            parent.drive if same("drive", "sensor")
-            else _drive(tree.get("drive"), row[2] if row else {"ge": 0}, violations)
-        ),
-        "environment": (
-            parent.environment if same("environment")
-            else _environment(tree.get("environment"), violations)
-        ),
+    sections = {
+        "sensor": kept("sensor", "material_overrides") or _sensor,
+        "drive": kept("drive", "sensor")
+        or partial(_drive, kind=kind if kind in SENSOR_KINDS else None),
+        "environment": kept("environment") or _environment,
+        "noise_band": _noise_band,
+        "tree": lambda *_: tree,
     }
-    band = tree.get("noise_band")
-    if (
-        not isinstance(band, (list, tuple))
-        or len(band) != 2
-        or not all(_is_number(f) and _finite(f) for f in band)
-    ):
-        violations.append(f"noise_band: expected two finite frequencies, got {band!r}")
-    elif not 0 < band[0] < band[1]:
-        violations.append(f"noise_band: must satisfy 0 < f1 < f2, got {band!r}")
-    values["quality_factor"] = _num(tree, "quality_factor", "", violations, gt=0.5)
-    values["offset_coefficient"] = _num(tree, "offset_coefficient", "", violations, ge=0)
-    values["thermal_resistance"] = _num(tree, "thermal_resistance", "", violations, ge=0)
+    violations = []
+    scenario = _record(
+        Scenario, sections, tree, "", violations, materials, extra=("material_overrides",)
+    )
     violations += late
-    if violations:
-        return None, violations
-    return Scenario(**values, noise_band=tuple(band), tree=tree), []
+    return (None, violations) if violations else (scenario, [])
 
 
 def validate_tree(tree: dict) -> list:

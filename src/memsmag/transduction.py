@@ -10,7 +10,7 @@ temperature rise.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DomainError, InvalidCalibrationError, MissingPropertyError
 from .mechanics import (
@@ -26,9 +26,6 @@ DEFAULT_OFFSET_COEFFICIENT = 0.3  # V/A^2
 # Measured (current A, offset V) pairs for the power-law calibration mode.
 OFFSET_CALIBRATION_POINTS = ((10e-3, 0.03e-3), (50e-3, 0.1e-3))
 
-# The released plate does not sit perfectly parallel to the substrate.
-DEFAULT_MISALIGNMENT = math.radians(5.0)  # rad
-
 # An end moment M0 deflects a cantilever tip as far as a tip force
 # 1.5*M0/l does: M0*l^2/(2EI) = F*l^3/(3EI).
 END_MOMENT_TIP_FORCE = 1.5  # tip force per unit M0/l
@@ -38,10 +35,10 @@ END_MOMENT_TIP_FORCE = 1.5  # tip force per unit M0/l
 class GaugeSpec:
     """Piezoresistive gauge at the anchor, one active arm of the bridge."""
 
-    length: float  # m
-    width: float  # m
-    thickness: float  # m
-    resistance: float  # Ohm
+    length: float = field(metadata={"gt": 0})  # m
+    width: float = field(metadata={"gt": 0})  # m
+    thickness: float = field(metadata={"gt": 0})  # m
+    resistance: float = field(metadata={"gt": 0})  # Ohm
     material: object  # Material supplying pi_l, flicker alpha, carrier density
 
 
@@ -49,15 +46,15 @@ class GaugeSpec:
 class Drive:
     waveform: str = "dc"  # "dc" | "square"
     amplitude: float = 0.0  # A, half-loop current
-    frequency: float = 0.0  # Hz, unused for dc
+    frequency: float = field(default=0.0, metadata={"ge": 0, "optional": True})  # Hz, unused for dc
 
 
 @dataclass
 class Environment:
-    field_magnitude: float = 0.0  # T
+    field_magnitude: float = field(default=0.0, metadata={"ge": 0})  # T
     field_angle: float = math.pi / 2  # rad, between field and top-beam current
-    temperature: float = 300.0  # K
-    snr_target: float = 1.0
+    temperature: float = field(default=300.0, metadata={"gt": 0})  # K
+    snr_target: float = field(default=1.0, metadata={"gt": 0})
 
 
 class SensorDesign:
@@ -68,7 +65,8 @@ class SensorDesign:
     tip force its field load puts on those beams (`tip_force`), and the
     anchor moment that tip force stands for (`anchor_moment_ratio`). The
     resonator, anchor stress and bridge voltage follow from these the same
-    way for every kind.
+    way for every kind. A kind's scenario fields are its record's fields;
+    their declaration order is the order their violations are reported in.
     """
 
     # Anchor moment per unit tip force, as a fraction of the beam length.
@@ -105,12 +103,12 @@ class LorentzDesign(SensorDesign):
     by load_share_count anchored beams.
     """
 
-    top_beam_length: float  # m, current-carrying segment normal to the legs
-    support_beam: BeamGeometry
+    bridge_bias: float = field(metadata={"gt": 0})  # V
     gauge: GaugeSpec
-    loop_resistance: float  # Ohm
-    bridge_bias: float  # V
-    load_share_count: int = 3  # two legs plus the gauge beam share the tip load
+    top_beam_length: float = field(metadata={"gt": 0})  # m, current-carrying, normal to the legs
+    loop_resistance: float = field(metadata={"gt": 0})  # Ohm
+    load_share_count: int = field(metadata={"ge": 1, "integer": True})  # legs plus gauge beam
+    support_beam: BeamGeometry
 
     tip_mass = 0.0  # kg, the loop's top beam is not modeled as a rigid mass
 
@@ -134,16 +132,16 @@ class FerroDesign(SensorDesign):
     equal tip deflection, END_MOMENT_TIP_FORCE * moment / length.
     """
 
-    plate_length: float  # m
-    plate_width: float  # m
-    plate_thickness: float  # m
-    magnetization: float  # A/m
-    suspension: BeamGeometry
+    bridge_bias: float = field(metadata={"gt": 0})  # V
     gauge: GaugeSpec
-    bridge_bias: float  # V
-    suspension_count: int = 2
-    misalignment: float = DEFAULT_MISALIGNMENT  # rad, added to the field angle
-    plate_density: float = 8900.0  # kg/m^3, nickel
+    plate_length: float = field(metadata={"gt": 0})  # m
+    plate_width: float = field(metadata={"gt": 0})  # m
+    plate_thickness: float = field(metadata={"gt": 0})  # m
+    plate_density: float = field(metadata={"gt": 0})  # kg/m^3
+    magnetization: float = field(metadata={"gt": 0})  # A/m
+    suspension_count: int = field(metadata={"ge": 1, "integer": True})
+    misalignment: float  # rad, post-release tilt added to the field angle
+    suspension: BeamGeometry
 
     anchor_moment_ratio = 1.0 / END_MOMENT_TIP_FORCE
     loop_resistance = 0.0  # Ohm, no drive loop, so no resistive self-heating

@@ -1,4 +1,8 @@
+import contextlib
 import copy
+import dataclasses
+import io
+import math
 import random
 import subprocess
 import sys
@@ -6,6 +10,8 @@ import sys
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memsmag import DEFAULT_CONSTRAINTS, default_scenario
 from memsmag.cli import CONFIG_DIR_ENV, build_parser, main
@@ -245,6 +251,22 @@ def test_transient_cli(tmp_path):
     data = np.loadtxt(out, delimiter=",", skiprows=1)
     assert data.shape[1] == 4
     assert data.shape[0] > 1000
+
+
+@pytest.mark.parametrize("config, error", [
+    ("sensor: {support_beam: {width: 1.0e+300}}", "transient step map coefficient P[0][0] is nan"),
+    ("sensor: {bridge_bias: 1.7e+308}", "transient column V_out_V is nan at t = 0.0 s"),
+    ("sensor: {kind: ferro, plate_length: 1.7e+308}", "transient column V_out_V is inf"),
+], ids=["damping", "bias", "plate"])
+def test_transient_overflow_is_one_named_error(tmp_path, capsys, config, error):
+    path = tmp_path / "scenario.yaml"
+    path.write_text(config)
+    out = tmp_path / "transient.csv"
+    assert main(["transient", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: OverflowError: {error}")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_transient_step_too_large(tmp_path):
@@ -496,3 +518,70 @@ def test_extreme_numeric_leaves_never_raise(tmp_path):
         config.write_text(yaml.safe_dump(tree))
         for argv in (["simulate", "--out", report], ["verify"]):
             assert main(argv + ["--config", str(config)]) in (0, 1, 2)
+
+
+def _declared(scenario, path) -> dict:
+    """The metadata of the record field that tree `path` sets, or {}."""
+    record = scenario
+    for step in path[:-1]:
+        record = record[step] if isinstance(step, int) else getattr(record, step)
+    if not dataclasses.is_dataclass(record):
+        return {}
+    return {f.name: f.metadata for f in dataclasses.fields(record)}.get(path[-1], {})
+
+
+_DEFAULTS = {kind: default_scenario(kind) for kind in ("lorentz", "ferro")}
+_EXTREMES = (0.0, -0.0, 5e-324, 1e-320, 1e-300, 1e300, 1.7e308)
+
+
+def _leaf_values(scenario, path) -> tuple:
+    """The fixed extremes, and a declared bound with its neighbouring floats."""
+    metadata = _declared(scenario, path)
+    bound = metadata.get("gt", metadata.get("ge"))
+    if bound is None:
+        return _EXTREMES
+    near = (bound, math.nextafter(bound, -math.inf), math.nextafter(bound, math.inf))
+    return near + _EXTREMES
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_bounded_extremes_end_in_one_named_outcome(tmp_path_factory, data):
+    # Values at and beside each declared bound, and float extremes, in one to
+    # three leaves: every command ends with a clean exit code and one message,
+    # and a transient that succeeds writes only finite samples.
+    kind = data.draw(st.sampled_from(sorted(_DEFAULTS)))
+    scenario = _DEFAULTS[kind]
+    leaves = list(_numeric_leaves(scenario.tree))
+    tree = copy.deepcopy(scenario.tree)
+    for path in data.draw(st.lists(st.sampled_from(leaves), min_size=1, max_size=3, unique=True)):
+        node = tree
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = data.draw(st.sampled_from(_leaf_values(scenario, path)))
+    folder = tmp_path_factory.mktemp("extremes")
+    config = folder / "scenario.yaml"
+    config.write_text(yaml.safe_dump(tree))
+    commands = (
+        ["simulate", "--out", str(folder / "report.csv")],
+        ["noise"],
+        ["verify"],
+        ["transient", "--out", str(folder / "transient.csv")],
+    )
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv + ["--config", str(config)])
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert err == ""
+            if argv[0] == "transient":
+                assert np.isfinite(np.loadtxt(argv[2], delimiter=",", skiprows=1)).all()
+        elif err.startswith("error: invalid scenario:\n"):
+            assert code == 1
+            assert all(line.startswith("  - ") for line in err.splitlines()[1:])
+        elif argv[0] == "verify" and err == "":
+            assert code == 2 and out.endswith("verify: FAIL\n")
+        else:
+            assert err.count("\n") == 1

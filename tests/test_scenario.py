@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import re
 
@@ -444,3 +445,50 @@ def test_optional_material_bounds(field, value, requirement):
     ]
     with pytest.raises(ValueError, match=field):
         override_material(builtin_material("silicon"), **{field: value})
+
+
+def _declared_bounds(record, node, path=""):
+    """(dotted path, metadata) of each field under `record` that declares a
+    bound and that the key tree `node` sets."""
+    for f in dataclasses.fields(record):
+        child, value = node.get(f.name), getattr(record, f.name)
+        if "gt" in f.metadata or "ge" in f.metadata:
+            yield f"{path}{f.name}", f.metadata
+        elif isinstance(child, dict):
+            yield from _declared_bounds(value, child, f"{path}{f.name}.")
+        elif isinstance(child, list):
+            for i, (item, item_node) in enumerate(zip(value, child)):
+                if isinstance(item_node, dict):
+                    yield from _declared_bounds(item, item_node, f"{path}{f.name}[{i}].")
+
+
+def _set_leaf(tree, path, value):
+    *parents, leaf = re.findall(r"[^.\[\]]+", path)
+    for step in parents:
+        tree = tree[int(step)] if step.isdigit() else tree[step]
+    tree[leaf] = value
+
+
+@pytest.mark.parametrize("kind", ["lorentz", "ferro"])
+def test_each_declared_bound_is_the_one_enforced(kind):
+    scenario = default_scenario(kind)
+    leaves = list(_declared_bounds(scenario, scenario.tree))
+    assert len(leaves) > 15
+    for path, metadata in leaves:
+        if path == "drive.frequency" and scenario.drive.waveform == "square":
+            continue  # a square drive needs a frequency > 0
+        if metadata.get("integer"):
+            invalid, valid, op, bound = 0, metadata["ge"], ">=", metadata["ge"]
+        elif "gt" in metadata:
+            bound = metadata["gt"]
+            invalid, valid, op = bound, math.nextafter(bound, math.inf), ">"
+        else:
+            bound = metadata["ge"]
+            invalid, valid, op = math.nextafter(bound, -math.inf), bound, ">="
+        tree = default_tree(kind)
+        _set_leaf(tree, path, invalid)
+        with pytest.raises(ValidationError) as excinfo:
+            build_scenario(tree)
+        assert excinfo.value.violations == [f"{path}: must be {op} {bound}, got {invalid}"]
+        _set_leaf(tree, path, valid)
+        build_scenario(tree)
