@@ -12,8 +12,8 @@ import sys
 
 import numpy as np
 
-from .dynamics import frequency_response, simulate_transient
-from .errors import MemsmagError, ParseError, UnknownPathError, ValidationError
+from .dynamics import MAX_TRANSIENT_STEPS, frequency_response, simulate_transient
+from .errors import DomainError, MemsmagError, ParseError, UnknownPathError, ValidationError
 from .scenario import Scenario, load_scenario
 from .explorer import (
     DEFAULT_CONSTRAINTS,
@@ -116,22 +116,46 @@ def _cmd_freq_response(args) -> int:
     return 0
 
 
-def _cmd_transient(args) -> int:
-    scenario = _load(args)
-    resonator = scenario.sensor.resonator(scenario.quality_factor)
+def _transient_span(args, resonator, drive) -> tuple:
+    """(duration, dt): the flags where given, else 20 periods of the square
+    drive (or of the resonance) and 1/200 of the shorter period.
+
+    A default the scenario puts out of range is a runtime failure that names
+    the frequencies it comes from and the flag that overrides it; a given
+    flag is checked by simulate_transient.
+    """
     period = 1.0 / resonator.natural_frequency
-    drive = scenario.drive
-    if drive.waveform == "square" and drive.frequency > 0:
+    source = f"the resonant frequency {resonator.natural_frequency!r} Hz"
+    if drive.waveform == "square":
+        source = f"drive.frequency {drive.frequency!r} Hz and {source}"
         duration, dt = 20.0 / drive.frequency, min(period, 1.0 / drive.frequency) / 200.0
     else:
         duration, dt = 20.0 * period, period / 200.0
+    for flag, value, given in (("--duration", duration, args.duration), ("--dt", dt, args.dt)):
+        if given is None and not 0 < value < math.inf:
+            raise DomainError(
+                f"transient: with {source}, the default {flag} is {value!r} s; give {flag}"
+            )
+    if args.duration is None and args.dt is None and duration / dt > MAX_TRANSIENT_STEPS:
+        raise DomainError(
+            f"transient: with {source}, the default run takes {duration / dt:.3e} steps, over "
+            f"the cap of {MAX_TRANSIENT_STEPS}; give --duration and --dt"
+        )
+    return (
+        duration if args.duration is None else args.duration,
+        dt if args.dt is None else args.dt,
+    )
+
+
+def _cmd_transient(args) -> int:
+    scenario = _load(args)
+    resonator = scenario.sensor.resonator(scenario.quality_factor)
     series = simulate_transient(
         resonator,
         scenario.sensor,
-        drive,
+        scenario.drive,
         scenario.environment,
-        duration if args.duration is None else args.duration,
-        dt if args.dt is None else args.dt,
+        *_transient_span(args, resonator, scenario.drive),
     )
     series.to_csv(args.out)
     return 0

@@ -19,57 +19,54 @@ CAPABILITY_FIELDS = {
 }
 
 
-# Physical bounds on material fields: (field, test, requirement).
-_BOUNDS = (
-    ("youngs_modulus", lambda v: v > 0, "must be > 0"),
-    ("density", lambda v: v > 0, "must be > 0"),
-    ("poisson_ratio", lambda v: 0 <= v < 0.5, "must be in [0, 0.5)"),
-    ("yield_stress", lambda v: v > 0, "must be > 0"),
-    ("resistivity", lambda v: v > 0, "must be > 0"),
-    ("hooge_alpha", lambda v: v >= 0, "must be >= 0"),
-    ("carrier_density", lambda v: v > 0, "must be > 0"),
-)
+def requirement(ge=None, gt=None, lt=None) -> str:
+    """A declared bound as violations word it: "must be > gt", "must be >=
+    ge", or "must be in [ge, lt)"."""
+    if lt is not None:
+        return f"must be in [{ge}, {lt})"
+    return f"must be > {gt}" if gt is not None else f"must be >= {ge}"
 
 
-def bound_violations(values: dict) -> list:
-    """(field, requirement) for each bounded field of `values` out of range.
-
-    Fields that are absent or None (an unset optional property) pass.
-    """
-    return [
-        (field, requirement)
-        for field, test, requirement in _BOUNDS
-        if values.get(field) is not None and not test(values[field])
-    ]
+def within(value, ge=None, gt=None, lt=None) -> bool:
+    """Whether `value` keeps the bounds; NaN keeps none."""
+    return (gt is None or value > gt) and (ge is None or value >= ge) and (lt is None or value < lt)
 
 
 @dataclass(frozen=True)
 class Material:
     """One film material. SI units throughout; optional fields may be None.
 
-    Optional fields are only checked when an operation actually needs them
-    (see validate_for), never at construction.
+    A set field is held at construction to the bound its metadata declares;
+    optional fields are only required when an operation needs them (see
+    validate_for).
     """
 
     name: str
-    youngs_modulus: float  # Pa
-    poisson_ratio: float
-    density: float  # kg/m^3
+    youngs_modulus: float = field(metadata={"gt": 0})  # Pa
+    poisson_ratio: float = field(metadata={"ge": 0, "lt": 0.5})
+    density: float = field(metadata={"gt": 0})  # kg/m^3
     cte: float  # 1/K, coefficient of thermal expansion
-    yield_stress: float | None = None  # Pa, flow/fracture stress
-    resistivity: float | None = None  # Ohm*m
+    yield_stress: float | None = field(default=None, metadata={"gt": 0})  # Pa, flow/fracture
+    resistivity: float | None = field(default=None, metadata={"gt": 0})  # Ohm*m
     pi_longitudinal: float | None = None  # 1/Pa, longitudinal piezoresistive coeff
-    hooge_alpha: float | None = None  # dimensionless flicker parameter
-    carrier_density: float | None = None  # 1/m^3, free-carrier concentration
+    hooge_alpha: float | None = field(default=None, metadata={"ge": 0})  # flicker parameter
+    carrier_density: float | None = field(default=None, metadata={"gt": 0})  # 1/m^3
     saturation_magnetization: float | None = None  # A/m
 
     def __post_init__(self):
-        violations = bound_violations(vars(self))
-        if violations:
-            raise ValueError(
-                f"{self.name}: "
-                + "; ".join(f"{field} {requirement}" for field, requirement in violations)
-            )
+        broken = [
+            f"{name} {requirement(ge, gt, lt)}"
+            for name, ge, gt, lt in _BOUNDED_FIELDS
+            if (value := getattr(self, name)) is not None and not within(value, ge, gt, lt)
+        ]
+        if broken:
+            raise ValueError(f"{self.name}: " + "; ".join(broken))
+
+
+# (name, ge, gt, lt) of each Material field that declares a bound.
+_BOUNDED_FIELDS = tuple(
+    (f.name, *map(f.metadata.get, ("ge", "gt", "lt"))) for f in fields(Material) if f.metadata
+)
 
 
 @dataclass(frozen=True)
@@ -177,7 +174,7 @@ def validate_for(material: Material, capability: str) -> None:
 
 def override_material(base: Material, **overrides) -> Material:
     """Copy `base` with selected fields replaced (scenario-file overrides)."""
-    valid = {f.name for f in fields(Material)}
+    valid = Material.__dataclass_fields__.keys()
     bad = set(overrides) - valid
     if bad:
         raise NotFoundError(

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidCalibrationError, UnsupportedStackError
+from .errors import DomainError, InvalidCalibrationError, UnsupportedStackError
 from .materials import LayerSpec
 
 # Rayleigh effective-mass fraction for a tip-loaded uniform cantilever.
@@ -146,7 +146,12 @@ def lumped_resonator(
     if tip_mass < 0:
         raise ValueError("tip_mass must be >= 0")
     section = composite_section(geom)
-    k = 3.0 * section.flexural_rigidity / geom.length**3
+    try:
+        k = 3.0 * section.flexural_rigidity / geom.length**3
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(
+            f"tip stiffness 3 EI / l^3 leaves the float range: beam length {geom.length!r} m"
+        ) from None
     m_eff = EFFECTIVE_MASS_FRACTION * section.mass_per_length * geom.length + tip_mass
     f0 = math.sqrt(k / m_eff) / (2.0 * math.pi)
     damping = math.sqrt(k * m_eff) / quality_factor

@@ -86,6 +86,15 @@ def min_detectable_field(sensitivity: float, rms: float, snr_target: float = 1.0
     return snr_target * rms / abs(sensitivity)
 
 
+def _squared(value: float) -> float:
+    """value**2, or inf where that leaves the float range, so the report's
+    finite check names the figure. value*value can round differently."""
+    try:
+        return value**2
+    except OverflowError:
+        return math.inf
+
+
 def noise_budget(
     design: SensorDesign,
     env: Environment,
@@ -116,9 +125,9 @@ def noise_budget(
             f"{env.temperature!r} K and sensor.gauge.resistance {gauge.resistance!r} Ohm"
         )
     gain = design.bridge_voltage(design.anchor_stress(1.0))
-    mechanical = thermal_mechanical_psd(resonator.damping, env.temperature) * gain**2
+    mechanical = thermal_mechanical_psd(resonator.damping, env.temperature) * _squared(gain)
 
-    flicker_scale = alpha * voltage**2 / carrier_count(gauge)
+    flicker_scale = alpha * _squared(voltage) / carrier_count(gauge)
     corner = flicker_scale / electrical
 
     rms = rms_noise(electrical + mechanical, flicker_scale, band)

@@ -22,10 +22,11 @@ from .errors import MissingPropertyError, NotFoundError, ParseError, ValidationE
 from .materials import (
     LayerSpec,
     Material,
-    bound_violations,
     builtin_material,
     override_material,
+    requirement,
     validate_for,
+    within,
 )
 from .mechanics import BeamGeometry
 from .transduction import (
@@ -46,8 +47,6 @@ _SENSORS = {
     "ferro": (FerroDesign, "suspension", {"ge": 0}),
 }
 SENSOR_KINDS = tuple(_SENSORS)
-
-_MATERIAL_FIELDS = {f.name for f in Material.__dataclass_fields__.values()} - {"name"}
 
 
 @dataclass
@@ -110,9 +109,9 @@ def _resolve(base, node):
 
 
 def _bounds(metadata) -> tuple:
-    """(ge, gt, integer, optional) as a numeric field's metadata declares them."""
+    """(ge, gt, lt, integer, optional) as a numeric field's metadata declares them."""
     get = metadata.get
-    return get("ge"), get("gt"), get("integer", False), get("optional", False)
+    return get("ge"), get("gt"), get("lt"), get("integer", False), get("optional", False)
 
 
 @lru_cache(maxsize=None)
@@ -133,14 +132,14 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _num(node, key, path, violations, ge=None, gt=None, integer=False):
+def _num(node, key, path, violations, ge=None, gt=None, lt=None, integer=False):
     """Fetch a numeric field, recording a violation instead of raising.
 
     An integer field comes back as an int.
     """
     value = node.get(key)
-    # _is_number and _finite written out: this runs for each numeric field
-    # of each build, sweep point and optimizer evaluation.
+    # _is_number, _finite and within written out: this runs for each numeric
+    # field of each build, sweep point and optimizer evaluation.
     if key not in node:
         problem = "missing"
     elif not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -149,10 +148,10 @@ def _num(node, key, path, violations, ge=None, gt=None, integer=False):
         problem = f"must be a finite number, got {value}"
     elif integer and int(value) != value:
         problem = f"expected an integer, got {value!r}"
-    elif gt is not None and not value > gt:
-        problem = f"must be > {gt}, got {value}"
-    elif ge is not None and not value >= ge:
-        problem = f"must be >= {ge}, got {value}"
+    elif not (
+        (gt is None or value > gt) and (ge is None or value >= ge) and (lt is None or value < lt)
+    ):
+        problem = f"{requirement(ge, gt, lt)}, got {value}"
     else:
         return int(value) if integer else value
     violations.append(f"{path}{key}: {problem}")
@@ -167,7 +166,7 @@ def _record(record, sections, node, path, violations, materials, specs=None, ext
     declaration order, so violations come in that order. A field named in
     `sections` is read by reader(value, path, violations, materials), a
     partial of _record for a nested record. Any other field is a number held
-    to the bounds its metadata declares ("gt" or "ge", "integer", and
+    to the bounds its metadata declares ("gt" or "ge", "lt", "integer", and
     "optional" for a key that may be absent), or to `specs` when given.
     """
     if not isinstance(node, dict):
@@ -180,21 +179,22 @@ def _record(record, sections, node, path, violations, materials, specs=None, ext
         if key not in keys and key not in extra:
             violations.append(f"{prefix}{key}: unknown field")
     values = {}
-    for name, ge, gt, integer, optional in specs or declared:
+    for name, ge, gt, lt, integer, optional in specs or declared:
         if name in sections:
             values[name] = sections[name](node.get(name), prefix + name, violations, materials)
         elif not optional or name in node:
-            values[name] = _num(node, name, prefix, violations, ge, gt, integer)
+            values[name] = _num(node, name, prefix, violations, ge, gt, lt, integer)
     return None if len(violations) > start else record(**values)
 
 
 def _materials(node, violations) -> dict:
     """Each built-in material named in `node`, by name, its overrides applied.
 
-    Every override is checked. One that is unset (None) or numeric and in
-    bound applies even when it breaks another rule, so the gauge film check
-    sees the film the overrides describe; the material is used to build
-    records only when every override is valid.
+    Unknown keys (`name` among them) are reported first, then the given
+    fields in Material's declaration order, each held to its declared bound.
+    An unset (None) override applies though it is reported, as does a bool
+    or infinite one that keeps its bound, so the gauge film check sees the
+    film the overrides describe.
     """
     materials = {}
     if node is None:
@@ -202,6 +202,7 @@ def _materials(node, violations) -> dict:
     if not isinstance(node, dict):
         violations.append("material_overrides: expected a mapping")
         return materials
+    keys, specs = _schema(Material)
     for name, given in node.items():
         path = f"material_overrides.{name}."
         try:
@@ -212,20 +213,17 @@ def _materials(node, violations) -> dict:
         if not isinstance(given, dict):
             violations.append(f"{path[:-1]}: expected a mapping of material fields")
             continue
-        applied, rejected = {}, set()
-        for fname, value in given.items():
-            if fname not in _MATERIAL_FIELDS:
-                violations.append(f"{path}{fname}: unknown material field")
-                continue
-            if _num(given, fname, path, violations) is None:
-                rejected.add(fname)
-            if value is None or isinstance(value, (int, float)):
-                applied[fname] = value
-        for fname, requirement in bound_violations(applied):
-            if fname not in rejected:
-                violations.append(f"{path}{fname}: {requirement}, got {applied[fname]}")
-            del applied[fname]
-        materials[name] = override_material(material, **applied)
+        for key in given:
+            if key == "name" or key not in keys:
+                violations.append(f"{path}{key}: unknown material field")
+        values = {}
+        for key, ge, gt, lt, _, _ in specs:
+            if key in given and key != "name":
+                _num(given, key, path, violations, ge, gt, lt)
+                value = given[key]
+                if value is None or isinstance(value, (int, float)) and within(value, ge, gt, lt):
+                    values[key] = value
+        materials[name] = override_material(material, **values)
     return materials
 
 

@@ -13,7 +13,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memsmag import DEFAULT_CONSTRAINTS, default_scenario
+from memsmag import BUILTIN_NAMES, DEFAULT_CONSTRAINTS, Material, default_scenario
 from memsmag.cli import CONFIG_DIR_ENV, build_parser, main
 from memsmag.explorer import MAX_SWEEP_POINTS
 
@@ -316,6 +316,59 @@ def test_transient_zero_or_nan_flag_is_invalid_input(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("frequency, error", [
+    ("5.0e-324", "the default --duration is inf s; give --duration"),
+    ("1.0e-300", "the default run takes 2.309e+307 steps, over the cap of 10000000; "
+                 "give --duration and --dt"),
+], ids=["duration-overflows", "over-step-cap"])
+def test_transient_default_out_of_range_is_a_named_runtime_failure(
+    tmp_path, capsys, frequency, error
+):
+    # The config is valid and no flag was given: the default the scenario
+    # derives is at fault, not the input.
+    path = tmp_path / "scenario.yaml"
+    path.write_text(f"drive: {{frequency: {frequency}}}")
+    scenario = default_scenario("lorentz")
+    f0 = scenario.sensor.resonator(scenario.quality_factor).natural_frequency
+    out = tmp_path / "transient.csv"
+    assert main(["transient", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: transient: with drive.frequency {float(frequency)!r} Hz and the resonant "
+        f"frequency {f0!r} Hz, {error}\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [
+    "sensor: {support_beam: {length: %s}}",
+    "sensor: {kind: ferro, suspension: {length: %s}}",
+], ids=["lorentz", "ferro"])
+@pytest.mark.parametrize("length", ["1.0e-300", "1.0e+300"])
+def test_beam_stiffness_out_of_float_range_names_the_length(tmp_path, capsys, config, length):
+    path = tmp_path / "scenario.yaml"
+    path.write_text(config % length)
+    named = f"tip stiffness 3 EI / l^3 leaves the float range: beam length {float(length)!r} m\n"
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: mechanics: {named}"
+    assert main(["transient", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {named}"
+    assert not out.exists()
+
+
+def test_noise_gain_out_of_float_range_names_the_figure(tmp_path, capsys):
+    path = tmp_path / "scenario.yaml"
+    path.write_text("sensor: {bridge_bias: 1.0e+300}")
+    error = (
+        "error: OverflowError: report figure noise_mechanical_referred_psd_V2_per_Hz"
+        " is not finite: inf\n"
+    )
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+    assert capsys.readouterr().err == error
+    assert main(["noise", "--config", str(path)]) == 2
+    assert capsys.readouterr() == ("", error)
+
+
 @pytest.mark.parametrize("flags, named", [
     (["--points", "0"], "--points"),
     (["--points", "-3"], "--points"),
@@ -522,6 +575,8 @@ def test_extreme_numeric_leaves_never_raise(tmp_path):
 
 def _declared(scenario, path) -> dict:
     """The metadata of the record field that tree `path` sets, or {}."""
+    if path[0] == "material_overrides":
+        return _MATERIAL_METADATA[path[-1]]
     record = scenario
     for step in path[:-1]:
         record = record[step] if isinstance(step, int) else getattr(record, step)
@@ -532,15 +587,19 @@ def _declared(scenario, path) -> dict:
 
 _DEFAULTS = {kind: default_scenario(kind) for kind in ("lorentz", "ferro")}
 _EXTREMES = (0.0, -0.0, 5e-324, 1e-320, 1e-300, 1e300, 1.7e308)
+_MATERIAL_METADATA = {f.name: f.metadata for f in dataclasses.fields(Material)}
+_BOUNDED_MATERIAL_FIELDS = [name for name, metadata in _MATERIAL_METADATA.items() if metadata]
 
 
 def _leaf_values(scenario, path) -> tuple:
-    """The fixed extremes, and a declared bound with its neighbouring floats."""
+    """The fixed extremes, and each declared bound with its neighbouring floats."""
     metadata = _declared(scenario, path)
-    bound = metadata.get("gt", metadata.get("ge"))
-    if bound is None:
-        return _EXTREMES
-    near = (bound, math.nextafter(bound, -math.inf), math.nextafter(bound, math.inf))
+    bounds = [metadata[key] for key in ("gt", "ge", "lt") if key in metadata]
+    near = tuple(
+        value
+        for bound in bounds
+        for value in (bound, math.nextafter(bound, -math.inf), math.nextafter(bound, math.inf))
+    )
     return near + _EXTREMES
 
 
@@ -548,16 +607,20 @@ def _leaf_values(scenario, path) -> tuple:
 @given(data=st.data())
 def test_bounded_extremes_end_in_one_named_outcome(tmp_path_factory, data):
     # Values at and beside each declared bound, and float extremes, in one to
-    # three leaves: every command ends with a clean exit code and one message,
-    # and a transient that succeeds writes only finite samples.
+    # three leaves, material overrides among them: every command ends with a
+    # clean exit code and one message, and a transient that succeeds writes
+    # only finite samples.
     kind = data.draw(st.sampled_from(sorted(_DEFAULTS)))
     scenario = _DEFAULTS[kind]
-    leaves = list(_numeric_leaves(scenario.tree))
+    # material_overrides.<film>.<field> leaves, absent from the default trees.
+    film = data.draw(st.sampled_from(BUILTIN_NAMES))
+    overrides = [("material_overrides", film, name) for name in _BOUNDED_MATERIAL_FIELDS]
+    leaves = list(_numeric_leaves(scenario.tree)) + overrides
     tree = copy.deepcopy(scenario.tree)
     for path in data.draw(st.lists(st.sampled_from(leaves), min_size=1, max_size=3, unique=True)):
         node = tree
         for step in path[:-1]:
-            node = node[step]
+            node = node[step] if isinstance(node, list) else node.setdefault(step, {})
         node[path[-1]] = data.draw(st.sampled_from(_leaf_values(scenario, path)))
     folder = tmp_path_factory.mktemp("extremes")
     config = folder / "scenario.yaml"

@@ -8,6 +8,7 @@ import pytest
 from memsmag import (
     FerroDesign,
     LorentzDesign,
+    Material,
     NotFoundError,
     ParseError,
     ValidationError,
@@ -492,3 +493,70 @@ def test_each_declared_bound_is_the_one_enforced(kind):
         assert excinfo.value.violations == [f"{path}: must be {op} {bound}, got {invalid}"]
         _set_leaf(tree, path, valid)
         build_scenario(tree)
+
+
+# Each bounded Material field and the rule its metadata declares.
+_MATERIAL_RULES = {
+    "youngs_modulus": "must be > 0",
+    "poisson_ratio": "must be in [0, 0.5)",
+    "density": "must be > 0",
+    "yield_stress": "must be > 0",
+    "resistivity": "must be > 0",
+    "hooge_alpha": "must be >= 0",
+    "carrier_density": "must be > 0",
+}
+# (first invalid, first valid) value at each end of a rule.
+_RULE_EDGES = {
+    "must be > 0": [(0.0, 5e-324)],
+    "must be >= 0": [(-5e-324, 0.0)],
+    "must be in [0, 0.5)": [(-5e-324, 0.0), (0.5, math.nextafter(0.5, 0.0))],
+}
+
+
+def test_material_bounds_are_declared_on_the_fields():
+    declared = {f.name for f in dataclasses.fields(Material) if f.metadata}
+    assert declared == set(_MATERIAL_RULES)
+
+
+@pytest.mark.parametrize("film", ["aluminum", "nickel", "polysilicon", "silicon", "silicon_nitride"])
+@pytest.mark.parametrize("field", sorted(_MATERIAL_RULES))
+def test_each_material_bound_at_its_edges(film, field):
+    rule = _MATERIAL_RULES[field]
+    for invalid, valid in _RULE_EDGES[rule]:
+        tree = {"material_overrides": {film: {field: invalid}}}
+        with pytest.raises(ValidationError) as excinfo:
+            build_scenario(tree)
+        assert excinfo.value.violations == [
+            f"material_overrides.{film}.{field}: {rule}, got {invalid}"
+        ]
+        with pytest.raises(ValueError, match=f"{film}: {re.escape(f'{field} {rule}')}$"):
+            override_material(builtin_material(film), **{field: invalid})
+        tree["material_overrides"][film][field] = valid
+        build_scenario(tree)
+        assert getattr(override_material(builtin_material(film), **{field: valid}), field) == valid
+
+
+def test_override_violations_come_unknown_keys_first_then_in_field_order():
+    given = {
+        "density": -1.0,
+        "name": "silicon",
+        "poisson_ratio": 0.6,
+        "sparkle": 1.0,
+        "hooge_alpha": None,
+        "youngs_modulus": "stiff",
+    }
+    with pytest.raises(ValidationError) as excinfo:
+        build_scenario({"material_overrides": {"silicon": given}})
+    assert excinfo.value.violations == [
+        # The unset hooge_alpha applies, so the gauge film check sees it missing.
+        "sensor.gauge.material: material 'silicon' is missing required properties: hooge_alpha",
+        "material_overrides.silicon.name: unknown material field",
+        "material_overrides.silicon.sparkle: unknown material field",
+        "material_overrides.silicon.youngs_modulus: expected a number, got 'stiff'",
+        "material_overrides.silicon.poisson_ratio: must be in [0, 0.5), got 0.6",
+        "material_overrides.silicon.density: must be > 0, got -1.0",
+        "material_overrides.silicon.hooge_alpha: expected a number, got None",
+    ]
+    with pytest.raises(ValueError) as excinfo:
+        Material(name="junk", youngs_modulus=1e9, poisson_ratio=0.6, density=-1.0, cte=1e-6)
+    assert str(excinfo.value) == "junk: poisson_ratio must be in [0, 0.5); density must be > 0"
