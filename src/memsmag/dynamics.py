@@ -24,6 +24,15 @@ MAX_TRANSIENT_STEPS = 10_000_000
 
 TRANSIENT_COLUMNS = ("t_s", "x_m", "v_m_per_s", "V_out_V")  # one per TimeSeries array
 
+# Steps one row of the transient's block product advances.
+BLOCK_STEPS = 32
+
+# Blocks per chunk of forcing samples; bounds the transient's scratch memory.
+CHUNK_BLOCKS = 256
+
+# Rows TimeSeries.to_csv formats per call; bounds its scratch memory.
+CSV_CHUNK_ROWS = 8192
+
 
 @dataclass
 class FrequencyResponsePoint:
@@ -44,17 +53,12 @@ class TimeSeries:
     drive_period: Optional[float] = None  # s, None for dc drive
 
     def to_csv(self, path) -> None:
-        data = np.column_stack(
-            (self.time, self.displacement, self.velocity, self.output_voltage)
-        )
-        np.savetxt(
-            path,
-            data,
-            delimiter=",",
-            header=",".join(TRANSIENT_COLUMNS),
-            comments="",
-            fmt="%.17g",
-        )
+        columns = (self.time, self.displacement, self.velocity, self.output_voltage)
+        with open(path, "w") as handle:
+            handle.write(",".join(TRANSIENT_COLUMNS) + "\n")
+            for first in range(0, len(self.time), CSV_CHUNK_ROWS):
+                rows = np.column_stack([c[first : first + CSV_CHUNK_ROWS] for c in columns])
+                np.savetxt(handle, rows, delimiter=",", fmt="%.17g")
 
 
 @dataclass
@@ -107,8 +111,9 @@ def simulate_transient(
 ) -> TimeSeries:
     """Integrate m x'' + D x' + k x = F(t) with classical 4th-order RK.
 
-    RK4 on this linear system is one affine map per step, built once. The
-    square waveform applies the forcing with exact sign flips every half
+    RK4 on this linear system is one affine map per step, built once and
+    applied a block of BLOCK_STEPS steps per matrix product. The square
+    waveform applies the forcing with exact sign flips every half
     period; dc applies it constantly. The voltage column maps displacement
     through instantaneous anchor stress, gauge, and bridge. Starts from rest
     unless initial conditions are given. Raises OverflowError naming the
@@ -143,13 +148,7 @@ def simulate_transient(
         design.anchor_stress(resonator.stiffness * design.load_share_count)
     )
     peak = design.tip_force(drive, env, env.field_magnitude) / design.load_share_count
-    freq = drive.frequency
-    if period is None:
-        def force(t):
-            return peak
-    else:
-        def force(t):
-            return peak if math.fmod(t * freq, 1.0) < 0.5 else -peak
+    freq = None if period is None else drive.frequency
 
     # RK4 on y' = A y + b F(t), y = (x, v), is the step map y+ = P y +
     # g1 F(t) + g2 F(t + h/2) + g3 F(t + h), P the 4th-order Taylor sum of hA.
@@ -174,29 +173,45 @@ def simulate_transient(
             f"transient step map coefficient {name} is {float(step_map[row, col])}: stiffness"
             f" {resonator.stiffness!r} N/m, damping {resonator.damping!r} N*s/m, mass {m!r} kg"
         )
-    (pxx, pxv, g1x, g2x, g3x), (pvx, pvv, g1v, g2v, g3v) = step_map.tolist()
 
+    # Over a block of B steps from y_s, y after j steps is P^j y_s plus the
+    # zero-state sum of P^(j-1-k) [g1 g2 g3] f_k over k < j. One matrix product
+    # per chunk gives every block's zero-state rows, a scan over the block
+    # starts carries y_s, and a second product adds P^j y_s.
+    powers, kernel = _block_tables(step_map)
+    (p_xx, p_xv), (p_vx, p_vv) = powers[:, :, -1].tolist()
     steps = int(round(duration / dt))
-    x = np.empty(steps + 1)
-    v = np.empty(steps + 1)
+    blocks = -(-steps // BLOCK_STEPS)
+    # The last block may run past the end; x and v are views that drop those rows.
+    x = np.empty(blocks * BLOCK_STEPS + 1)
+    v = np.empty(blocks * BLOCK_STEPS + 1)
     x[0], v[0] = x0, v0
-    xi, vi = x0, v0
-    for i in range(steps):
-        t = i * dt
-        f1, f2, f3 = force(t), force(t + 0.5 * dt), force(t + dt)
-        xi, vi = (
-            pxx * xi + pxv * vi + g1x * f1 + g2x * f2 + g3x * f3,
-            pvx * xi + pvv * vi + g1v * f1 + g2v * f2 + g3v * f3,
-        )
-        x[i + 1], v[i + 1] = xi, vi
+    xs, vs = x0, v0
+    for first in range(0, blocks, CHUNK_BLOCKS):
+        count = min(CHUNK_BLOCKS, blocks - first)
+        rows = slice(1 + first * BLOCK_STEPS, 1 + (first + count) * BLOCK_STEPS)
+        xb, vb = (out[rows].reshape(count, BLOCK_STEPS) for out in (x, v))
+        forcing = _forcing(first * BLOCK_STEPS, count, dt, freq, peak).reshape(count, -1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for out, kern in zip((xb, vb), kernel):
+                np.matmul(forcing, kern, out=out)
+            state = [(xs, vs)]
+            for zx, zv in zip(xb[:, -1].tolist(), vb[:, -1].tolist()):
+                xs, vs = p_xx * xs + p_xv * vs + zx, p_vx * xs + p_vv * vs + zv
+                state.append((xs, vs))
+            state = np.array(state)
+            for col, (out, power) in enumerate(zip((xb, vb), powers)):
+                out += state[:-1] @ power
+                out[:, -1] = state[1:, col]
+    x, v = x[: steps + 1], v[: steps + 1]
 
     time = np.arange(steps + 1) * dt
     with np.errstate(over="ignore", invalid="ignore"):
         voltage = volts_per_meter * x
     for name, column in zip(TRANSIENT_COLUMNS[1:], (x, v, voltage)):
-        bad = np.flatnonzero(~np.isfinite(column))
-        if bad.size:
-            value, t = float(column[bad[0]]), float(time[bad[0]])
+        if not np.isfinite(column).all():
+            first = int(np.isfinite(column).argmin())
+            value, t = float(column[first]), float(time[first])
             raise OverflowError(f"transient column {name} is {value} at t = {t!r} s")
     return TimeSeries(
         dt=dt,
@@ -206,6 +221,48 @@ def simulate_transient(
         output_voltage=voltage,
         drive_period=period,
     )
+
+
+def _forcing(first: int, blocks: int, dt: float, freq: Optional[float], peak: float) -> np.ndarray:
+    """Forcing of steps first, first + 1, ... as (blocks, 3, BLOCK_STEPS).
+
+    Axis 1 holds F(t), F(t + dt/2) and F(t + dt) with t = i * dt. A square
+    drive of frequency freq is +peak where fmod(t * freq, 1) < 0.5 and -peak
+    elsewhere; dc (freq None) is peak throughout.
+    """
+    if freq is None:
+        return np.full((blocks, 3, BLOCK_STEPS), peak)
+    out = np.empty((blocks, 3, BLOCK_STEPS))
+    t = np.arange(first, first + blocks * BLOCK_STEPS).reshape(blocks, BLOCK_STEPS) * dt
+    for c, at in enumerate((t, t + 0.5 * dt, t + dt)):
+        phase = at * freq
+        phase -= np.floor(phase)  # exactly fmod(phase, 1.0) for phase >= 0, and faster
+        out[:, c] = np.where(phase < 0.5, peak, -peak)
+    return out
+
+
+def _block_tables(step_map: np.ndarray) -> tuple:
+    """Block tables of the step map [P g1 g2 g3], split by output row r.
+
+    powers[r] is (2, B) with column j - 1 holding row r of P^j, j = 1..B.
+    kernel[r] is (3B, B): entry (c*B + k, j - 1) is row r of P^(j-1-k) g(c+1)
+    for k < j and 0 otherwise, so a block's forcing, flattened as
+    _forcing lays it out, times kernel[r] is its zero-state response. The
+    powers are taken in long double, where the platform has it, so each
+    entry is rounded once and a block's P^B drifts no more than one step.
+    """
+    steps = np.arange(BLOCK_STEPS)
+    power = np.empty((BLOCK_STEPS + 1, 2, 2), dtype=np.longdouble)
+    power[0] = np.eye(2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(BLOCK_STEPS):
+            power[j + 1] = step_map[:, :2] @ power[j]
+        gains = (power[:BLOCK_STEPS] @ step_map[:, 2:]).astype(float)  # P^d [g1 g2 g3]
+        power = power.astype(float)
+    lag = steps[None, :] - steps[:, None]  # (k, j - 1) -> j - 1 - k
+    kernel = np.where((lag >= 0)[:, :, None, None], gains[np.maximum(lag, 0)], 0.0)
+    kernel = kernel.transpose(2, 3, 0, 1).reshape(2, 3 * BLOCK_STEPS, BLOCK_STEPS)
+    return power[1:].transpose(1, 2, 0).copy(), kernel
 
 
 def _half_ptp(values: np.ndarray) -> float:

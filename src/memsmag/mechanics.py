@@ -100,8 +100,14 @@ def composite_section(geom: BeamGeometry) -> CompositeSection:
         t = layer.thickness
         area = w * t
         mid = z + t / 2
-        i_own = w * t**3 / 12.0
-        ei += e * (i_own + area * (mid - neutral) ** 2)
+        try:
+            ei += e * (w * t**3 / 12.0 + area * (mid - neutral) ** 2)
+        except OverflowError:
+            index, thick = max(enumerate(geom.layers), key=lambda item: item[1].thickness)
+            raise OverflowError(
+                f"flexural rigidity EI leaves the float range: layer {index}"
+                f" ({thick.material.name}) thickness {thick.thickness!r} m"
+            ) from None
         mass += layer.material.density * area
         z += t
     return CompositeSection(
@@ -114,7 +120,13 @@ def composite_section(geom: BeamGeometry) -> CompositeSection:
 
 def tip_deflection(section: CompositeSection, length: float, tip_force: float) -> float:
     """Tip deflection F*l^3 / (3 EI) of a clamped beam under a tip force."""
-    return tip_force * length**3 / (3.0 * section.flexural_rigidity)
+    try:
+        cube = length**3
+    except OverflowError:
+        raise DomainError(
+            f"tip deflection F l^3 / (3 EI) leaves the float range: beam length {length!r} m"
+        ) from None
+    return tip_force * cube / (3.0 * section.flexural_rigidity)
 
 
 def max_anchor_stress(
@@ -130,7 +142,14 @@ def max_anchor_stress(
     """
     if load_share_count < 1:
         raise ValueError("load_share_count must be >= 1")
-    return 6.0 * length * tip_force / (width * thickness**2 * load_share_count)
+    try:
+        square = thickness**2
+    except OverflowError:
+        raise OverflowError(
+            f"anchor stress 6 l F / (w t^2 n) leaves the float range: beam thickness"
+            f" {thickness!r} m"
+        ) from None
+    return 6.0 * length * tip_force / (width * square * load_share_count)
 
 
 def lumped_resonator(

@@ -517,6 +517,29 @@ def test_arithmetic_failure_is_runtime_failure(tmp_path, capsys, config, error, 
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, config, error", [
+    ("simulate", "sensor: {support_beam: {layers: [{material: silicon, thickness: 1.0e+300}]}}",
+     "OverflowError: anchor stress 6 l F / (w t^2 n) leaves the float range:"
+     " beam thickness 1e+300 m"),
+    ("verify", "sensor: {support_beam: {layers: [{material: silicon, thickness: 1.0e+300}]}}",
+     "OverflowError: flexural rigidity EI leaves the float range:"
+     " layer 0 (silicon) thickness 1e+300 m"),
+    ("verify", _THICK_TOP_LAYER,
+     "OverflowError: flexural rigidity EI leaves the float range:"
+     " layer 2 (aluminum) thickness 1e+300 m"),
+    ("verify", "sensor: {support_beam: {length: 1.0e+300}}",
+     "tip deflection F l^3 / (3 EI) leaves the float range: beam length 1e+300 m"),
+], ids=["simulate-thickness", "verify-thickness", "verify-top-layer", "verify-length"])
+def test_power_overflow_names_the_dimension(tmp_path, capsys, command, config, error):
+    path = tmp_path / "scenario.yaml"
+    path.write_text(config)
+    argv = [command, "--config", str(path)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "report.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
 def test_verify_underflowing_grid_step_is_one_named_error(tmp_path, capsys):
     path = tmp_path / "scenario.yaml"
     path.write_text("sensor: {support_beam: {length: 1.0e-320}}")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,14 @@ from memsmag import (
     simulate_transient,
     steady_state_amplitude,
 )
-from memsmag.dynamics import MAX_TRANSIENT_STEPS
+from memsmag.dynamics import (
+    BLOCK_STEPS,
+    CHUNK_BLOCKS,
+    CSV_CHUNK_ROWS,
+    MAX_TRANSIENT_STEPS,
+    TRANSIENT_COLUMNS,
+    _forcing,
+)
 
 
 def _default_parts():
@@ -228,6 +236,85 @@ def test_transient_matches_textbook_rk4(kind, waveform, start):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def _assert_textbook(kind, start, waveform, drive_ratio, steps):
+    # Runs `steps` steps of dt = 1/(200 f0) and compares both state columns
+    # with the textbook stages at 1e-12 of each column's maximum.
+    scenario = default_scenario(kind)
+    sensor, env = scenario.sensor, scenario.environment
+    res = sensor.resonator(scenario.quality_factor)
+    f0 = res.natural_frequency
+    drive = Drive(waveform, scenario.drive.amplitude, drive_ratio * f0)
+    dt = 1.0 / (200 * f0)
+    duration = steps * dt if steps else 0.25 * dt
+    x0, v0 = (0.0, 0.0) if start == "rest" else (1e-7, -2e-7 * math.pi * f0)
+    series = simulate_transient(res, sensor, drive, env, duration, dt, x0=x0, v0=v0)
+    reference = _textbook_rk4(res, sensor, drive, env, duration, dt, x0, v0)
+    assert len(series.time) == len(reference) == steps + 1
+    for column, got in enumerate((series.displacement, series.velocity)):
+        want = reference[:, column]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kind", ["lorentz", "ferro"])
+@pytest.mark.parametrize("start", ["rest", "moving"])
+@pytest.mark.parametrize("drive_ratio", [0.937, 9.3, 150.0])
+def test_transient_matches_textbook_rk4_off_the_step_grid(kind, start, drive_ratio):
+    # Half drive periods of 106.7, 10.75 and 0.67 steps: flips fall between
+    # steps, and at 150 f0 more than once inside one.
+    _assert_textbook(kind, start, "square", drive_ratio, 2400)
+
+
+_B, _CHUNK = BLOCK_STEPS, BLOCK_STEPS * CHUNK_BLOCKS
+
+
+@pytest.mark.parametrize("kind", ["lorentz", "ferro"])
+@pytest.mark.parametrize("start", ["rest", "moving"])
+@pytest.mark.parametrize("waveform, steps", [
+    ("dc", 0), ("dc", 1), ("dc", _B - 1), ("dc", _B), ("dc", _B + 1),
+    ("square", _CHUNK - 1), ("square", _CHUNK + 1),
+])
+def test_transient_matches_textbook_rk4_at_block_edges(kind, start, waveform, steps):
+    _assert_textbook(kind, start, waveform, 9.3, steps)
+
+
+@pytest.mark.parametrize("drive_ratio", [0.937, 1.0, 9.3, 150.0])
+def test_forcing_signs_follow_the_fmod_rule(drive_ratio):
+    # Every sample of two chunks, the second far from t = 0, against the
+    # rule one step at a time applies at t, t + dt/2 and t + dt.
+    _, res = _default_parts()
+    f0 = res.natural_frequency
+    dt, freq = 1.0 / (200 * f0), drive_ratio * f0
+    for first in (0, 40 * _CHUNK):
+        forcing = _forcing(first, CHUNK_BLOCKS, dt, freq, 2.0)
+        assert forcing.shape == (CHUNK_BLOCKS, 3, _B)
+        for i in range(_CHUNK):
+            t = (first + i) * dt
+            for c, at in enumerate((t, t + 0.5 * dt, t + dt)):
+                want = 2.0 if math.fmod(at * freq, 1.0) < 0.5 else -2.0
+                assert forcing[i // _B, c, i % _B] == want
+    assert np.all(_forcing(3, 2, dt, None, 2.0) == 2.0)
+
+
+def test_transient_scratch_memory_is_one_chunk():
+    # A 500,000-step run may hold its four output columns and at most 1 MB
+    # more at any time: no full-length forcing or interleaved buffer.
+    scenario, res = _default_parts()
+    dt = 1.0 / (200 * res.natural_frequency)
+    drive = Drive("dc", scenario.drive.amplitude)
+    steps = 500_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        series = simulate_transient(
+            res, scenario.sensor, drive, scenario.environment, steps * dt, dt
+        )
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(series.time) == steps + 1
+    assert peak <= 4 * 8 * (steps + 1) + 2**20
+
+
 @pytest.mark.parametrize("kind", ["lorentz", "ferro"])
 def test_settled_dc_voltage_is_the_static_output(kind):
     # After 10 Q/f0 the ring-down has decayed by e^(-10 pi); the voltage
@@ -331,3 +418,21 @@ def test_timeseries_csv_roundtrip(tmp_path):
     assert np.array_equal(data[:, 1], series.displacement)
     assert np.array_equal(data[:, 2], series.velocity)
     assert np.array_equal(data[:, 3], series.output_voltage)
+
+
+def test_timeseries_csv_chunks_write_the_whole_table_bytes(tmp_path):
+    # The chunked writer gives the bytes of one savetxt over all rows, on a
+    # run three and a bit chunks long.
+    scenario, res = _default_parts()
+    dt = 1.0 / (200 * res.natural_frequency)
+    steps = 3 * CSV_CHUNK_ROWS + 5
+    series = simulate_transient(
+        res, scenario.sensor, scenario.drive, scenario.environment, steps * dt, dt
+    )
+    path, whole = tmp_path / "chunked.csv", tmp_path / "whole.csv"
+    series.to_csv(path)
+    columns = (series.time, series.displacement, series.velocity, series.output_voltage)
+    np.savetxt(whole, np.column_stack(columns), delimiter=",",
+               header=",".join(TRANSIENT_COLUMNS), comments="", fmt="%.17g")
+    assert path.read_bytes() == whole.read_bytes()
+    assert path.read_text().count("\n") == steps + 2
