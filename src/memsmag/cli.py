@@ -124,8 +124,10 @@ def _transient_span(args, resonator, drive) -> tuple:
     the frequencies it comes from and the flag that overrides it; a given
     flag is checked by simulate_transient.
     """
-    period = 1.0 / resonator.natural_frequency
-    source = f"the resonant frequency {resonator.natural_frequency!r} Hz"
+    # A resonance that underflowed to 0 Hz has no period; the check below names it.
+    f0 = resonator.natural_frequency
+    period = 1.0 / f0 if f0 > 0.0 else math.inf
+    source = f"the resonant frequency {f0!r} Hz"
     if drive.waveform == "square":
         source = f"drive.frequency {drive.frequency!r} Hz and {source}"
         duration, dt = 20.0 / drive.frequency, min(period, 1.0 / drive.frequency) / 200.0

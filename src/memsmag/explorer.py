@@ -307,6 +307,100 @@ def _constraint_violation(report: SimulationReport, limits: dict) -> float:
     return min(violation, _MAX_VIOLATION)
 
 
+class _Exhausted(Exception):
+    """The evaluation budget of one Nelder–Mead run is spent."""
+
+
+def _clip(x) -> tuple:
+    # As np.clip to [0, 1]: NaN passes through and -0.0 becomes 0.0.
+    return tuple(0.0 if v <= 0.0 else 1.0 if v >= 1.0 else v for v in x)
+
+
+def _ranked(sim: list, fsim: list) -> tuple:
+    # Stable, with NaN values last as np.argsort puts them.
+    order = sorted(range(len(fsim)), key=lambda k: (math.isnan(fsim[k]), fsim[k]))
+    return [sim[k] for k in order], [fsim[k] for k in order]
+
+
+def _nelder_mead(func, simplex, xatol: float, fatol: float, maxfev: int) -> tuple:
+    """Minimize `func` over the unit box from `simplex`, a list of n + 1 points.
+
+    The bounded Nelder–Mead of SciPy 1.17's `minimize` (Lagarias et al.,
+    SIAM J. Optim. 9(1), 1998) with ρ=1, χ=2, ψ=½, σ=½, on lists: it
+    evaluates the same points, bit for bit and in the same order, wherever
+    SciPy's sort keeps tied values in order. Vertices above the box are
+    first reflected into it, and every vertex is clipped to [0, 1]. It stops
+    once every vertex is within `xatol` of the best and every value within
+    `fatol`, or when `maxfev` evaluations are spent. Returns the final
+    vertices (tuples) and their values, best first.
+    """
+    n = len(simplex) - 1
+    calls = 0
+
+    def f(x) -> float:
+        nonlocal calls
+        if calls >= maxfev:
+            raise _Exhausted
+        calls += 1
+        return float(func(x))
+
+    sim = [_clip(2.0 - v if v > 1.0 else v for v in x) for x in simplex]
+    fsim = [math.inf] * (n + 1)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _Exhausted:
+        pass
+    sim, fsim = _ranked(sim, fsim)
+
+    while calls < maxfev:
+        try:
+            best, worst = sim[0], sim[n]
+            if all(abs(v - b) <= xatol for x in sim[1:] for v, b in zip(x, best)) and all(
+                abs(fsim[0] - fv) <= fatol for fv in fsim[1:]
+            ):
+                break
+            # Vertices 0..n-1 added in turn, as np.add.reduce does; sum()
+            # rounds differently from Python 3.12 on.
+            xbar = sim[0]
+            for x in sim[1:n]:
+                xbar = [a + v for a, v in zip(xbar, x)]
+            xbar = [a / n for a in xbar]
+
+            xr = _clip(2.0 * a - w for a, w in zip(xbar, worst))
+            fxr = f(xr)
+            shrink = False
+            if fxr < fsim[0]:
+                xe = _clip(3.0 * a - 2.0 * w for a, w in zip(xbar, worst))
+                fxe = f(xe)
+                sim[n], fsim[n] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[n - 1]:
+                sim[n], fsim[n] = xr, fxr
+            elif fxr < fsim[n]:
+                xc = _clip(1.5 * a - 0.5 * w for a, w in zip(xbar, worst))
+                fxc = f(xc)
+                if fxc <= fxr:
+                    sim[n], fsim[n] = xc, fxc
+                else:
+                    shrink = True
+            else:
+                xcc = _clip(0.5 * a + 0.5 * w for a, w in zip(xbar, worst))
+                fxcc = f(xcc)
+                if fxcc < fsim[n]:
+                    sim[n], fsim[n] = xcc, fxcc
+                else:
+                    shrink = True
+            if shrink:
+                for j in range(1, n + 1):
+                    # The vertex moves even when the budget refuses its value.
+                    sim[j] = _clip(b + 0.5 * (v - b) for b, v in zip(best, sim[j]))
+                    fsim[j] = f(sim[j])
+        except _Exhausted:
+            pass
+        sim, fsim = _ranked(sim, fsim)
+    return sim, fsim
+
+
 def optimize(
     scenario: Scenario,
     free_parameters,
@@ -322,9 +416,6 @@ def optimize(
     violation. The best returned is always the best feasible point actually
     evaluated; Infeasible is raised when there is none.
     """
-    # Imported here so that only optimize pays the ~0.5 s scipy import.
-    from scipy.optimize import minimize
-
     params = [_normalize_parameter(p) for p in free_parameters]
     if not 1 <= len(params) <= MAX_FREE_PARAMETERS:
         raise ValueError(f"need 1..{MAX_FREE_PARAMETERS} free parameters")
@@ -356,26 +447,13 @@ def optimize(
             best = built, report, record
         return value
 
-    starts = [np.full(dim, 0.5)]
-    starts += [np.array(corner, dtype=float) for corner in itertools.product((0.0, 1.0), repeat=dim)]
+    starts = [(0.5,) * dim, *itertools.product((0.0, 1.0), repeat=dim)]
     for z0 in starts:
-        simplex = np.tile(z0, (dim + 1, 1))
+        simplex = [list(z0) for _ in range(dim + 1)]
         for i in range(dim):
             # Perturb inward so the initial simplex stays inside the box.
-            step = 0.05 if z0[i] + 0.05 <= 1.0 else -0.05
-            simplex[i + 1, i] += step
-        minimize(
-            evaluate,
-            z0,
-            method="Nelder-Mead",
-            bounds=[(0.0, 1.0)] * dim,
-            options={
-                "initial_simplex": simplex,
-                "xatol": 1e-5,
-                "fatol": 1e-300,
-                "maxfev": 400 * dim,
-            },
-        )
+            simplex[i + 1][i] += 0.05 if z0[i] + 0.05 <= 1.0 else -0.05
+        _nelder_mead(evaluate, simplex, xatol=1e-5, fatol=1e-300, maxfev=400 * dim)
 
     if best is None:
         raise InfeasibleError("no evaluated point satisfied the constraints")
@@ -514,7 +592,9 @@ def emit_report(obj: Union[SimulationReport, SweepResult], format: str, path) ->
 
 
 def __getattr__(name):
-    # Only for perfbench/spans.py's lookup without a default (CHANGES.md FOUND on EXTERNAL).
+    # optimize no longer calls scipy. This hook stays only because
+    # perfbench/spans.py's Tracer.install looks the name up without a
+    # default; it goes when that lookup does (ROADMAP item 3).
     if name == "minimize":
         from scipy.optimize import minimize
 

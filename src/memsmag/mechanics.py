@@ -90,6 +90,11 @@ def composite_section(geom: BeamGeometry) -> CompositeSection:
         ea += e * area
         ea_z += e * area * mid
         z += layer.thickness
+    if ea == 0.0:  # the neutral axis divides by it
+        raise DomainError(
+            f"axial stiffness sum E w t underflows to 0 at beam width {w!r} m and layer"
+            f" thicknesses {', '.join(repr(layer.thickness) for layer in geom.layers)} m"
+        )
     neutral = ea_z / ea
 
     ei = 0.0
@@ -149,7 +154,13 @@ def max_anchor_stress(
             f"anchor stress 6 l F / (w t^2 n) leaves the float range: beam thickness"
             f" {thickness!r} m"
         ) from None
-    return 6.0 * length * tip_force / (width * square * load_share_count)
+    denominator = width * square * load_share_count
+    if denominator == 0.0:
+        raise DomainError(
+            f"anchor stress 6 l F / (w t^2 n) divides by 0: w t^2 n underflows at beam width"
+            f" {width!r} m and thickness {thickness!r} m"
+        )
+    return 6.0 * length * tip_force / denominator
 
 
 def lumped_resonator(

@@ -127,7 +127,14 @@ def noise_budget(
     gain = design.bridge_voltage(design.anchor_stress(1.0))
     mechanical = thermal_mechanical_psd(resonator.damping, env.temperature) * _squared(gain)
 
-    flicker_scale = alpha * _squared(voltage) / carrier_count(gauge)
+    carriers = carrier_count(gauge)
+    if carriers == 0.0:  # the flicker scale divides by it
+        raise DomainError(
+            f"gauge carrier count l w t n underflows to 0 at sensor.gauge.length"
+            f" {gauge.length!r} m, width {gauge.width!r} m, thickness {gauge.thickness!r} m"
+            f" and {gauge.material.name} carrier density {gauge.material.carrier_density!r} m^-3"
+        )
+    flicker_scale = alpha * _squared(voltage) / carriers
     corner = flicker_scale / electrical
 
     rms = rms_noise(electrical + mechanical, flicker_scale, band)

@@ -227,11 +227,20 @@ def sensitivity(design: SensorDesign, drive: Drive, env: Environment) -> float:
     return design.bridge_voltage(per_field)
 
 
+def _current_squared(current: float, figure: str) -> float:
+    try:
+        return current**2
+    except OverflowError:
+        raise OverflowError(
+            f"{figure} leaves the float range: drive current {current!r} A"
+        ) from None
+
+
 def joule_offset(current: float, offset_coefficient: float = DEFAULT_OFFSET_COEFFICIENT) -> float:
     """Field-independent bridge offset c*I^2 from drive self-heating."""
     if offset_coefficient < 0:
         raise ValueError("offset_coefficient must be >= 0")
-    return offset_coefficient * current**2
+    return offset_coefficient * _current_squared(current, "Joule offset c I^2")
 
 
 def fit_power_law_offset(points=OFFSET_CALIBRATION_POINTS) -> tuple[float, float]:
@@ -264,4 +273,5 @@ def joule_temperature_rise(
     """Loop temperature rise I^2*R_loop*R_th in kelvin."""
     if min(current, loop_resistance, thermal_resistance) < 0:
         raise ValueError("current, loop_resistance, thermal_resistance must be >= 0")
-    return current**2 * loop_resistance * thermal_resistance
+    square = _current_squared(current, "temperature rise I^2 R_loop R_th")
+    return square * loop_resistance * thermal_resistance

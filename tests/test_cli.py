@@ -500,12 +500,17 @@ def test_non_finite_report_is_runtime_failure(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("config, error", [
-    (_THICK_TOP_LAYER, "OverflowError"),
-    ("sensor: {support_beam: {width: 1.0e-320}}", "ZeroDivisionError"),
+@pytest.mark.parametrize("config, errors", [
+    (_THICK_TOP_LAYER, {"simulate": "OverflowError: ", "verify": "OverflowError: "}),
+    # w t^2 n and the section's E w t underflow to 0 before they divide.
+    ("sensor: {support_beam: {width: 1.0e-320}}", {
+        "simulate": "transduction: anchor stress 6 l F / (w t^2 n) divides by 0:"
+                    " w t^2 n underflows at beam width 1e-320 m",
+        "verify": "axial stiffness sum E w t underflows to 0 at beam width 1e-320 m",
+    }),
 ], ids=["thick-layer", "narrow-beam"])
 @pytest.mark.parametrize("command", ["simulate", "verify"])
-def test_arithmetic_failure_is_runtime_failure(tmp_path, capsys, config, error, command):
+def test_arithmetic_failure_is_runtime_failure(tmp_path, capsys, config, errors, command):
     path = tmp_path / "scenario.yaml"
     path.write_text(config)
     argv = [command, "--config", str(path)]
@@ -513,8 +518,13 @@ def test_arithmetic_failure_is_runtime_failure(tmp_path, capsys, config, error, 
         argv += ["--out", str(tmp_path / "report.csv")]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {error}: ")
+    assert err.startswith(f"error: {errors[command]}")
     assert err.count("\n") == 1
+
+
+_JOULE_OVERFLOW = (
+    "OverflowError: Joule offset c I^2 leaves the float range: drive current 1e+300 A"
+)
 
 
 @pytest.mark.parametrize("command, config, error", [
@@ -529,13 +539,34 @@ def test_arithmetic_failure_is_runtime_failure(tmp_path, capsys, config, error, 
      " layer 2 (aluminum) thickness 1e+300 m"),
     ("verify", "sensor: {support_beam: {length: 1.0e+300}}",
      "tip deflection F l^3 / (3 EI) leaves the float range: beam length 1e+300 m"),
-], ids=["simulate-thickness", "verify-thickness", "verify-top-layer", "verify-length"])
+    ("simulate", "drive: {amplitude: 1.0e+300}", _JOULE_OVERFLOW),
+    ("noise", "sensor: {kind: ferro}\ndrive: {amplitude: 1.0e+300}", _JOULE_OVERFLOW),
+    # Products that underflow to 0 before they divide.
+    ("noise", "sensor: {gauge: {width: 5.0e-324}}",
+     "noise: gauge carrier count l w t n underflows to 0 at sensor.gauge.length 5e-05 m,"
+     " width 5e-324 m, thickness 1e-07 m and silicon carrier density 5e+25 m^-3"),
+    ("simulate", "sensor: {kind: ferro, gauge: {thickness: 5.0e-324}}",
+     "noise: gauge carrier count l w t n underflows to 0 at sensor.gauge.length 5e-05 m,"
+     " width 5e-06 m, thickness 5e-324 m and polysilicon carrier density 5e+25 m^-3"),
+    ("noise", "sensor: {support_beam: {width: 5.0e-324}}",
+     "transduction: anchor stress 6 l F / (w t^2 n) divides by 0: w t^2 n underflows at"
+     " beam width 5e-324 m and thickness 1.38e-06 m"),
+    ("transient", "sensor: {kind: ferro, suspension: {width: 5.0e-324}}",
+     "axial stiffness sum E w t underflows to 0 at beam width 5e-324 m and layer"
+     " thicknesses 3.5e-07, 1e-06 m"),
+    # The plate's mass overflows, so the resonance underflows to 0 Hz.
+    ("transient", "sensor: {kind: ferro, plate_length: 1.0e+300, plate_width: 1.0e+300}",
+     "transient: with the resonant frequency 0.0 Hz, the default --duration is inf s;"
+     " give --duration"),
+], ids=["simulate-thickness", "verify-thickness", "verify-top-layer", "verify-length",
+        "simulate-current", "noise-current", "noise-gauge-width", "simulate-gauge-thickness",
+        "noise-beam-width", "transient-suspension-width", "transient-zero-resonance"])
 def test_power_overflow_names_the_dimension(tmp_path, capsys, command, config, error):
     path = tmp_path / "scenario.yaml"
     path.write_text(config)
     argv = [command, "--config", str(path)]
-    if command == "simulate":
-        argv += ["--out", str(tmp_path / "report.csv")]
+    if command in ("simulate", "transient"):
+        argv += ["--out", str(tmp_path / "out.csv")]
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {error}\n")
 
@@ -558,6 +589,19 @@ def test_cold_import_loads_no_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True
     )
     assert proc.stdout == "[]\n"
+
+
+def test_cold_optimize_loads_no_scipy(tmp_path):
+    argv = ["optimize", "--config", _empty_config(tmp_path), "--param", "drive.amplitude:0.001:0.012"]
+    code = (
+        "import sys; from memsmag.cli import main; "
+        f"print(main({argv!r})); "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True
+    )
+    assert proc.stdout.splitlines()[-2:] == ["0", "[]"]
 
 
 def _numeric_leaves(node, path=()):
@@ -671,3 +715,5 @@ def test_bounded_extremes_end_in_one_named_outcome(tmp_path_factory, data):
             assert code == 2 and out.endswith("verify: FAIL\n")
         else:
             assert err.count("\n") == 1
+            # A float-range failure names its figure: no bare errno or division line.
+            assert "(34, " not in err and "float division by zero" not in err

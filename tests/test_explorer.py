@@ -1,7 +1,9 @@
 import copy
 import csv
 import math
+import random
 
+import numpy as np
 import pytest
 import yaml
 
@@ -515,6 +517,119 @@ def test_libyaml_emitter_gives_the_same_bytes(monkeypatch, make):
     monkeypatch.setattr(explorer, "_DUMPER", type("P", (yaml.SafeDumper,), no_aliases))
     assert explorer._render(obj, "structured-text") == fast
     assert "&id" not in fast
+
+
+@pytest.fixture
+def scipy_nelder_mead(monkeypatch):
+    """scipy's bounded Nelder-Mead, called as optimize called it, on lists.
+
+    Tied values are sorted stably. numpy's default argsort keeps ties in
+    order on small arrays where it runs an insertion sort, but not where it
+    dispatches to a SIMD sorting network (AVX-512 CPUs), so scipy's own order
+    of tied vertices depends on the CPU.
+    """
+    from scipy.optimize import minimize
+
+    argsort = np.argsort
+
+    def run(func, simplex, xatol, fatol, maxfev):
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "argsort", lambda a: argsort(a, kind="stable"))
+            result = minimize(
+                lambda z: func(tuple(z.tolist())),
+                np.array(simplex[0]),
+                method="Nelder-Mead",
+                bounds=[(0.0, 1.0)] * len(simplex[0]),
+                options={
+                    "initial_simplex": np.array(simplex),
+                    "xatol": xatol,
+                    "fatol": fatol,
+                    "maxfev": maxfev,
+                },
+            )
+        sim, fsim = result.final_simplex
+        return [tuple(row) for row in sim.tolist()], fsim.tolist()
+
+    return run
+
+
+def _surfaces(dim: int) -> dict:
+    rng = random.Random(dim)
+    # Every coordinate of the minimum lies outside the box, so steps clip.
+    # The walk climbs in x[0], into the penalty plateau and the NaN stripes.
+    centre = [rng.uniform(1.2, 1.4)]
+    centre += [rng.choice((-0.3, 1.3)) + rng.uniform(-0.1, 0.1) for _ in range(dim - 1)]
+
+    def bowl(x):
+        return math.fsum((v - c) ** 2 for v, c in zip(x, centre))
+
+    def terraces(x):
+        # Tied steps, and a plateau like optimize's death penalty.
+        return 2e30 if x[0] > 0.8 else math.floor(8.0 * bowl(x)) / 8.0
+
+    def holes(x):
+        # NaN stripes across x[0], one of them through the first start's simplex.
+        return math.nan if int(20.0 * x[0]) % 4 == 3 else bowl(x)
+
+    def steps(x):
+        # From (0.5, ...) in three dimensions the start values are 1, 1, 0, 0:
+        # a tie that a sorting network reorders.
+        return 0.0 if math.fsum(x[1:]) > 0.5 * dim - 0.49 else 1.0
+
+    return {"bowl": bowl, "terraces": terraces, "steps": steps, "flat": lambda x: 1.0,
+            "nan": holes}
+
+
+def _start_simplex(z0) -> list:
+    simplex = [list(z0) for _ in range(len(z0) + 1)]
+    for i in range(len(z0)):
+        simplex[i + 1][i] += 0.05  # from the (1, ..., 1) corner this leaves the box
+    return simplex
+
+
+def _evaluated_points(minimizer, surface, simplex, maxfev):
+    points = []
+
+    def recorded(x):
+        points.append(tuple(x))
+        return surface(x)
+
+    final = minimizer(recorded, simplex, xatol=1e-5, fatol=1e-300, maxfev=maxfev)
+    return points, final
+
+
+@pytest.mark.parametrize("surface", ["bowl", "terraces", "steps", "flat", "nan"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_nelder_mead_evaluates_scipys_points(scipy_nelder_mead, dim, surface):
+    func = _surfaces(dim)[surface]
+    for z0 in ((0.5,) * dim, (1.0,) * dim, (0.0,) * dim):
+        simplex = _start_simplex(z0)
+        ours = _evaluated_points(explorer._nelder_mead, func, simplex, 400 * dim)
+        theirs = _evaluated_points(scipy_nelder_mead, func, simplex, 400 * dim)
+        assert repr(ours) == repr(theirs), z0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_nelder_mead_budget_stops_where_scipys_does(scipy_nelder_mead, dim):
+    # On a flat surface every iteration is a reflection, an inside
+    # contraction and a shrink, so these budgets end inside each step; a
+    # vertex whose shrink the budget refuses has moved but keeps its value.
+    simplex = _start_simplex((1.0,) * dim)
+    for maxfev in range(1, 3 * (2 * dim + 3)):
+        ours = _evaluated_points(explorer._nelder_mead, lambda x: 1.0, simplex, maxfev)
+        theirs = _evaluated_points(scipy_nelder_mead, lambda x: 1.0, simplex, maxfev)
+        assert repr(ours) == repr(theirs), maxfev
+        assert len(ours[0]) == maxfev
+
+
+def test_optimize_trace_matches_a_scipy_built_trace(monkeypatch, scipy_nelder_mead):
+    params = [("sensor.support_beam.length", 200e-6, 800e-6),
+              ("sensor.support_beam.width", 5e-6, 40e-6)]
+    ours = optimize(default_scenario("lorentz"), params, "sensitivity")
+    monkeypatch.setattr(explorer, "_nelder_mead", scipy_nelder_mead)
+    reference = optimize(default_scenario("lorentz"), params, "sensitivity")
+    assert len(ours.trace) == 85
+    assert repr(ours.trace) == repr(reference.trace)
 
 
 def test_scipy_names_resolve_after_optimize():

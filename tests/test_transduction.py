@@ -155,6 +155,15 @@ def test_joule_temperature_rise():
         joule_temperature_rise(-1e-3, 100.0, 1e4)
 
 
+def test_joule_squares_name_the_drive_current():
+    with pytest.raises(OverflowError, match=r"^Joule offset c I\^2 leaves the float range:"
+                       r" drive current 1e\+300 A$"):
+        joule_offset(1e300)
+    with pytest.raises(OverflowError, match=r"^temperature rise I\^2 R_loop R_th leaves the"
+                       r" float range: drive current 1e\+300 A$"):
+        joule_temperature_rise(1e300, 100.0, 1e4)
+
+
 def test_ferro_deflection_splits_torque():
     scenario = default_scenario("ferro")
     sensor, drive, env = scenario.sensor, scenario.drive, scenario.environment
