@@ -39,6 +39,7 @@ from .mechanics import (
     composite_section,
     lumped_resonator,
     max_anchor_stress,
+    stack_curvature,
     tip_deflection,
 )
 from .transduction import (

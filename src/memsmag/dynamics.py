@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NoPeakError, StepTooLargeError, UnsettledError
+from .errors import DomainError, NoPeakError, StepTooLargeError, UnsettledError
 from .mechanics import LumpedResonator
 from .transduction import Drive, Environment, SensorDesign
 
@@ -117,7 +117,8 @@ def simulate_transient(
     period; dc applies it constantly. The voltage column maps displacement
     through instantaneous anchor stress, gauge, and bridge. Starts from rest
     unless initial conditions are given. Raises OverflowError naming the
-    first step-map coefficient or output column that leaves the float range.
+    first step-map coefficient or output column that leaves the float range,
+    and DomainError for a resonance at 0 Hz.
     """
     if not (0 < duration < math.inf and 0 < dt < math.inf):
         raise ValueError("duration and dt must be > 0")
@@ -127,6 +128,11 @@ def simulate_transient(
             f"{MAX_TRANSIENT_STEPS} steps"
         )
     f0 = resonator.natural_frequency
+    if not f0 > 0.0:  # a plate mass that overflowed to inf leaves 0 Hz
+        raise DomainError(
+            f"resonant frequency {f0!r} Hz at effective mass {resonator.effective_mass!r} kg:"
+            f" the step bound dt <= 1/({MIN_STEPS_PER_PERIOD} f0) is undefined"
+        )
     if dt > 1.0 / (MIN_STEPS_PER_PERIOD * f0):
         raise StepTooLargeError(
             f"dt = {dt} exceeds 1/({MIN_STEPS_PER_PERIOD} * f0) = "

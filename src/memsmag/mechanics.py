@@ -2,12 +2,12 @@
 
 Composite-stack section properties, tip deflection and anchor stress for a
 tip-loaded clamped beam, the lumped second-order resonator reduction, the
-anneal stress calibration table, and the two-layer mismatch-curvature model
-that drives the post-release lift-up.
+anneal stress calibration table, and the force-moment curvature of a stack
+of residually stressed layers, which drives the post-release lift-up.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -211,13 +211,33 @@ def anneal_stress(anneal_temperature: float, calibration=DEFAULT_ANNEAL_TABLE) -
     return float(np.interp(anneal_temperature, temps, stresses))
 
 
+def stack_curvature(geom: BeamGeometry) -> float:
+    """Curvature of the released stack from its layers' residual stresses.
+
+    Each layer's stress, held while the beam is flat, is a force
+    sigma_i w t_i at its mid-height z_i. Released, their moment about the
+    neutral axis z_n bends the section: kappa = sum sigma_i w t_i (z_i - z_n)
+    / EI, with EI and z_n from composite_section. Positive curls toward the
+    top layer, as a tensile top layer does. For two layers this is
+    Timoshenko's bimetal curvature; it holds for any number of layers.
+    """
+    section = composite_section(geom)
+    moment = 0.0
+    z = 0.0  # running height of the layer bottom
+    for layer in geom.layers:
+        arm = z + layer.thickness / 2 - section.neutral_axis_height
+        moment += layer.residual_stress * geom.width * layer.thickness * arm
+        z += layer.thickness
+    return moment / section.flexural_rigidity
+
+
 def bimorph_lift(geom: BeamGeometry, stress_difference: float) -> LiftProfile:
     """Curl of a two-layer beam from a stress mismatch in the top layer.
 
-    The mismatch strain is stress_difference / E_top; the curvature is the
-    classical two-layer mismatch-strain result, positive when the tensile
-    top layer curls the beam upward. Requires exactly two layers of distinct
-    materials.
+    The curvature is stack_curvature's with layer stresses (0,
+    stress_difference); the layers' own residual stresses are not read.
+    It is positive when the tensile top layer curls the beam upward.
+    Requires exactly two layers of distinct materials.
     """
     if len(geom.layers) != 2:
         raise UnsupportedStackError(
@@ -227,17 +247,8 @@ def bimorph_lift(geom: BeamGeometry, stress_difference: float) -> LiftProfile:
     if bottom.material.name == top.material.name:
         raise UnsupportedStackError("bimorph_lift needs two distinct materials")
 
-    e1, t1 = bottom.material.youngs_modulus, bottom.thickness
-    e2, t2 = top.material.youngs_modulus, top.thickness
-    eps = stress_difference / e2
-    denom = (
-        e1**2 * t1**4
-        + 4.0 * e1 * e2 * t1**3 * t2
-        + 6.0 * e1 * e2 * t1**2 * t2**2
-        + 4.0 * e1 * e2 * t1 * t2**3
-        + e2**2 * t2**4
-    )
-    curvature = 6.0 * eps * e1 * e2 * t1 * t2 * (t1 + t2) / denom
+    layers = [replace(bottom, residual_stress=0.0), replace(top, residual_stress=stress_difference)]
+    curvature = stack_curvature(replace(geom, layers=layers))
 
     tip_angle = curvature * geom.length
     if curvature != 0.0:

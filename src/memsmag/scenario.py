@@ -109,9 +109,9 @@ def _resolve(base, node):
 
 
 def _bounds(metadata) -> tuple:
-    """(ge, gt, lt, integer, optional) as a numeric field's metadata declares them."""
+    """(ge, gt, integer, optional) as a numeric field's metadata declares them."""
     get = metadata.get
-    return get("ge"), get("gt"), get("lt"), get("integer", False), get("optional", False)
+    return get("ge"), get("gt"), get("integer", False), get("optional", False)
 
 
 @lru_cache(maxsize=None)
@@ -132,7 +132,7 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _num(node, key, path, violations, ge=None, gt=None, lt=None, integer=False):
+def _num(node, key, path, violations, ge=None, gt=None, integer=False):
     """Fetch a numeric field, recording a violation instead of raising.
 
     An integer field comes back as an int.
@@ -148,10 +148,8 @@ def _num(node, key, path, violations, ge=None, gt=None, lt=None, integer=False):
         problem = f"must be a finite number, got {value}"
     elif integer and int(value) != value:
         problem = f"expected an integer, got {value!r}"
-    elif not (
-        (gt is None or value > gt) and (ge is None or value >= ge) and (lt is None or value < lt)
-    ):
-        problem = f"{requirement(ge, gt, lt)}, got {value}"
+    elif not ((gt is None or value > gt) and (ge is None or value >= ge)):
+        problem = f"{requirement(ge, gt)}, got {value}"
     else:
         return int(value) if integer else value
     violations.append(f"{path}{key}: {problem}")
@@ -166,7 +164,7 @@ def _record(record, sections, node, path, violations, materials, specs=None, ext
     declaration order, so violations come in that order. A field named in
     `sections` is read by reader(value, path, violations, materials), a
     partial of _record for a nested record. Any other field is a number held
-    to the bounds its metadata declares ("gt" or "ge", "lt", "integer", and
+    to the bounds its metadata declares ("gt" or "ge", "integer", and
     "optional" for a key that may be absent), or to `specs` when given.
     """
     if not isinstance(node, dict):
@@ -179,11 +177,11 @@ def _record(record, sections, node, path, violations, materials, specs=None, ext
         if key not in keys and key not in extra:
             violations.append(f"{prefix}{key}: unknown field")
     values = {}
-    for name, ge, gt, lt, integer, optional in specs or declared:
+    for name, ge, gt, integer, optional in specs or declared:
         if name in sections:
             values[name] = sections[name](node.get(name), prefix + name, violations, materials)
         elif not optional or name in node:
-            values[name] = _num(node, name, prefix, violations, ge, gt, lt, integer)
+            values[name] = _num(node, name, prefix, violations, ge, gt, integer)
     return None if len(violations) > start else record(**values)
 
 
@@ -217,11 +215,11 @@ def _materials(node, violations) -> dict:
             if key == "name" or key not in keys:
                 violations.append(f"{path}{key}: unknown material field")
         values = {}
-        for key, ge, gt, lt, _, _ in specs:
+        for key, ge, gt, _, _ in specs:
             if key in given and key != "name":
-                _num(given, key, path, violations, ge, gt, lt)
+                _num(given, key, path, violations, ge, gt)
                 value = given[key]
-                if value is None or isinstance(value, (int, float)) and within(value, ge, gt, lt):
+                if value is None or isinstance(value, (int, float)) and within(value, ge, gt):
                     values[key] = value
         materials[name] = override_material(material, **values)
     return materials

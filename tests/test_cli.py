@@ -558,14 +558,19 @@ _JOULE_OVERFLOW = (
     ("transient", "sensor: {kind: ferro, plate_length: 1.0e+300, plate_width: 1.0e+300}",
      "transient: with the resonant frequency 0.0 Hz, the default --duration is inf s;"
      " give --duration"),
+    ("transient --duration 1e-3 --dt 1e-6",
+     "sensor: {kind: ferro, plate_length: 1.0e+300, plate_width: 1.0e+300}",
+     "resonant frequency 0.0 Hz at effective mass inf kg: the step bound"
+     " dt <= 1/(50 f0) is undefined"),
 ], ids=["simulate-thickness", "verify-thickness", "verify-top-layer", "verify-length",
         "simulate-current", "noise-current", "noise-gauge-width", "simulate-gauge-thickness",
-        "noise-beam-width", "transient-suspension-width", "transient-zero-resonance"])
+        "noise-beam-width", "transient-suspension-width", "transient-zero-resonance",
+        "transient-zero-resonance-given-span"])
 def test_power_overflow_names_the_dimension(tmp_path, capsys, command, config, error):
     path = tmp_path / "scenario.yaml"
     path.write_text(config)
-    argv = [command, "--config", str(path)]
-    if command in ("simulate", "transient"):
+    argv = [*command.split(), "--config", str(path)]
+    if argv[0] in ("simulate", "transient"):
         argv += ["--out", str(tmp_path / "out.csv")]
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {error}\n")
@@ -661,7 +666,7 @@ _BOUNDED_MATERIAL_FIELDS = [name for name, metadata in _MATERIAL_METADATA.items(
 def _leaf_values(scenario, path) -> tuple:
     """The fixed extremes, and each declared bound with its neighbouring floats."""
     metadata = _declared(scenario, path)
-    bounds = [metadata[key] for key in ("gt", "ge", "lt") if key in metadata]
+    bounds = [metadata[key] for key in ("gt", "ge") if key in metadata]
     near = tuple(
         value
         for bound in bounds

@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import math
 import random
 
@@ -12,6 +13,7 @@ from memsmag import (
     DEFAULT_CONSTRAINTS,
     HIGH_CURRENT_WARNING,
     InfeasibleError,
+    Material,
     MemsmagError,
     MissingPropertyError,
     UnknownPathError,
@@ -239,8 +241,83 @@ def _numeric_paths(node, path=""):
         yield path
 
 
-# Each side of every bound a scenario field has: 0, 0.5 (quality_factor,
-# poisson_ratio) and 1 (the beam counts).
+_BEAM_KEY = {"lorentz": "support_beam", "ferro": "suspension"}
+_PROBE_FIELDS = [f.name for f in dataclasses.fields(Material) if f.name != "name"]
+
+# Inputs that change no report figure, and why. Every other input must.
+_INERT = {
+    "drive.frequency": "read by the transient only",
+    "residual_stress": "read only by stack_curvature, which the report does not use",
+    "lorentz:material_overrides.silicon.yield_stress": "aluminum is the weakest layer",
+    "lorentz:material_overrides.silicon_nitride.yield_stress": "aluminum is the weakest layer",
+    "ferro:material_overrides.silicon_nitride.yield_stress": "aluminum is the weakest layer",
+    "ferro:offset_coefficient": "the Joule offset c I^2 is 0 at zero drive",
+    "ferro:thermal_resistance": "the temperature rise R_th I^2 R is 0 at zero drive",
+    "ferro:material_overrides.polysilicon.youngs_modulus": "the gauge film is not in the stack",
+    "ferro:material_overrides.polysilicon.density": "the gauge film is not in the stack",
+    "ferro:material_overrides.polysilicon.yield_stress": "the gauge film is not in the stack",
+}
+
+
+def _nudged(value):
+    """The probe's edit: 10 % up, one more for a count, 0.1 from 0."""
+    if isinstance(value, int):
+        return value + 1
+    return value * 1.1 if value else 0.1
+
+
+def _probe_inputs(kind, scenario):
+    """(path, edit) for every numeric leaf of the tree, a residual stress on
+    every layer and each set Material field of each film in use."""
+    tree = scenario.tree
+    for path in _numeric_paths(tree):
+        steps = explorer._resolve_path(tree, path)
+        value = tree
+        for step in steps:
+            value = value[step]
+        yield path, (steps, _nudged(value))
+    beam = _BEAM_KEY[kind]
+    for i in range(len(tree["sensor"][beam]["layers"])):
+        steps = ["sensor", beam, "layers", i, "residual_stress"]
+        yield f"sensor.{beam}.layers[{i}].residual_stress", (steps, _nudged(0.0))
+    films = [layer.material for layer in scenario.sensor.beam.layers]
+    films.append(scenario.sensor.gauge.material)
+    for film in dict.fromkeys(films):
+        for name in _PROBE_FIELDS:
+            value = getattr(film, name)
+            if value is not None:  # an unset property is no input
+                edit = (["material_overrides", film.name], {name: _nudged(value)})
+                yield f"material_overrides.{film.name}.{name}", edit
+
+
+def _inert_reason(kind, path):
+    for key in (f"{kind}:{path}", path, path.rpartition(".")[2]):
+        if key in _INERT:
+            return _INERT[key]
+    return None
+
+
+@pytest.mark.parametrize("kind", ["lorentz", "ferro"])
+def test_every_input_acts_on_a_report_figure(kind):
+    scenario = default_scenario(kind)
+
+    def figures(report):
+        return [get(report) for _, get in explorer.REPORT_COLUMNS]
+
+    base = figures(run_scenario(scenario))
+    acted, inert = [], []
+    for path, edit in _probe_inputs(kind, scenario):
+        _, report, error = explorer._run_point(scenario, [edit])
+        assert error is None, (path, error)
+        (acted if figures(report) != base else inert).append(path)
+    assert len(acted) > 30
+    # Inert only with a listed reason, and nothing listed acts.
+    assert [path for path in inert if not _inert_reason(kind, path)] == []
+    assert [path for path in acted if _inert_reason(kind, path)] == []
+
+
+# Each side of every bound a scenario field has: 0, 0.5 (quality_factor)
+# and 1 (the beam counts).
 _BOUND_NEIGHBOURS = [
     math.nextafter(bound, side) for bound in (0.0, 0.5, 1.0) for side in (-math.inf, math.inf)
 ]

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from memsmag import (
+    BUILTIN_NAMES,
     BeamGeometry,
     CompositeSection,
     InvalidCalibrationError,
@@ -15,6 +17,7 @@ from memsmag import (
     composite_section,
     lumped_resonator,
     max_anchor_stress,
+    stack_curvature,
     tip_deflection,
 )
 
@@ -212,33 +215,90 @@ def test_bimorph_layer_count():
         bimorph_lift(same, 150e6)
 
 
-def test_bimorph_against_energy_minimization():
+def _energy_curvature(geom):
     """Independent curvature oracle: minimize the stack's strain energy.
 
-    With strain field e(z) = e0 + c*z (z from the bottom face) and the top
-    layer carrying a stress-free contraction -ds/E_top, stationarity of
+    With strain field e(z) = e0 + c*z (z from the bottom face) and layer i
+    carrying a stress-free strain -sigma_i/E_i, stationarity of
     U = sum_i E_i/2 * integral (e(z) - a_i)^2 dz gives a 2x2 linear system
     for (e0, c). The geometric upward curvature is -c.
     """
-    ds = 150e6
-    t1, t2 = 350e-9, 1e-6
-    layers = [
-        (NITRIDE.youngs_modulus, 0.0, t1, 0.0),
-        (ALUMINUM.youngs_modulus, t1, t1 + t2, -ds / ALUMINUM.youngs_modulus),
-    ]
     a = np.zeros((2, 2))
     b = np.zeros(2)
-    for e, z0, z1, natural in layers:
+    z0 = 0.0
+    for layer in geom.layers:
+        e = layer.material.youngs_modulus
+        z1 = z0 + layer.thickness
         m0 = z1 - z0
         m1 = (z1**2 - z0**2) / 2.0
         m2 = (z1**3 - z0**3) / 3.0
         a += e * np.array([[m0, m1], [m1, m2]])
-        b += e * natural * np.array([m0, m1])
+        b += e * (-layer.residual_stress / e) * np.array([m0, m1])
+        z0 = z1
     _, strain_slope = np.linalg.solve(a, b)
+    return -strain_slope
 
-    lift = bimorph_lift(_bilayer(), ds)
-    assert lift.curvature == pytest.approx(-strain_slope, rel=1e-9)
+
+def _stressed(geom, *stresses):
+    layers = [dataclasses.replace(layer, residual_stress=s) for layer, s in zip(geom.layers, stresses)]
+    return dataclasses.replace(geom, layers=layers)
+
+
+_NICKEL = builtin_material("nickel")
+_STACKS = {
+    "bilayer": _stressed(_bilayer(), 0.0, 150e6),
+    # The lorentz support beam, a stress on every layer.
+    "lorentz-support-beam": _beam(
+        500e-6,
+        20e-6,
+        LayerSpec(SILICON, 100e-9, 50e6),
+        LayerSpec(NITRIDE, 280e-9, -200e6),
+        LayerSpec(ALUMINUM, 1e-6, 150e6),
+    ),
+    "four-layers": _beam(
+        300e-6,
+        10e-6,
+        LayerSpec(NITRIDE, 200e-9, 300e6),
+        LayerSpec(ALUMINUM, 500e-9, -80e6),
+        LayerSpec(NITRIDE, 200e-9, 300e6),
+        LayerSpec(_NICKEL, 2e-6, 20e6),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STACKS))
+def test_stack_curvature_against_energy_minimization(name):
+    geom = _STACKS[name]
+    assert stack_curvature(geom) == pytest.approx(_energy_curvature(geom), rel=1e-9)
+
+
+def test_bimorph_against_energy_minimization():
+    ds = 150e6
+    lift = bimorph_lift(_stressed(_bilayer(), 40e6, -60e6), ds)  # layer stresses unread
+    assert lift.curvature == stack_curvature(_stressed(_bilayer(), 0.0, ds))
+    assert lift.curvature == pytest.approx(_energy_curvature(_STACKS["bilayer"]), rel=1e-9)
     assert lift.curvature == pytest.approx(2301.05, rel=1e-4)
+
+
+def test_bimorph_matches_the_timoshenko_closed_form():
+    # Timoshenko's bimetal curvature for a mismatch strain ds/E_top.
+    rng = np.random.default_rng(11)
+    films = [builtin_material(name) for name in BUILTIN_NAMES]
+    for _ in range(2000):
+        i, j = rng.choice(len(films), 2, replace=False)
+        t1, t2 = (float(t) for t in rng.uniform(50e-9, 2e-6, 2))
+        geom = _beam(200e-6, 10e-6, LayerSpec(films[i], t1), LayerSpec(films[j], t2))
+        ds = float(rng.uniform(-1e9, 1e9))
+        e1, e2 = films[i].youngs_modulus, films[j].youngs_modulus
+        denom = (
+            e1**2 * t1**4
+            + 4.0 * e1 * e2 * t1**3 * t2
+            + 6.0 * e1 * e2 * t1**2 * t2**2
+            + 4.0 * e1 * e2 * t1 * t2**3
+            + e2**2 * t2**4
+        )
+        expected = 6.0 * (ds / e2) * e1 * e2 * t1 * t2 * (t1 + t2) / denom
+        assert bimorph_lift(geom, ds).curvature == pytest.approx(expected, rel=1e-13)
 
 
 def test_lift_profile_invariants_random():

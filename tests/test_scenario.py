@@ -255,7 +255,7 @@ _BROKEN = {
             "offset_coefficient": -1.0,
             "thermal_resistance": True,
             "material_overrides": {
-                "silicon": {"poisson_ratio": 0.5, "sparkle": 1.0}, "kryptonite": {},
+                "silicon": {"density": 0, "sparkle": 1.0}, "kryptonite": {},
             },
             "sparkles": 1.0,
         },
@@ -287,7 +287,7 @@ _BROKEN = {
             "offset_coefficient: must be >= 0, got -1.0",
             "thermal_resistance: expected a number, got True",
             "material_overrides.silicon.sparkle: unknown material field",
-            "material_overrides.silicon.poisson_ratio: must be in [0, 0.5), got 0.5",
+            "material_overrides.silicon.density: must be > 0, got 0",
             "material_overrides.kryptonite: unknown material 'kryptonite'; "
             "valid names: aluminum, nickel, polysilicon, silicon, silicon_nitride",
         ],
@@ -433,7 +433,7 @@ def test_gauge_film_must_be_piezoresistive(film):
         ("carrier_density", -1.0, "must be > 0"),
         ("hooge_alpha", -1.0, "must be >= 0"),
         ("yield_stress", 0.0, "must be > 0"),
-        ("resistivity", -1.0, "must be > 0"),
+        ("yield_stress", -1.0, "must be > 0"),
     ],
 )
 def test_optional_material_bounds(field, value, requirement):
@@ -498,10 +498,8 @@ def test_each_declared_bound_is_the_one_enforced(kind):
 # Each bounded Material field and the rule its metadata declares.
 _MATERIAL_RULES = {
     "youngs_modulus": "must be > 0",
-    "poisson_ratio": "must be in [0, 0.5)",
     "density": "must be > 0",
     "yield_stress": "must be > 0",
-    "resistivity": "must be > 0",
     "hooge_alpha": "must be >= 0",
     "carrier_density": "must be > 0",
 }
@@ -509,7 +507,6 @@ _MATERIAL_RULES = {
 _RULE_EDGES = {
     "must be > 0": [(0.0, 5e-324)],
     "must be >= 0": [(-5e-324, 0.0)],
-    "must be in [0, 0.5)": [(-5e-324, 0.0), (0.5, math.nextafter(0.5, 0.0))],
 }
 
 
@@ -538,9 +535,9 @@ def test_each_material_bound_at_its_edges(film, field):
 
 def test_override_violations_come_unknown_keys_first_then_in_field_order():
     given = {
+        "yield_stress": 0.0,
         "density": -1.0,
         "name": "silicon",
-        "poisson_ratio": 0.6,
         "sparkle": 1.0,
         "hooge_alpha": None,
         "youngs_modulus": "stiff",
@@ -553,10 +550,10 @@ def test_override_violations_come_unknown_keys_first_then_in_field_order():
         "material_overrides.silicon.name: unknown material field",
         "material_overrides.silicon.sparkle: unknown material field",
         "material_overrides.silicon.youngs_modulus: expected a number, got 'stiff'",
-        "material_overrides.silicon.poisson_ratio: must be in [0, 0.5), got 0.6",
         "material_overrides.silicon.density: must be > 0, got -1.0",
+        "material_overrides.silicon.yield_stress: must be > 0, got 0.0",
         "material_overrides.silicon.hooge_alpha: expected a number, got None",
     ]
     with pytest.raises(ValueError) as excinfo:
-        Material(name="junk", youngs_modulus=1e9, poisson_ratio=0.6, density=-1.0, cte=1e-6)
-    assert str(excinfo.value) == "junk: poisson_ratio must be in [0, 0.5); density must be > 0"
+        Material(name="junk", youngs_modulus=1e9, density=-1.0, yield_stress=0.0)
+    assert str(excinfo.value) == "junk: density must be > 0; yield_stress must be > 0"
