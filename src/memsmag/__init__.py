@@ -37,6 +37,7 @@ from .mechanics import (
     anneal_stress,
     bimorph_lift,
     composite_section,
+    curl_tip_height,
     lumped_resonator,
     max_anchor_stress,
     stack_curvature,

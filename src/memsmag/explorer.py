@@ -5,6 +5,7 @@ byte-identical emitted files, optimizer included.
 """
 
 import csv
+import functools
 import io
 import itertools
 import math
@@ -18,13 +19,21 @@ import yaml
 
 from .beam_oracle import _fitted_order, solve_static
 from .errors import InfeasibleError, MemsmagError, UnknownPathError, ValidationError
-from .mechanics import SLENDERNESS_WARN_LIMIT, composite_section, tip_deflection
+from .mechanics import (
+    SLENDERNESS_WARN_LIMIT,
+    composite_section,
+    curl_tip_height,
+    stack_curvature,
+    tip_deflection,
+)
 from .noise import NoiseBudget, noise_budget
 from .scenario import Scenario, _parse
 from .transduction import joule_offset, joule_temperature_rise, sensitivity
 
 
-# libyaml's emitter is about 3x faster; tests check that its bytes match.
+# Structured text that _structured_text cannot write directly goes to
+# yaml.dump with this dumper. libyaml's emitter is about 3x faster than
+# PyYAML's; tests check that both give the direct writer's bytes.
 class _DUMPER(getattr(yaml, "CSafeDumper", yaml.SafeDumper)):
     # Sweep points and optimizer results share unchanged subtrees; each is
     # written out in full, so structured text never holds anchors or aliases.
@@ -129,11 +138,18 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
     warnings_list = []
     if drive.amplitude > HIGH_CURRENT_THRESHOLD:
         warnings_list.append(HIGH_CURRENT_WARNING)
-    slenderness = sensor.beam.length / sensor.beam.total_thickness
+    beam = sensor.beam
+    slenderness = beam.length / beam.total_thickness
     if slenderness < SLENDERNESS_WARN_LIMIT:
         warnings_list.append(
             f"beam slenderness {slenderness:.1f} < {SLENDERNESS_WARN_LIMIT}; "
             "slender-beam bending theory is questionable here"
+        )
+    if any(layer.residual_stress for layer in beam.layers):
+        curvature = stack_curvature(beam)
+        lift = curl_tip_height(curvature, beam.length)
+        warnings_list.append(
+            f"stressed layers curl the beam: curvature {curvature:.3g} 1/m, tip lift {lift:.3g} m"
         )
     report = SimulationReport(
         sensitivity=signal_gain,
@@ -547,6 +563,123 @@ def _csv_row(report: SimulationReport) -> list:
     return [_fmt(get(report)) for _, get in REPORT_COLUMNS] + ["; ".join(report.warnings)]
 
 
+class _Unsure(Exception):
+    """The document holds something _block_lines cannot write as yaml.dump does."""
+
+
+_RESOLVER = yaml.resolver.Resolver()
+_ANALYZER = yaml.emitter.Emitter(None)
+_STR_TAG = "tag:yaml.org,2002:str"
+# PyYAML and libyaml fold a string at a space past this column.
+_LINE_WIDTH = 80
+
+
+@functools.lru_cache(maxsize=4096)
+def _str_text(value: str) -> str:
+    """`value` styled as yaml.dump styles it.
+
+    Plain where the resolver reads it back as a string and PyYAML's own
+    analysis allows a plain block scalar, else single-quoted where that
+    allows it. Raises _Unsure outside printable ASCII. Nothing here folds
+    long lines; _block_lines checks that.
+    """
+    if not (value.isascii() and value.isprintable()):
+        raise _Unsure
+    analysis = _ANALYZER.analyze_scalar(value)
+    resolved = _RESOLVER.resolve(yaml.ScalarNode, value, (True, False))
+    if resolved == _STR_TAG and analysis.allow_block_plain:
+        return value
+    if analysis.allow_single_quoted:
+        return "'" + value.replace("'", "''") + "'"
+    raise _Unsure
+
+
+def _flat_text(value) -> Optional[str]:
+    """A scalar or empty container on one line as yaml.dump writes it; None
+    for a container that takes block lines."""
+    kind = type(value)
+    if kind is float:
+        # SafeRepresenter.represent_float.
+        if value != value:
+            return ".nan"
+        if value == math.inf:
+            return ".inf"
+        if value == -math.inf:
+            return "-.inf"
+        text = repr(value).lower()
+        if "." not in text and "e" in text:
+            text = text.replace("e", ".0e", 1)
+        return text
+    if kind is dict or kind is list:
+        return None if value else ("{}" if kind is dict else "[]")
+    if kind is str:
+        return _str_text(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return str(value)
+    if value is None:
+        return "null"
+    raise _Unsure
+
+
+def _block_lines(node, pad: str, first: str, lines: list) -> None:
+    """Append the block lines of a non-empty mapping or sequence.
+
+    `pad` indents every line; the first line begins with `first` instead,
+    which carries the "- " of an enclosing sequence item. Mappings have
+    sorted keys, and a sequence under a key is not indented.
+    """
+    in_list = type(node) is list
+    if in_list:
+        entries = [("-", item) for item in node]
+    else:
+        try:
+            keys = sorted(node)
+        except TypeError:
+            raise _Unsure from None
+        for key in keys:
+            # A simple key, written plain.
+            if type(key) is not str or len(key) >= 128 or _str_text(key) != key:
+                raise _Unsure
+        entries = [(f"{key}:", node[key]) for key in keys]
+    for label, value in entries:
+        text = _flat_text(value)
+        if text is not None:
+            line = f"{first}{label} {text}"
+            if len(line) > _LINE_WIDTH and " " in text:
+                raise _Unsure
+            lines.append(line)
+        elif in_list:
+            _block_lines(value, pad + "  ", first + "- ", lines)
+        else:
+            lines.append(first + label)
+            inner = pad + "  " if type(value) is dict else pad
+            _block_lines(value, inner, inner, lines)
+        first = pad
+
+
+def _structured_text(tree) -> str:
+    """`tree` as yaml.dump(tree, Dumper=_DUMPER, sort_keys=True,
+    default_flow_style=False) writes it.
+
+    The block lines are written directly for the scalars, mappings and
+    sequences reports use. A document holding anything else (a string that
+    would fold at column 80, text outside printable ASCII, a key that is not
+    a plain scalar, a type SafeDumper does not know) is handed whole to
+    yaml.dump.
+    """
+    if type(tree) in (dict, list) and tree:
+        lines = []
+        try:
+            _block_lines(tree, "", "", lines)
+            lines.append("")
+            return "\n".join(lines)
+        except _Unsure:
+            pass
+    return yaml.dump(tree, Dumper=_DUMPER, sort_keys=True, default_flow_style=False)
+
+
 def _render(obj: Union[SimulationReport, SweepResult], format: str) -> str:
     """The text `emit_report` writes for a report or a sweep."""
     if format not in ("csv", "structured-text"):
@@ -567,9 +700,7 @@ def _render(obj: Union[SimulationReport, SweepResult], format: str) -> str:
     # Structured text is the tree; a single report's CSV echoes its
     # scenario in the same encoding, as '#' comment lines.
     dumped = tree if format == "structured-text" else echo
-    text = "" if dumped is None else yaml.dump(
-        dumped, Dumper=_DUMPER, sort_keys=True, default_flow_style=False
-    )
+    text = "" if dumped is None else _structured_text(dumped)
     if format == "structured-text":
         return text
     buffer = io.StringIO()

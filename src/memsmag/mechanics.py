@@ -217,18 +217,52 @@ def stack_curvature(geom: BeamGeometry) -> float:
     Each layer's stress, held while the beam is flat, is a force
     sigma_i w t_i at its mid-height z_i. Released, their moment about the
     neutral axis z_n bends the section: kappa = sum sigma_i w t_i (z_i - z_n)
-    / EI, with EI and z_n from composite_section. Positive curls toward the
-    top layer, as a tensile top layer does. For two layers this is
-    Timoshenko's bimetal curvature; it holds for any number of layers.
+    / EI, with EI from composite_section. Positive curls toward the top
+    layer, as a tensile top layer does. For two layers this is Timoshenko's
+    bimetal curvature; it holds for any number of layers.
+
+    Each arm z_i - z_n is formed as sum_j E_j t_j (z_i - z_j) / sum_j E_j t_j,
+    with every z_i - z_j summed from thicknesses, so a thin layer beside a
+    thick one does not lose its arm to cancellation.
     """
     section = composite_section(geom)
+    layers = geom.layers
+    weights = [layer.material.youngs_modulus * layer.thickness for layer in layers]
+    total = sum(weights)
     moment = 0.0
-    z = 0.0  # running height of the layer bottom
-    for layer in geom.layers:
-        arm = z + layer.thickness / 2 - section.neutral_axis_height
+    for i, layer in enumerate(layers):
+        if not layer.residual_stress:
+            continue
+        above = below = 0.0  # sum_j E_j t_j |z_i - z_j| over the layers above and below i
+        for j, weight in enumerate(weights):
+            low, high = min(i, j), max(i, j)
+            gap = (layers[low].thickness + layers[high].thickness) / 2
+            gap += sum(between.thickness for between in layers[low + 1:high])
+            if j < i:
+                below += weight * gap
+            elif j > i:
+                above += weight * gap
+        arm = (below - above) / total
         moment += layer.residual_stress * geom.width * layer.thickness * arm
-        z += layer.thickness
-    return moment / section.flexural_rigidity
+    curvature = moment / section.flexural_rigidity
+    if not math.isfinite(curvature):
+        index, worst = max(enumerate(layers), key=lambda item: abs(item[1].residual_stress))
+        raise OverflowError(
+            f"stack curvature sum sigma w t (z - z_n) / EI leaves the float range: layer"
+            f" {index} ({worst.material.name}) residual stress {worst.residual_stress!r} Pa"
+        )
+    return curvature
+
+
+def curl_tip_height(curvature: float, length: float) -> float:
+    """Height (1 - cos kappa l) / kappa of the tip of a beam curled at kappa."""
+    angle = curvature * length
+    if not math.isfinite(angle):
+        raise OverflowError(
+            f"tip angle kappa l leaves the float range: curvature {curvature!r} 1/m,"
+            f" beam length {length!r} m"
+        )
+    return (1.0 - math.cos(angle)) / curvature if curvature != 0.0 else 0.0
 
 
 def bimorph_lift(geom: BeamGeometry, stress_difference: float) -> LiftProfile:
@@ -250,14 +284,9 @@ def bimorph_lift(geom: BeamGeometry, stress_difference: float) -> LiftProfile:
     layers = [replace(bottom, residual_stress=0.0), replace(top, residual_stress=stress_difference)]
     curvature = stack_curvature(replace(geom, layers=layers))
 
-    tip_angle = curvature * geom.length
-    if curvature != 0.0:
-        tip_height = (1.0 - math.cos(tip_angle)) / curvature
-    else:
-        tip_height = 0.0
     return LiftProfile(
         curvature=curvature,
-        tip_angle=tip_angle,
-        tip_height=tip_height,
+        tip_angle=curvature * geom.length,
+        tip_height=curl_tip_height(curvature, geom.length),
         driving_stress=stress_difference,
     )

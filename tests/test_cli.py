@@ -562,10 +562,21 @@ _JOULE_OVERFLOW = (
      "sensor: {kind: ferro, plate_length: 1.0e+300, plate_width: 1.0e+300}",
      "resonant frequency 0.0 Hz at effective mass inf kg: the step bound"
      " dt <= 1/(50 f0) is undefined"),
+    # A stressed layer's lift: the curvature, then the tip angle kappa l.
+    ("simulate", "material_overrides: {aluminum: {youngs_modulus: 1.0}}\n"
+     "sensor: {support_beam: {layers: [{material: silicon, thickness: 1.0e-15},"
+     " {material: aluminum, thickness: 1.0e-6, residual_stress: 1.7e+308}]}}",
+     "OverflowError: stack curvature sum sigma w t (z - z_n) / EI leaves the float range:"
+     " layer 1 (aluminum) residual stress 1.7e+308 Pa"),
+    ("simulate", "sensor: {support_beam: {length: 1.0e+10, layers: [{material: silicon,"
+     " thickness: 1.0e-7}, {material: aluminum, thickness: 1.0e-6, residual_stress: 1.0e+306}]}}",
+     "OverflowError: tip angle kappa l leaves the float range: curvature"
+     " 1.0733281035933098e+301 1/m, beam length 10000000000.0 m"),
 ], ids=["simulate-thickness", "verify-thickness", "verify-top-layer", "verify-length",
         "simulate-current", "noise-current", "noise-gauge-width", "simulate-gauge-thickness",
         "noise-beam-width", "transient-suspension-width", "transient-zero-resonance",
-        "transient-zero-resonance-given-span"])
+        "transient-zero-resonance-given-span", "simulate-stack-curvature",
+        "simulate-stack-tip-angle"])
 def test_power_overflow_names_the_dimension(tmp_path, capsys, command, config, error):
     path = tmp_path / "scenario.yaml"
     path.write_text(config)

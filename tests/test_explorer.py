@@ -1,8 +1,10 @@
 import copy
 import csv
 import dataclasses
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,12 +22,14 @@ from memsmag import (
     build_scenario,
     builtin_material,
     composite_section,
+    curl_tip_height,
     default_scenario,
     emit_report,
     ferro_torque,
     optimize,
     oracle_check,
     run_scenario,
+    stack_curvature,
     sweep,
 )
 
@@ -247,7 +251,7 @@ _PROBE_FIELDS = [f.name for f in dataclasses.fields(Material) if f.name != "name
 # Inputs that change no report figure, and why. Every other input must.
 _INERT = {
     "drive.frequency": "read by the transient only",
-    "residual_stress": "read only by stack_curvature, which the report does not use",
+    "residual_stress": "acts on a report.warnings line (the stack's lift), not on a figure",
     "lorentz:material_overrides.silicon.yield_stress": "aluminum is the weakest layer",
     "lorentz:material_overrides.silicon_nitride.yield_stress": "aluminum is the weakest layer",
     "ferro:material_overrides.silicon_nitride.yield_stress": "aluminum is the weakest layer",
@@ -580,20 +584,162 @@ def test_emit_deterministic_bytes(tmp_path):
         assert a.stat().st_size > 0
 
 
-@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
-@pytest.mark.parametrize("make", [
-    lambda: run_scenario(default_scenario("lorentz")),
-    lambda: run_scenario(default_scenario("ferro")),
-    lambda: sweep(default_scenario("lorentz"), "quality_factor", 0.0, 5.0, 20),
-], ids=["lorentz", "ferro", "failing-sweep"])
-def test_libyaml_emitter_gives_the_same_bytes(monkeypatch, make):
-    obj = make()
-    no_aliases = {"ignore_aliases": explorer._DUMPER.ignore_aliases}
-    monkeypatch.setattr(explorer, "_DUMPER", type("C", (yaml.CSafeDumper,), no_aliases))
-    fast = explorer._render(obj, "structured-text")
-    monkeypatch.setattr(explorer, "_DUMPER", type("P", (yaml.SafeDumper,), no_aliases))
-    assert explorer._render(obj, "structured-text") == fast
-    assert "&id" not in fast
+_STRESSED = {"sensor": {"support_beam": {"layers": [
+    {"material": "silicon", "thickness": 1e-7},
+    {"material": "silicon_nitride", "thickness": 2.8e-7, "residual_stress": -2e8},
+    {"material": "aluminum", "thickness": 1e-6, "residual_stress": 1.5e8},
+]}}}
+
+
+def test_stressed_stack_lift_in_report():
+    scenario = build_scenario(_STRESSED)
+    report = run_scenario(scenario)
+    beam = scenario.sensor.beam
+    curvature = stack_curvature(beam)
+    lift = curl_tip_height(curvature, beam.length)
+    assert report.warnings == [
+        HIGH_CURRENT_WARNING,
+        f"stressed layers curl the beam: curvature {curvature:.3g} 1/m, tip lift {lift:.3g} m",
+    ]
+    assert report.warnings[1] == (
+        "stressed layers curl the beam: curvature 2.89e+03 1/m, tip lift 0.000303 m"
+    )
+    # The lift is a warning, not a figure.
+    plain = run_scenario(default_scenario("lorentz"))
+    assert explorer._csv_row(report)[:-1] == explorer._csv_row(plain)[:-1]
+
+
+_CORPUS_FLOATS = [
+    -0.0, 0.0, 1e16, 1e15, 5e-324, 2.2250738585072014e-308, 1.7e308,
+    math.inf, -math.inf, math.nan, 0.1, -2.5e-07, 123456789.0, 1e-05,
+]
+_CORPUS_SCALARS = [0, -7, 2**70, True, False, None]
+_CORPUS_STRINGS = [
+    "yes", "No", "null", "~", "1.0", "0x1f", "1e3", "x y", "a: b", "a #b", "a#b",
+    "-a", "- a", "*a", "&a", "'a", "it's", "", " lead", "trail ",
+    "lorentz", "silicon_nitride", "square",
+    HIGH_CURRENT_WARNING,
+    "beam slenderness 7.2 < 10.0; slender-beam bending theory is questionable here",
+    "stressed layers curl the beam: curvature -2.89e+03 1/m, tip lift -0.000303 m",
+]
+_CORPUS_KEYS = ["a", "b", "band_Hz", "layers", "value", "x_1", "_z"]
+# Keys yaml.dump writes quoted, or not as a simple key. The empty key is
+# left out: libyaml writes it as a simple key and PyYAML as a complex one.
+_ODD_KEYS = ["on", "1", "a b", "null", "k" * 130]
+
+
+def _crossing_column_80(depth, size, head):
+    """{k: text} nested `depth` deep, the text `size` characters long."""
+    text = (head + "abc " * 30)[:size]
+    tree = {"k": text[:-1] + "x" if text.endswith(" ") else text}
+    for _ in range(depth):
+        tree = {"k": tree}
+    return tree
+
+
+def _corpus_tree(rng, depth):
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return rng.choice(_CORPUS_FLOATS + _CORPUS_SCALARS + _CORPUS_STRINGS[:-3])
+    size = rng.randint(0, 4)
+    if roll < 0.65:
+        keys = _CORPUS_KEYS + _ODD_KEYS if rng.random() < 0.1 else _CORPUS_KEYS
+        return {rng.choice(keys): _corpus_tree(rng, depth - 1) for _ in range(size)}
+    return [_corpus_tree(rng, depth - 1) for _ in range(size)]
+
+
+def _corpus():
+    """(name, report or sweep) pairs for the byte-equality check."""
+    lorentz = run_scenario(default_scenario("lorentz"))
+    yield "lorentz", lorentz
+    yield "ferro", run_scenario(default_scenario("ferro"))
+    yield "stressed", run_scenario(build_scenario(_STRESSED))
+    yield "slender", run_scenario(build_scenario({"sensor": {"support_beam": {"length": 1e-5}}}))
+    yield "failing-q", sweep(default_scenario("lorentz"), "quality_factor", 0.0, 5.0, 20)
+    yield "failing-width", sweep(
+        default_scenario("ferro"), "sensor.suspension.width", 0.0, 2e-5, 12
+    )
+    yield "field", sweep(default_scenario("ferro"), "environment.field_magnitude", 0.0, 0.1, 12)
+    # The echo sits at indent 0 in a report's CSV and at 2 in its structured
+    # text, so its lines cross column 80 at indents 0, 4 and 6 in one and 2,
+    # 6 and 8 in the other.
+    for indent in (0, 4, 6):
+        for end in range(76, 85):
+            for style, head in (("plain", ""), ("quoted", "a: ")):
+                tree = _crossing_column_80(indent // 2, end - indent - len("k: "), head)
+                yield f"column-{end}-indent-{indent}-{style}", dataclasses.replace(
+                    lorentz, scenario=tree
+                )
+    shared = {"a": [1.5, {"b": "x y"}]}
+    yield "shared", dataclasses.replace(lorentz, scenario={"p": shared, "q": [shared, shared]})
+    yield "nested-lists", dataclasses.replace(
+        lorentz, scenario=[[1.0, [], {}], [[2, [3]]], {"a": [[{"b": []}]]}]
+    )
+    yield "strings", dataclasses.replace(
+        lorentz, warnings=list(_CORPUS_STRINGS), scenario={"s": list(_CORPUS_STRINGS)}
+    )
+    yield "non-ascii", dataclasses.replace(lorentz, scenario={"s": "é"})
+    yield "scalars", dataclasses.replace(
+        lorentz, scenario={"f": _CORPUS_FLOATS, "s": _CORPUS_SCALARS}
+    )
+    rng = random.Random(18)
+    for i in range(300):
+        tree = {rng.choice(_CORPUS_KEYS): _corpus_tree(rng, 4) for _ in range(rng.randint(1, 4))}
+        yield f"random-{i}", dataclasses.replace(lorentz, scenario=tree)
+
+
+_REFERENCE_DUMPERS = [yaml.SafeDumper] + ([yaml.CSafeDumper] if yaml.__with_libyaml__ else [])
+
+
+def test_structured_text_is_yaml_dumps_bytes(monkeypatch):
+    # _render against the same render with every document written by
+    # yaml.dump, under PyYAML's and libyaml's emitters, aliases ignored.
+    corpus = list(_corpus())
+    direct, calls, fell_back = {}, [], set()
+    dump = yaml.dump
+    with monkeypatch.context() as patch:
+        patch.setattr(yaml, "dump", lambda *args, **kwargs: calls.append(1) or dump(*args, **kwargs))
+        for name, obj in corpus:
+            before = len(calls)
+            direct[name] = [explorer._render(obj, fmt) for fmt in ("structured-text", "csv")]
+            if len(calls) > before:
+                fell_back.add(name)
+    # Both paths are exercised.
+    direct_only = {"lorentz", "ferro", "stressed", "field", "scalars", "column-78-indent-6-plain"}
+    assert not direct_only & fell_back
+    assert {"failing-q", "non-ascii", "column-81-indent-0-plain"} <= fell_back
+    for base in _REFERENCE_DUMPERS:
+        dumper = type("Reference", (base,), {"ignore_aliases": lambda self, data: True})
+        with monkeypatch.context() as patch:
+            patch.setattr(explorer, "_structured_text", lambda tree: yaml.dump(
+                tree, Dumper=dumper, sort_keys=True, default_flow_style=False
+            ))
+            for name, obj in corpus:
+                expected = [explorer._render(obj, fmt) for fmt in ("structured-text", "csv")]
+                assert direct[name] == expected, (base.__name__, name)
+    assert "&id" not in direct["shared"][0]
+    assert "&id" not in direct["failing-q"][0]
+
+
+def _perfbench_designs():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "designs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_designs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_design_batch_and_field_sweep_skip_yaml_dump(monkeypatch):
+    calls = []
+    dump = yaml.dump
+    monkeypatch.setattr(yaml, "dump", lambda *args, **kwargs: calls.append(1) or dump(*args, **kwargs))
+    for tree in _perfbench_designs().batch(1, 0, 40):
+        report = run_scenario(build_scenario(tree))
+        explorer._render(report, "csv")
+        explorer._render(report, "structured-text")
+    result = sweep(default_scenario("lorentz"), "environment.field_magnitude", 1e-4, 50e-3, 200)
+    explorer._render(result, "structured-text")
+    assert calls == []
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -299,6 +300,49 @@ def test_bimorph_matches_the_timoshenko_closed_form():
         )
         expected = 6.0 * (ds / e2) * e1 * e2 * t1 * t2 * (t1 + t2) / denom
         assert bimorph_lift(geom, ds).curvature == pytest.approx(expected, rel=1e-13)
+
+
+def _exact_curvature(geom) -> Fraction:
+    """sum sigma_i w t_i (z_i - z_n) / EI in rational arithmetic."""
+    w = Fraction(geom.width)
+    ea = ea_z = z = Fraction(0)
+    mids = []
+    for layer in geom.layers:
+        e, t = Fraction(layer.material.youngs_modulus), Fraction(layer.thickness)
+        mids.append(z + t / 2)
+        ea += e * w * t
+        ea_z += e * w * t * mids[-1]
+        z += t
+    neutral = ea_z / ea
+    ei = moment = Fraction(0)
+    for layer, mid in zip(geom.layers, mids):
+        e, t = Fraction(layer.material.youngs_modulus), Fraction(layer.thickness)
+        ei += e * (w * t**3 / 12 + w * t * (mid - neutral) ** 2)
+        moment += Fraction(layer.residual_stress) * w * t * (mid - neutral)
+    return moment / ei
+
+
+def test_stack_curvature_matches_exact_arithmetic_on_thin_and_thick_layers():
+    # One stressed layer of two, thicknesses log-uniform over 1 nm - 10 um.
+    # Arms taken as differences of cumulative heights lost up to 3.6e-12 of
+    # the curvature when a thick layer sat on a thin one.
+    rng = np.random.default_rng(18)
+    films = [builtin_material(name) for name in BUILTIN_NAMES]
+    worst = 0.0
+    for _ in range(2000):
+        i, j = rng.choice(len(films), 2, replace=False)
+        t1, t2 = (float(t) for t in 10.0 ** rng.uniform(-9, -5, 2))
+        stresses = [0.0, 0.0]
+        stresses[int(rng.integers(2))] = float(rng.uniform(-1e9, 1e9))
+        geom = _beam(
+            200e-6,
+            10e-6,
+            LayerSpec(films[i], t1, stresses[0]),
+            LayerSpec(films[j], t2, stresses[1]),
+        )
+        exact = _exact_curvature(geom)
+        worst = max(worst, float(abs(Fraction(stack_curvature(geom)) - exact) / abs(exact)))
+    assert worst <= 1e-14
 
 
 def test_lift_profile_invariants_random():
