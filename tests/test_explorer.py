@@ -721,6 +721,29 @@ def test_structured_text_is_yaml_dumps_bytes(monkeypatch):
     assert "&id" not in direct["failing-q"][0]
 
 
+def _unsure(*args):
+    raise explorer._Unsure
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("make", [
+    lambda: run_scenario(default_scenario("lorentz")),
+    lambda: run_scenario(default_scenario("ferro")),
+    lambda: sweep(default_scenario("lorentz"), "quality_factor", 0.0, 5.0, 20),
+], ids=["lorentz", "ferro", "failing-sweep"])
+def test_libyaml_emitter_gives_the_same_bytes(monkeypatch, make):
+    # Every document sent down the yaml.dump fallback, with _DUMPER built
+    # on libyaml's emitter and then on PyYAML's, gives _render's bytes.
+    obj = make()
+    text = explorer._render(obj, "structured-text")
+    no_aliases = {"ignore_aliases": explorer._DUMPER.ignore_aliases}
+    monkeypatch.setattr(explorer, "_block_lines", _unsure)
+    for base in (yaml.CSafeDumper, yaml.SafeDumper):
+        monkeypatch.setattr(explorer, "_DUMPER", type("D", (base,), no_aliases))
+        assert explorer._render(obj, "structured-text") == text, base.__name__
+    assert "&id" not in text
+
+
 def _perfbench_designs():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "designs.py"
     spec = importlib.util.spec_from_file_location("perfbench_designs", path)
