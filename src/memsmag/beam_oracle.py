@@ -6,10 +6,9 @@ in mechanics. Second-order central differences in the interior, one-sided
 second-order stencils for the boundary conditions.
 """
 
-import math
-from dataclasses import dataclass
+from __future__ import annotations
 
-import numpy as np
+from dataclasses import dataclass
 
 from .errors import SingularSystemError
 from .mechanics import BeamGeometry, composite_section
@@ -54,6 +53,8 @@ def solve_static(
     nodes start trading truncation error for roundoff; a few hundred nodes
     is the sweet spot.
     """
+    import numpy as np
+
     force, moment = _pick_load(tip_force, tip_moment)
     if grid_size < MIN_GRID_SIZE:
         raise ValueError(f"grid_size must be >= {MIN_GRID_SIZE}, got {grid_size}")
@@ -107,6 +108,8 @@ def solve_static(
 
 def _second_derivative(w: np.ndarray, h: float) -> np.ndarray:
     """w'' on the grid: central stencils inside, one-sided at the ends."""
+    import numpy as np
+
     d2 = np.empty_like(w)
     d2[1:-1] = (w[:-2] - 2.0 * w[1:-1] + w[2:]) / h**2
     d2[0] = (2.0 * w[0] - 5.0 * w[1] + 4.0 * w[2] - w[3]) / h**2
@@ -167,6 +170,8 @@ def convergence_order(
 
 def _fitted_order(length: float, solutions: list[BeamSolution]) -> float:
     """Least-squares slope of log(tip change) against log(h), coarse to fine."""
+    import numpy as np
+
     tips = [solution.tip_deflection for solution in solutions]
     steps = [length / (solution.grid_size - 1) for solution in solutions]
     diffs = [

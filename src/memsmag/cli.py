@@ -10,8 +10,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .dynamics import MAX_TRANSIENT_STEPS, frequency_response, simulate_transient
 from .errors import DomainError, MemsmagError, ParseError, UnknownPathError, ValidationError
 from .scenario import Scenario, load_scenario
@@ -99,6 +97,8 @@ def _cmd_noise(args) -> int:
 
 
 def _cmd_freq_response(args) -> int:
+    import numpy as np
+
     if not 2 <= args.points <= MAX_SWEEP_POINTS:
         raise ValueError(f"--points must be between 2 and {MAX_SWEEP_POINTS}, got {args.points}")
     scenario = _load(args)

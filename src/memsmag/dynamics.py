@@ -6,11 +6,11 @@ or dc drive with the bridge voltage computed sample by sample from the
 instantaneous anchor stress.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from .errors import DomainError, NoPeakError, StepTooLargeError, UnsettledError
 from .mechanics import LumpedResonator
@@ -53,6 +53,8 @@ class TimeSeries:
     drive_period: Optional[float] = None  # s, None for dc drive
 
     def to_csv(self, path) -> None:
+        import numpy as np
+
         columns = (self.time, self.displacement, self.velocity, self.output_voltage)
         with open(path, "w") as handle:
             handle.write(",".join(TRANSIENT_COLUMNS) + "\n")
@@ -120,6 +122,8 @@ def simulate_transient(
     first step-map coefficient or output column that leaves the float range,
     and DomainError for a resonance at 0 Hz.
     """
+    import numpy as np
+
     if not (0 < duration < math.inf and 0 < dt < math.inf):
         raise ValueError("duration and dt must be > 0")
     if duration / dt > MAX_TRANSIENT_STEPS:
@@ -236,6 +240,8 @@ def _forcing(first: int, blocks: int, dt: float, freq: Optional[float], peak: fl
     drive of frequency freq is +peak where fmod(t * freq, 1) < 0.5 and -peak
     elsewhere; dc (freq None) is peak throughout.
     """
+    import numpy as np
+
     if freq is None:
         return np.full((blocks, 3, BLOCK_STEPS), peak)
     out = np.empty((blocks, 3, BLOCK_STEPS))
@@ -257,6 +263,8 @@ def _block_tables(step_map: np.ndarray) -> tuple:
     powers are taken in long double, where the platform has it, so each
     entry is rounded once and a block's P^B drifts no more than one step.
     """
+    import numpy as np
+
     steps = np.arange(BLOCK_STEPS)
     power = np.empty((BLOCK_STEPS + 1, 2, 2), dtype=np.longdouble)
     power[0] = np.eye(2)

@@ -14,7 +14,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-import numpy as np
 import yaml
 
 from .beam_oracle import _fitted_order, solve_static
@@ -240,6 +239,18 @@ def _run_point(scenario: Scenario, edits):
         return None, None, f"{type(exc).__name__}: " + " ".join(str(exc).split())
 
 
+def _linspace(start: float, stop: float, steps: int) -> list:
+    """np.linspace(start, stop, steps).tolist(), bit for bit, in plain Python."""
+    div = steps - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0:  # numpy's branch for a span whose step underflows
+        values = [i / div * delta + start for i in range(div)]
+    else:
+        values = [i * step + start for i in range(div)]
+    return values + [stop]
+
+
 def sweep(
     scenario: Scenario,
     parameter_path: str,
@@ -256,14 +267,15 @@ def sweep(
     if not 2 <= steps <= MAX_SWEEP_POINTS:
         raise ValueError(f"steps must be between 2 and {MAX_SWEEP_POINTS}, got {steps}")
     if scale == "linear":
-        values = np.linspace(start, stop, steps)
+        values = _linspace(float(start), float(stop), steps)
     elif scale == "log":
         if start <= 0 or stop <= 0:
             raise ValueError("log scale needs positive endpoints")
-        values = np.geomspace(start, stop, steps)
+        import numpy as np  # math has no geomspace that matches it bit for bit
+
+        values = np.geomspace(start, stop, steps).tolist()
     else:
         raise ValueError(f"scale must be 'linear' or 'log', got {scale!r}")
-    values = [float(v) for v in values]
     field = _resolve_path(scenario.tree, parameter_path)
     points = [_run_point(scenario, [(field, value)]) for value in values]
     return SweepResult(

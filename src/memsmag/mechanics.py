@@ -9,8 +9,6 @@ of residually stressed layers, which drives the post-release lift-up.
 import math
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .errors import DomainError, InvalidCalibrationError, UnsupportedStackError
 from .materials import LayerSpec
 
@@ -115,6 +113,11 @@ def composite_section(geom: BeamGeometry) -> CompositeSection:
             ) from None
         mass += layer.material.density * area
         z += t
+    if ei == 0.0:  # the tip stiffness and every deflection divide by it
+        raise DomainError(
+            f"flexural rigidity EI underflows to 0 at beam width {w!r} m and layer"
+            f" thicknesses {', '.join(repr(layer.thickness) for layer in geom.layers)} m"
+        )
     return CompositeSection(
         flexural_rigidity=ei,
         neutral_axis_height=neutral,
@@ -182,6 +185,12 @@ def lumped_resonator(
         raise DomainError(
             f"tip stiffness 3 EI / l^3 leaves the float range: beam length {geom.length!r} m"
         ) from None
+    if k == 0.0:  # the tip deflection F / (n k) divides by it
+        raise DomainError(
+            f"tip stiffness 3 EI / l^3 underflows to 0: flexural rigidity"
+            f" {section.flexural_rigidity!r} N*m^2 at beam width {geom.width!r} m"
+            f" and length {geom.length!r} m"
+        )
     m_eff = EFFECTIVE_MASS_FRACTION * section.mass_per_length * geom.length + tip_mass
     f0 = math.sqrt(k / m_eff) / (2.0 * math.pi)
     damping = math.sqrt(k * m_eff) / quality_factor
@@ -201,6 +210,8 @@ def anneal_stress(anneal_temperature: float, calibration=DEFAULT_ANNEAL_TABLE) -
     strictly increasing temperatures; queries beyond the table ends clamp to
     the end values.
     """
+    import numpy as np
+
     table = list(calibration)
     if len(table) < 2:
         raise InvalidCalibrationError("calibration table needs at least 2 points")
@@ -217,15 +228,17 @@ def stack_curvature(geom: BeamGeometry) -> float:
     Each layer's stress, held while the beam is flat, is a force
     sigma_i w t_i at its mid-height z_i. Released, their moment about the
     neutral axis z_n bends the section: kappa = sum sigma_i w t_i (z_i - z_n)
-    / EI, with EI from composite_section. Positive curls toward the top
-    layer, as a tensile top layer does. For two layers this is Timoshenko's
-    bimetal curvature; it holds for any number of layers.
+    / EI, with EI from composite_section. The width cancels, so both sums
+    are taken over a unit-width section, and a subnormal width loses
+    nothing. Positive curls toward the top layer, as a tensile top layer
+    does. For two layers this is Timoshenko's bimetal curvature; it holds
+    for any number of layers.
 
     Each arm z_i - z_n is formed as sum_j E_j t_j (z_i - z_j) / sum_j E_j t_j,
     with every z_i - z_j summed from thicknesses, so a thin layer beside a
     thick one does not lose its arm to cancellation.
     """
-    section = composite_section(geom)
+    section = composite_section(replace(geom, width=1.0))
     layers = geom.layers
     weights = [layer.material.youngs_modulus * layer.thickness for layer in layers]
     total = sum(weights)
@@ -243,7 +256,7 @@ def stack_curvature(geom: BeamGeometry) -> float:
             elif j > i:
                 above += weight * gap
         arm = (below - above) / total
-        moment += layer.residual_stress * geom.width * layer.thickness * arm
+        moment += layer.residual_stress * layer.thickness * arm
     curvature = moment / section.flexural_rigidity
     if not math.isfinite(curvature):
         index, worst = max(enumerate(layers), key=lambda item: abs(item[1].residual_stress))

@@ -554,6 +554,12 @@ _JOULE_OVERFLOW = (
     ("transient", "sensor: {kind: ferro, suspension: {width: 5.0e-324}}",
      "axial stiffness sum E w t underflows to 0 at beam width 5e-324 m and layer"
      " thicknesses 3.5e-07, 1e-06 m"),
+    # E w t^3 / 12 underflows to 0 while E w t does not.
+    *((command, "sensor: {support_beam: {width: 1.0e-310}}",
+       f"{stage}flexural rigidity EI underflows to 0 at beam width 1e-310 m and layer"
+       " thicknesses 1e-07, 2.8e-07, 1e-06 m")
+      for command, stage in (("simulate", "mechanics: "), ("noise", "mechanics: "),
+                             ("verify", ""))),
     # The plate's mass overflows, so the resonance underflows to 0 Hz.
     ("transient", "sensor: {kind: ferro, plate_length: 1.0e+300, plate_width: 1.0e+300}",
      "transient: with the resonant frequency 0.0 Hz, the default --duration is inf s;"
@@ -574,7 +580,8 @@ _JOULE_OVERFLOW = (
      " 1.0733281035933098e+301 1/m, beam length 10000000000.0 m"),
 ], ids=["simulate-thickness", "verify-thickness", "verify-top-layer", "verify-length",
         "simulate-current", "noise-current", "noise-gauge-width", "simulate-gauge-thickness",
-        "noise-beam-width", "transient-suspension-width", "transient-zero-resonance",
+        "noise-beam-width", "transient-suspension-width", "simulate-beam-rigidity",
+        "noise-beam-rigidity", "verify-beam-rigidity", "transient-zero-resonance",
         "transient-zero-resonance-given-span", "simulate-stack-curvature",
         "simulate-stack-tip-angle"])
 def test_power_overflow_names_the_dimension(tmp_path, capsys, command, config, error):
@@ -596,28 +603,56 @@ def test_verify_underflowing_grid_step_is_one_named_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-def test_cold_import_loads_no_scipy():
-    code = (
-        "import sys, memsmag, memsmag.cli; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
-    )
+# The numpy and scipy modules a fresh interpreter has loaded, as a printed list.
+_HEAVY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))"
+
+
+def _fresh_lines(code: str) -> list:
+    """The stdout lines of `code` run in a fresh interpreter."""
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True
     )
-    assert proc.stdout == "[]\n"
+    return proc.stdout.splitlines()
+
+
+def test_cold_import_loads_no_scipy():
+    # Nor numpy: only transient, verify, freq-response and log sweeps need it.
+    code = f"import sys, memsmag, memsmag.cli; print({_HEAVY_MODULES})"
+    assert _fresh_lines(code) == ["[]"]
 
 
 def test_cold_optimize_loads_no_scipy(tmp_path):
     argv = ["optimize", "--config", _empty_config(tmp_path), "--param", "drive.amplitude:0.001:0.012"]
+    code = f"import sys; from memsmag.cli import main; print(main({argv!r})); print({_HEAVY_MODULES})"
+    assert _fresh_lines(code)[-2:] == ["0", "[]"]
+
+
+def test_cold_commands_load_no_numpy(tmp_path):
+    # One interpreter runs the commands in turn and lists the numpy and scipy
+    # modules after each. transient comes last and must load numpy, which
+    # shows that the listing would catch an import.
+    out = str(tmp_path / "out")
+    sweep = ["sweep", "--path", "drive.amplitude", "--start", "1e-3", "--stop", "1e-2",
+             "--steps", "5", "--out", out]
+    runs = [
+        ["simulate", "--out", out],
+        ["simulate", "--format", "structured-text", "--out", out],
+        ["noise"],
+        sweep,
+        sweep + ["--format", "structured-text"],
+        ["transient", "--out", out],
+    ]
     code = (
-        "import sys; from memsmag.cli import main; "
-        f"print(main({argv!r})); "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        "import contextlib, io, sys\n"
+        "from memsmag.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        code = main(argv + ['--config', {_empty_config(tmp_path)!r}])\n"
+        f"    print(code, {_HEAVY_MODULES})\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True
-    )
-    assert proc.stdout.splitlines()[-2:] == ["0", "[]"]
+    lines = _fresh_lines(code)
+    assert lines[:-1] == ["0 []"] * (len(runs) - 1)
+    assert lines[-1].startswith("0 ['numpy'")
 
 
 def _numeric_leaves(node, path=()):
@@ -669,7 +704,7 @@ def _declared(scenario, path) -> dict:
 
 
 _DEFAULTS = {kind: default_scenario(kind) for kind in ("lorentz", "ferro")}
-_EXTREMES = (0.0, -0.0, 5e-324, 1e-320, 1e-300, 1e300, 1.7e308)
+_EXTREMES = (0.0, -0.0, 5e-324, 1e-320, 1e-310, 1e-300, 1e300, 1.7e308)
 _MATERIAL_METADATA = {f.name: f.metadata for f in dataclasses.fields(Material)}
 _BOUNDED_MATERIAL_FIELDS = [name for name, metadata in _MATERIAL_METADATA.items() if metadata]
 

@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import math
 import random
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +174,53 @@ def test_sweep_log_scale():
     result = sweep(default_scenario("lorentz"), "drive.amplitude", 1e-3, 1e-1, 3,
                    scale="log")
     assert result.values == pytest.approx([1e-3, 1e-2, 1e-1], rel=1e-12)
+
+
+def _linear_ranges() -> list:
+    """(start, stop, steps) edge cases, then seeded ranges over the whole float range."""
+    cases = [
+        (1e-3, 1e-3, 5), (0.0, -0.0, 3), (-0.0, -0.0, 4),
+        (1e-2, 1e-3, 7), (5.0, -3.0, 2), (-1e-300, -2e-300, 11),
+        (0.0, 5e-324, 2), (0.0, 5e-324, 3), (0.0, 5e-324, 4), (5e-324, 0.0, 9),
+        (0.0, 1.5e-323, 4), (-5e-324, 5e-324, 7),
+        (1e-3, 1e-2, 2), (1e-3, 1e-2, explorer.MAX_SWEEP_POINTS),
+        (-1e308, 1e308, explorer.MAX_SWEEP_POINTS), (-1e308, 1e308, 2), (1e308, -1e308, 3),
+    ]
+    rng = random.Random(20080602)
+    for _ in range(2000):
+        start, stop = (
+            rng.choice([1, -1]) * math.ldexp(rng.random(), rng.randint(-1074, 1024))
+            for _ in range(2)
+        )
+        if rng.random() < 0.2:
+            stop = start + rng.choice([-1, 1]) * rng.random() * abs(start) * 1e-12
+        cases.append((start, stop, rng.choice([2, 3, 4, 5, rng.randint(2, 400)])))
+    return cases
+
+
+def test_linear_sweep_values_are_np_linspaces_bits(monkeypatch):
+    # The points themselves are not run: only the values are under test.
+    monkeypatch.setattr(explorer, "_run_point", lambda scenario, edits: (None, None, None))
+    scenario = default_scenario("lorentz")
+    for start, stop, steps in _linear_ranges():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = np.linspace(start, stop, steps).tolist()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = sweep(scenario, "drive.amplitude", start, stop, steps).values
+        assert [v.hex() for v in values] == [v.hex() for v in expected], (start, stop, steps)
+
+
+def test_overflowing_linear_sweep_runs_without_warnings(tmp_path):
+    # stop - start overflows to inf: the first value is nan and the rest inf,
+    # as np.linspace gives them, and every point fails in its own row.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = sweep(default_scenario("lorentz"), "drive.amplitude", -1e308, 1e308, 3)
+        emit_report(result, "csv", tmp_path / "sweep.csv")
+    assert [v.hex() for v in result.values] == ["nan", "inf", float(1e308).hex()]
+    assert all(result.errors) and not any(result.reports)
 
 
 def test_sweep_argument_errors():
@@ -514,13 +562,14 @@ def test_optimize_rejects_bad_constraints_before_evaluating(monkeypatch, constra
 
 def test_sweep_point_cap_allocates_nothing(monkeypatch):
     def no_allocation(*args, **kwargs):
-        raise AssertionError("the sweep allocated its points")
+        raise AssertionError("the sweep built or ran its points")
 
-    monkeypatch.setattr(explorer.np, "linspace", no_allocation)
-    monkeypatch.setattr(explorer, "_run_point", no_allocation)
-    with pytest.raises(ValueError, match=f"steps must be between 2 and {explorer.MAX_SWEEP_POINTS}"):
-        sweep(default_scenario("lorentz"), "drive.amplitude", 1e-3, 1e-2,
-              explorer.MAX_SWEEP_POINTS + 1)
+    for name in ("_linspace", "_resolve_path", "_run_point"):
+        monkeypatch.setattr(explorer, name, no_allocation)
+    for scale in ("linear", "log"):
+        with pytest.raises(ValueError, match=f"steps must be between 2 and {explorer.MAX_SWEEP_POINTS}"):
+            sweep(default_scenario("lorentz"), "drive.amplitude", 1e-3, 1e-2,
+                  explorer.MAX_SWEEP_POINTS + 1, scale)
 
 
 def test_optimize_trace_records_every_point():

@@ -9,6 +9,7 @@ from memsmag import (
     BUILTIN_NAMES,
     BeamGeometry,
     CompositeSection,
+    DomainError,
     InvalidCalibrationError,
     LayerSpec,
     UnsupportedStackError,
@@ -150,6 +151,20 @@ def test_resonator_argument_checks():
         lumped_resonator(geom, quality_factor=0.5)
     with pytest.raises(ValueError):
         lumped_resonator(geom, 30.0, tip_mass=-1e-9)
+
+
+def test_underflowing_stiffness_is_a_named_domain_error():
+    # E w t^3 / 12 underflows to 0 at a subnormal width ...
+    with pytest.raises(DomainError, match=r"^flexural rigidity EI underflows to 0 at beam"
+                       r" width 1e-310 m and layer thicknesses 1e-06 m$"):
+        composite_section(_beam(500e-6, 1e-310, LayerSpec(SILICON, 1e-6)))
+    # ... and 3 EI / l^3 at a long beam whose EI does not.
+    geom = _beam(1e6, 1e-300, LayerSpec(SILICON, 1e-6))
+    assert composite_section(geom).flexural_rigidity > 0.0
+    with pytest.raises(DomainError, match=r"^tip stiffness 3 EI / l\^3 underflows to 0:"
+                       r" flexural rigidity .* N\*m\^2 at beam width 1e-300 m"
+                       r" and length 1000000.0 m$"):
+        lumped_resonator(geom, 30.0)
 
 
 def test_beam_geometry_checks():
@@ -343,6 +358,19 @@ def test_stack_curvature_matches_exact_arithmetic_on_thin_and_thick_layers():
         exact = _exact_curvature(geom)
         worst = max(worst, float(abs(Fraction(stack_curvature(geom)) - exact) / abs(exact)))
     assert worst <= 1e-14
+
+
+def test_stack_curvature_does_not_depend_on_the_width():
+    # The width cancels from the moment and EI; a subnormal width once lost
+    # the curvature (-846.87 1/m at 1e-305 m) or divided by 0 (at 1e-310 m).
+    curvatures = [
+        stack_curvature(
+            _beam(200e-6, width, LayerSpec(SILICON, 1e-6, 100e6), LayerSpec(ALUMINUM, 1e-6))
+        )
+        for width in (1e-6, 1e-300, 1e-310)
+    ]
+    assert curvatures == pytest.approx([curvatures[0]] * 3, rel=1e-12, abs=0)
+    assert curvatures[0] == pytest.approx(-421.9388, rel=1e-6)
 
 
 def test_lift_profile_invariants_random():
