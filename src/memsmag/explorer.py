@@ -30,15 +30,6 @@ from .scenario import Scenario, _parse
 from .transduction import joule_offset, joule_temperature_rise, sensitivity
 
 
-# Structured text that _structured_text cannot write directly goes to
-# yaml.dump with this dumper. libyaml's emitter is about 3x faster than
-# PyYAML's; tests check that both give the direct writer's bytes.
-class _DUMPER(getattr(yaml, "CSafeDumper", yaml.SafeDumper)):
-    # Sweep points and optimizer results share unchanged subtrees; each is
-    # written out in full, so structured text never holds anchors or aliases.
-    def ignore_aliases(self, data):
-        return True
-
 # Self-heating is negligible below this drive amplitude.
 HIGH_CURRENT_THRESHOLD = 1e-3  # A
 HIGH_CURRENT_WARNING = (
@@ -273,7 +264,10 @@ def sweep(
             raise ValueError("log scale needs positive endpoints")
         import numpy as np  # math has no geomspace that matches it bit for bit
 
-        values = np.geomspace(start, stop, steps).tolist()
+        # An infinite or NaN endpoint gives points that are not finite;
+        # each fails in its own row, as on the linear scale.
+        with np.errstate(all="ignore"):
+            values = np.geomspace(start, stop, steps).tolist()
     else:
         raise ValueError(f"scale must be 'linear' or 'log', got {scale!r}")
     field = _resolve_path(scenario.tree, parameter_path)
@@ -575,40 +569,34 @@ def _csv_row(report: SimulationReport) -> list:
     return [_fmt(get(report)) for _, get in REPORT_COLUMNS] + ["; ".join(report.warnings)]
 
 
-class _Unsure(Exception):
-    """The document holds something _block_lines cannot write as yaml.dump does."""
-
-
 _RESOLVER = yaml.resolver.Resolver()
 _ANALYZER = yaml.emitter.Emitter(None)
 _STR_TAG = "tag:yaml.org,2002:str"
-# PyYAML and libyaml fold a string at a space past this column.
+# PyYAML and libyaml fold a scalar at a lone space past this column.
 _LINE_WIDTH = 80
+_LONE_SPACE = re.compile(r"(?<=[^ ]) (?=[^ ])")
 
 
 @functools.lru_cache(maxsize=4096)
 def _str_text(value: str) -> str:
-    """`value` styled as yaml.dump styles it.
+    """`value` styled as PyYAML's emitter styles it, on one line.
 
     Plain where the resolver reads it back as a string and PyYAML's own
-    analysis allows a plain block scalar, else single-quoted where that
-    allows it. Raises _Unsure outside printable ASCII. Nothing here folds
-    long lines; _block_lines checks that.
+    analysis allows a plain block scalar, else single-quoted, which that
+    analysis allows for all printable ASCII on one line.
     """
     if not (value.isascii() and value.isprintable()):
-        raise _Unsure
+        raise ValueError(f"structured text takes printable ASCII only, got {value!r}")
     analysis = _ANALYZER.analyze_scalar(value)
     resolved = _RESOLVER.resolve(yaml.ScalarNode, value, (True, False))
     if resolved == _STR_TAG and analysis.allow_block_plain:
         return value
-    if analysis.allow_single_quoted:
-        return "'" + value.replace("'", "''") + "'"
-    raise _Unsure
+    return "'" + value.replace("'", "''") + "'"
 
 
 def _flat_text(value) -> Optional[str]:
-    """A scalar or empty container on one line as yaml.dump writes it; None
-    for a container that takes block lines."""
+    """A scalar or empty container on one line as PyYAML's SafeDumper writes
+    it; None for a container that takes block lines."""
     kind = type(value)
     if kind is float:
         # SafeRepresenter.represent_float.
@@ -632,7 +620,25 @@ def _flat_text(value) -> Optional[str]:
         return str(value)
     if value is None:
         return "null"
-    raise _Unsure
+    raise ValueError(f"structured text cannot write a {kind.__name__}: {value!r}")
+
+
+def _fold(line: str, text: str, indent: str, lines: list) -> None:
+    """Append `line`, which ends in the scalar `text`, folded as the emitters
+    fold it: at a lone space, once the column before it is past 80, and never
+    at the first or last character inside quotes. Continuation lines start
+    at `indent`."""
+    start = len(line) - len(text)
+    quoted = text[0] == "'"
+    cut, head = 0, ""
+    # Quoted, the scan starts past the first character inside and ends at
+    # the closing quote, so the lookahead fails on a last space inside.
+    for space in _LONE_SPACE.finditer(line, start + 2 * quoted, len(line) - quoted):
+        at = space.start()
+        if len(head) + at - cut > _LINE_WIDTH:
+            lines.append(head + line[cut:at])
+            cut, head = at + 1, indent
+    lines.append(head + line[cut:])
 
 
 def _block_lines(node, pad: str, first: str, lines: list) -> None:
@@ -646,22 +652,19 @@ def _block_lines(node, pad: str, first: str, lines: list) -> None:
     if in_list:
         entries = [("-", item) for item in node]
     else:
-        try:
-            keys = sorted(node)
-        except TypeError:
-            raise _Unsure from None
-        for key in keys:
+        for key in node:
             # A simple key, written plain.
             if type(key) is not str or len(key) >= 128 or _str_text(key) != key:
-                raise _Unsure
-        entries = [(f"{key}:", node[key]) for key in keys]
+                raise ValueError(f"structured-text keys must be plain strings, got {key!r}")
+        entries = [(f"{key}:", node[key]) for key in sorted(node)]
     for label, value in entries:
         text = _flat_text(value)
         if text is not None:
             line = f"{first}{label} {text}"
-            if len(line) > _LINE_WIDTH and " " in text:
-                raise _Unsure
-            lines.append(line)
+            if len(line) > _LINE_WIDTH:
+                _fold(line, text, pad + "  ", lines)
+            else:
+                lines.append(line)
         elif in_list:
             _block_lines(value, pad + "  ", first + "- ", lines)
         else:
@@ -672,24 +675,20 @@ def _block_lines(node, pad: str, first: str, lines: list) -> None:
 
 
 def _structured_text(tree) -> str:
-    """`tree` as yaml.dump(tree, Dumper=_DUMPER, sort_keys=True,
-    default_flow_style=False) writes it.
+    """`tree` in block YAML, byte for byte as PyYAML's SafeDumper and
+    libyaml write it with sorted keys, block style and aliases ignored.
 
-    The block lines are written directly for the scalars, mappings and
-    sequences reports use. A document holding anything else (a string that
-    would fold at column 80, text outside printable ASCII, a key that is not
-    a plain scalar, a type SafeDumper does not know) is handed whole to
-    yaml.dump.
+    Writes the scalars, mappings and sequences reports use, under a
+    non-empty mapping or sequence. Raises ValueError for anything else:
+    text outside printable ASCII, a key that is not a plain string, another
+    type, or a scalar or empty top level.
     """
-    if type(tree) in (dict, list) and tree:
-        lines = []
-        try:
-            _block_lines(tree, "", "", lines)
-            lines.append("")
-            return "\n".join(lines)
-        except _Unsure:
-            pass
-    return yaml.dump(tree, Dumper=_DUMPER, sort_keys=True, default_flow_style=False)
+    if type(tree) not in (dict, list) or not tree:
+        raise ValueError("structured text needs a non-empty mapping or sequence at the top level")
+    lines = []
+    _block_lines(tree, "", "", lines)
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _render(obj: Union[SimulationReport, SweepResult], format: str) -> str:

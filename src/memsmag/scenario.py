@@ -86,10 +86,12 @@ def _resolve(base, node):
 
     Mappings merge key by key (base keys first); anything else in `node`
     wins. Every dict and list is copied, so the result shares nothing
-    mutable with either input. YAML leaves exponent forms like 4.8e5 as
-    strings unless they carry a decimal point and a signed exponent, so a
-    string that is wholly a decimal number, exponent optional, becomes a
-    float; any other string (" 30 ", "1_000", "nan") stays a string.
+    mutable with either input. A tuple becomes a list and a float subclass
+    (numpy's float64) a plain float, so the tree holds only the types a
+    YAML file gives. YAML leaves exponent forms like 4.8e5 as strings
+    unless they carry a decimal point and a signed exponent, so a string
+    that is wholly a decimal number, exponent optional, becomes a float;
+    any other string (" 30 ", "1_000", "nan") stays a string.
     """
     if isinstance(node, dict):
         base = base if isinstance(base, dict) else {}
@@ -101,9 +103,11 @@ def _resolve(base, node):
             if key not in base:
                 merged[key] = _resolve(value, value)
         return merged
-    if isinstance(node, list):
+    if isinstance(node, (list, tuple)):
         return [_resolve(value, value) for value in node]
     if isinstance(node, str) and _DECIMAL_RE.fullmatch(node):
+        return float(node)
+    if isinstance(node, float):
         return float(node)
     return node
 

@@ -223,6 +223,32 @@ def test_overflowing_linear_sweep_runs_without_warnings(tmp_path):
     assert all(result.errors) and not any(result.reports)
 
 
+@pytest.mark.parametrize("start, stop", [(math.inf, 10.0), (10.0, math.inf), (math.nan, 10.0)])
+def test_log_sweep_with_a_non_finite_end_runs_without_warnings(tmp_path, start, stop):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = sweep(default_scenario("lorentz"), "drive.amplitude", start, stop, 4, scale="log")
+        emit_report(result, "csv", tmp_path / "sweep.csv")
+    for value, report, error in zip(result.values, result.reports, result.errors):
+        assert (report is None) == (not math.isfinite(value))
+        assert (error is None) == math.isfinite(value)
+    assert not all(math.isfinite(v) for v in result.values)
+
+
+def test_numpy_floats_and_tuples_resolve_to_a_plain_tree(tmp_path):
+    odd = build_scenario({"quality_factor": np.float64(20.0), "noise_band": (1.0, 10.0)})
+    plain = build_scenario({"quality_factor": 20.0, "noise_band": [1.0, 10.0]})
+    assert type(odd.tree["quality_factor"]) is float
+    assert type(odd.tree["noise_band"]) is list
+    for fmt in ("csv", "structured-text"):
+        emit_report(run_scenario(odd), fmt, tmp_path / "odd")
+        emit_report(run_scenario(plain), fmt, tmp_path / "plain")
+        assert (tmp_path / "odd").read_bytes() == (tmp_path / "plain").read_bytes()
+    result = sweep(odd, "noise_band[0]", 1.0, 5.0, 3)
+    assert result.errors == [None] * 3
+    assert [r.noise.band[0] for r in result.reports] == [1.0, 3.0, 5.0]
+
+
 def test_sweep_argument_errors():
     scenario = default_scenario("lorentz")
     with pytest.raises(ValueError):
@@ -671,10 +697,21 @@ _CORPUS_STRINGS = [
     "beam slenderness 7.2 < 10.0; slender-beam bending theory is questionable here",
     "stressed layers curl the beam: curvature -2.89e+03 1/m, tip lift -0.000303 m",
 ]
-_CORPUS_KEYS = ["a", "b", "band_Hz", "layers", "value", "x_1", "_z"]
-# Keys yaml.dump writes quoted, or not as a simple key. The empty key is
-# left out: libyaml writes it as a simple key and PyYAML as a complex one.
-_ODD_KEYS = ["on", "1", "a b", "null", "k" * 130]
+# The longest key puts a value's first character past column 80.
+_CORPUS_KEYS = ["a", "b", "band_Hz", "layers", "value", "x_1", "_z", "a b", "k" * 90]
+# Keys yaml.dump writes quoted, or not as a simple key; the direct writer
+# refuses them. libyaml writes the empty key as a simple key and PyYAML as a
+# complex one.
+_ODD_KEYS = ["", "on", "1", "null", "k" * 128]
+# Long strings are joined from these: words, lone spaces, runs of spaces,
+# quotes and indicators, so some are plain and some single-quoted.
+_CORPUS_PIECES = ["abc"] * 4 + ["x", "de-f", "1.5", "it's", "a#b", "-"] + [" "] * 6 + [
+    "  ", "   ", "a: b", " #c", "'",
+]
+
+
+def _long_string(rng):
+    return "".join(rng.choice(_CORPUS_PIECES) for _ in range(rng.randint(20, 80)))
 
 
 def _crossing_column_80(depth, size, head):
@@ -689,12 +726,24 @@ def _crossing_column_80(depth, size, head):
 def _corpus_tree(rng, depth):
     roll = rng.random()
     if depth == 0 or roll < 0.3:
+        if rng.random() < 0.2:
+            return _long_string(rng)
         return rng.choice(_CORPUS_FLOATS + _CORPUS_SCALARS + _CORPUS_STRINGS[:-3])
     size = rng.randint(0, 4)
     if roll < 0.65:
-        keys = _CORPUS_KEYS + _ODD_KEYS if rng.random() < 0.1 else _CORPUS_KEYS
-        return {rng.choice(keys): _corpus_tree(rng, depth - 1) for _ in range(size)}
+        return {rng.choice(_CORPUS_KEYS): _corpus_tree(rng, depth - 1) for _ in range(size)}
     return [_corpus_tree(rng, depth - 1) for _ in range(size)]
+
+
+def _folding_sweeps():
+    """200-point sweeps whose failure or warning lines pass column 80."""
+    yield "q-from-0", sweep(default_scenario("lorentz"), "quality_factor", 0.0, 5.0, 200)
+    yield "width-from-0", sweep(
+        default_scenario("ferro"), "sensor.suspension.width", 0.0, 2e-5, 200
+    )
+    yield "short-beams", sweep(
+        default_scenario("lorentz"), "sensor.support_beam.length", 1e-6, 5e-4, 200
+    )
 
 
 def _corpus():
@@ -704,10 +753,7 @@ def _corpus():
     yield "ferro", run_scenario(default_scenario("ferro"))
     yield "stressed", run_scenario(build_scenario(_STRESSED))
     yield "slender", run_scenario(build_scenario({"sensor": {"support_beam": {"length": 1e-5}}}))
-    yield "failing-q", sweep(default_scenario("lorentz"), "quality_factor", 0.0, 5.0, 20)
-    yield "failing-width", sweep(
-        default_scenario("ferro"), "sensor.suspension.width", 0.0, 2e-5, 12
-    )
+    yield from _folding_sweeps()
     yield "field", sweep(default_scenario("ferro"), "environment.field_magnitude", 0.0, 0.1, 12)
     # The echo sits at indent 0 in a report's CSV and at 2 in its structured
     # text, so its lines cross column 80 at indents 0, 4 and 6 in one and 2,
@@ -727,7 +773,6 @@ def _corpus():
     yield "strings", dataclasses.replace(
         lorentz, warnings=list(_CORPUS_STRINGS), scenario={"s": list(_CORPUS_STRINGS)}
     )
-    yield "non-ascii", dataclasses.replace(lorentz, scenario={"s": "é"})
     yield "scalars", dataclasses.replace(
         lorentz, scenario={"f": _CORPUS_FLOATS, "s": _CORPUS_SCALARS}
     )
@@ -744,19 +789,8 @@ def test_structured_text_is_yaml_dumps_bytes(monkeypatch):
     # _render against the same render with every document written by
     # yaml.dump, under PyYAML's and libyaml's emitters, aliases ignored.
     corpus = list(_corpus())
-    direct, calls, fell_back = {}, [], set()
-    dump = yaml.dump
-    with monkeypatch.context() as patch:
-        patch.setattr(yaml, "dump", lambda *args, **kwargs: calls.append(1) or dump(*args, **kwargs))
-        for name, obj in corpus:
-            before = len(calls)
-            direct[name] = [explorer._render(obj, fmt) for fmt in ("structured-text", "csv")]
-            if len(calls) > before:
-                fell_back.add(name)
-    # Both paths are exercised.
-    direct_only = {"lorentz", "ferro", "stressed", "field", "scalars", "column-78-indent-6-plain"}
-    assert not direct_only & fell_back
-    assert {"failing-q", "non-ascii", "column-81-indent-0-plain"} <= fell_back
+    direct = {name: [explorer._render(obj, fmt) for fmt in ("structured-text", "csv")]
+              for name, obj in corpus}
     for base in _REFERENCE_DUMPERS:
         dumper = type("Reference", (base,), {"ignore_aliases": lambda self, data: True})
         with monkeypatch.context() as patch:
@@ -767,30 +801,41 @@ def test_structured_text_is_yaml_dumps_bytes(monkeypatch):
                 expected = [explorer._render(obj, fmt) for fmt in ("structured-text", "csv")]
                 assert direct[name] == expected, (base.__name__, name)
     assert "&id" not in direct["shared"][0]
-    assert "&id" not in direct["failing-q"][0]
+    assert "&id" not in direct["q-from-0"][0]
+    # The documents that fold: their text changes when nothing folds.
+    with monkeypatch.context() as patch:
+        patch.setattr(explorer, "_LINE_WIDTH", math.inf)
+        folded = {
+            name for name, obj in corpus
+            if explorer._render(obj, "structured-text") != direct[name][0]
+        }
+    for indent in (0, 4, 6):
+        for style in ("plain", "quoted"):
+            assert f"column-80-indent-{indent}-{style}" not in folded
+            assert f"column-84-indent-{indent}-{style}" in folded
+    # The slenderness lines pass column 80 but have no space past it.
+    assert {"q-from-0", "width-from-0"} <= folded and "short-beams" not in folded
+    assert sum(name.startswith("random-") for name in folded) >= 100
 
 
-def _unsure(*args):
-    raise explorer._Unsure
-
-
-@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
-@pytest.mark.parametrize("make", [
-    lambda: run_scenario(default_scenario("lorentz")),
-    lambda: run_scenario(default_scenario("ferro")),
-    lambda: sweep(default_scenario("lorentz"), "quality_factor", 0.0, 5.0, 20),
-], ids=["lorentz", "ferro", "failing-sweep"])
-def test_libyaml_emitter_gives_the_same_bytes(monkeypatch, make):
-    # Every document sent down the yaml.dump fallback, with _DUMPER built
-    # on libyaml's emitter and then on PyYAML's, gives _render's bytes.
-    obj = make()
-    text = explorer._render(obj, "structured-text")
-    no_aliases = {"ignore_aliases": explorer._DUMPER.ignore_aliases}
-    monkeypatch.setattr(explorer, "_block_lines", _unsure)
-    for base in (yaml.CSafeDumper, yaml.SafeDumper):
-        monkeypatch.setattr(explorer, "_DUMPER", type("D", (base,), no_aliases))
-        assert explorer._render(obj, "structured-text") == text, base.__name__
-    assert "&id" not in text
+@pytest.mark.parametrize("tree", [
+    *({key: 1.0} for key in _ODD_KEYS),
+    {1: 1.0},
+    {"s": "\u00e9"},
+    {"s": "tab\there"},
+    {"s": "two\nlines"},
+    {"s": (1.0, 2.0)},
+    {"s": np.float64(1.0)},
+    {"s": b"bytes"},
+    1.5,
+    "text",
+    None,
+    {},
+    [],
+], ids=repr)
+def test_structured_text_refuses_what_reports_never_hold(tree):
+    with pytest.raises(ValueError):
+        explorer._structured_text(tree)
 
 
 def _perfbench_designs():
@@ -801,17 +846,21 @@ def _perfbench_designs():
     return module
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("structured text went through yaml.dump")
+
+
 def test_design_batch_and_field_sweep_skip_yaml_dump(monkeypatch):
-    calls = []
-    dump = yaml.dump
-    monkeypatch.setattr(yaml, "dump", lambda *args, **kwargs: calls.append(1) or dump(*args, **kwargs))
+    monkeypatch.setattr(yaml, "dump", _refuse)
     for tree in _perfbench_designs().batch(1, 0, 40):
         report = run_scenario(build_scenario(tree))
         explorer._render(report, "csv")
         explorer._render(report, "structured-text")
     result = sweep(default_scenario("lorentz"), "environment.field_magnitude", 1e-4, 50e-3, 200)
     explorer._render(result, "structured-text")
-    assert calls == []
+    # So do the sweeps with lines past column 80.
+    for _, result in _folding_sweeps():
+        explorer._render(result, "structured-text")
 
 
 @pytest.fixture

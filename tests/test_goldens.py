@@ -23,6 +23,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+import yaml
 
 from memsmag.cli import main
 
@@ -86,9 +87,15 @@ def _run(kind: str, name: str, out: Path, capture) -> bytes:
     return stdout.encode() if to_stdout else out.read_bytes()
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("structured text went through yaml.dump")
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 @pytest.mark.parametrize("kind", KINDS)
-def test_cli_bytes_match_golden(kind, name, tmp_path, capsys):
+def test_cli_bytes_match_golden(kind, name, tmp_path, capsys, monkeypatch):
+    # Every case is written by memsmag's own structured-text writer.
+    monkeypatch.setattr(yaml, "dump", _refuse)
     got = _run(kind, name, tmp_path / name, lambda: tuple(capsys.readouterr()))
     assert got == (GOLDEN_DIR / kind / name).read_bytes()
 
