@@ -1,13 +1,22 @@
-"""Brute-force finite-difference check on the closed-form beam mechanics.
+"""Finite-difference check on the closed-form beam mechanics.
 
 Solves EI w'''' = 0 for a clamped-free uniform beam under a tip force or a
 tip moment on an N-node grid, entirely independent of the analytic formulas
 in mechanics. Second-order central differences in the interior, one-sided
 second-order stencils for the boundary conditions.
+
+The discrete system is solved exactly rather than by elimination: its
+interior rows make the deflection a cubic in the node index, and the
+boundary rows fix that cubic's coefficients as ratios of integers. Each
+node's value is then one correctly rounded division, so refining the grid
+shrinks the truncation error with no roundoff growing behind it. Only
+`solve_static`, which returns arrays, imports numpy.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 from .errors import SingularSystemError
@@ -47,74 +56,83 @@ def solve_static(
     """Static deflection of a clamped-free beam under a single tip load.
 
     Discretizes w'''' = 0 with the clamp conditions w(0) = w'(0) = 0 and the
-    free-end conditions EI w''(l) = M_tip, EI w'''(l) = -F_tip, then solves
-    the dense linear system directly. The fourth-difference operator's
-    conditioning grows like grid_size**4, so grids beyond roughly a thousand
-    nodes start trading truncation error for roundoff; a few hundred nodes
-    is the sweet spot.
+    free-end conditions EI w''(l) = M_tip, EI w'''(l) = -F_tip, and returns
+    the discrete system's exact solution, rounded once per node (see
+    `_solve_nodes`). Refining the grid therefore only shrinks the
+    truncation error: under a tip force the tip deflection is
+    F l^3 / (3 EI) * (1 - 1 / (grid_size - 1)**2).
     """
     import numpy as np
 
     force, moment = _pick_load(tip_force, tip_moment)
-    if grid_size < MIN_GRID_SIZE:
-        raise ValueError(f"grid_size must be >= {MIN_GRID_SIZE}, got {grid_size}")
-
     section = composite_section(geom)
-    ei = section.flexural_rigidity
-    n = grid_size
-    h = geom.length / (n - 1)
-    if h**2 == 0.0:
-        raise SingularSystemError(
-            f"beam length {geom.length!r} m is too short for {n} nodes: "
-            "the squared grid step underflows to 0"
-        )
-    a = np.zeros((n, n))
-    b = np.zeros(n)
-
-    # Clamp: w(0) = 0 and second-order one-sided w'(0) = 0.
-    a[0, 0] = 1.0
-    a[1, 0:3] = (-3.0, 4.0, -1.0)
-
-    # Interior: five-point fourth difference, multiplied through by h^4.
-    for i in range(2, n - 2):
-        a[i, i - 2 : i + 3] = (1.0, -4.0, 6.0, -4.0, 1.0)
-
-    # Free end, multiplied through by h^2 and 2 h^3 respectively.
-    a[n - 2, n - 4 :] = (-1.0, 4.0, -5.0, 2.0)
-    b[n - 2] = h**2 * moment / ei
-    a[n - 1, n - 5 :] = (3.0, -14.0, 24.0, -18.0, 5.0)
-    b[n - 1] = -2.0 * h**3 * force / ei
-
-    scale = np.abs(a).max(axis=1)
-    a /= scale[:, None]
-    b /= scale
-    try:
-        w = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"beam system solve failed: {exc}") from exc
-    if not np.all(np.isfinite(w)):
-        raise SingularSystemError("beam system solve produced non-finite values")
-
-    positions = np.linspace(0.0, geom.length, n)
-    moment_profile = ei * _second_derivative(w, h)
+    deflection, moments = _solve_nodes(
+        geom.length, section.flexural_rigidity, grid_size, force, moment
+    )
     return BeamSolution(
-        node_positions=positions,
-        deflection=w,
-        bending_moment=moment_profile,
-        anchor_stress=_extreme_fiber_stress(geom, section, moment_profile[0]),
-        grid_size=n,
+        node_positions=np.linspace(0.0, geom.length, grid_size),
+        deflection=np.array(deflection),
+        bending_moment=np.array(moments),
+        anchor_stress=_extreme_fiber_stress(geom, section, moments[0]),
+        grid_size=grid_size,
     )
 
 
-def _second_derivative(w: np.ndarray, h: float) -> np.ndarray:
-    """w'' on the grid: central stencils inside, one-sided at the ends."""
-    import numpy as np
+def _solve_nodes(
+    length: float, ei: float, grid_size: int, force: float, moment: float
+) -> tuple[list[float], list[float]]:
+    """Deflection and bending moment at each node, as plain floats.
 
-    d2 = np.empty_like(w)
-    d2[1:-1] = (w[:-2] - 2.0 * w[1:-1] + w[2:]) / h**2
-    d2[0] = (2.0 * w[0] - 5.0 * w[1] + 4.0 * w[2] - w[3]) / h**2
-    d2[-1] = (2.0 * w[-1] - 5.0 * w[-2] + 4.0 * w[-3] - w[-4]) / h**2
-    return d2
+    With the free-end rows multiplied through by h^2 and 2 h^3 and the
+    interior rows by h^4, the system's rows are
+        row 0          w_0 = 0
+        row 1          -3 w_0 + 4 w_1 - w_2 = 0
+        rows 2..n-3    w_{i-2} - 4 w_{i-1} + 6 w_i - 4 w_{i+1} + w_{i+2} = 0
+        row n-2        -w_{n-4} + 4 w_{n-3} - 5 w_{n-2} + 2 w_{n-1} = b_m = h^2 M / EI
+        row n-1        3 w_{n-5} - 14 w_{n-4} + 24 w_{n-3} - 18 w_{n-2} + 5 w_{n-1}
+                           = b_f = -2 h^3 F / EI
+    The interior rows make w a cubic in the node index i, and row 0 removes
+    its constant: w_i = c1 i + c2 i^2 + c3 i^3. The boundary stencils are
+    exact on cubics, so with N = n - 1 the other three rows read
+        2 c1 - 4 c3 = 0,    2 c2 + 6 c3 N = b_m,    12 c3 = b_f.
+    Taking b_m = p_m / q_m and b_f = p_f / q_f as exact ratios of integers,
+    the coefficients share the denominator 12 q_m q_f. Each node's numerator
+    is then an integer, and one int / int division rounds it correctly.
+    The second-difference stencils give 2 c2 + 6 c3 i exactly on the cubic,
+    so the moment EI (2 c2 + 6 c3 i) / h^2 is rounded the same way.
+    """
+    if grid_size < MIN_GRID_SIZE:
+        raise ValueError(f"grid_size must be >= {MIN_GRID_SIZE}, got {grid_size}")
+    last = grid_size - 1
+    h = length / last
+    h2 = h**2
+    if h2 == 0.0:
+        raise SingularSystemError(
+            f"beam length {length!r} m is too short for {grid_size} nodes: "
+            "the squared grid step underflows to 0"
+        )
+    b_m = h2 * moment / ei
+    b_f = -2.0 * h**3 * force / ei
+    if not (math.isfinite(b_m) and math.isfinite(b_f)):
+        raise SingularSystemError("beam system solve produced non-finite values")
+    p_m, q_m = b_m.as_integer_ratio()
+    p_f, q_f = b_f.as_integer_ratio()
+    # c1, c2 and c3 times the common denominator.
+    a3 = p_f * q_m
+    a1 = 2 * a3
+    a2 = 6 * p_m * q_f - 3 * last * a3
+    den = 12 * q_m * q_f
+    # EI (2 c2 + 6 c3 i) / h^2 = (s0 + s1 i) / moment_den.
+    p_e, q_e = ei.as_integer_ratio()
+    p_h, q_h = h2.as_integer_ratio()
+    s0, s1 = 2 * a2 * p_e * q_h, 6 * a3 * p_e * q_h
+    moment_den = den * q_e * p_h
+    try:
+        deflection = [((a3 * i + a2) * i + a1) * i / den for i in range(grid_size)]
+        moments = [(s0 + s1 * i) / moment_den for i in range(grid_size)]
+    except OverflowError:
+        raise SingularSystemError("beam system solve produced non-finite values") from None
+    return deflection, moments
 
 
 def _extreme_fiber_stress(geom, section, anchor_moment: float) -> float:
@@ -150,7 +168,7 @@ def convergence_order(
     form a roughly constant refinement ratio (for example 100, 200, 400).
     Central differences should land near 2. The load must excite a varying
     curvature: a pure tip moment gives a quadratic deflection the stencils
-    reproduce exactly, so its fitted order is only roundoff noise.
+    reproduce exactly, so its fitted order is only rounding noise.
     """
     force, moment = _pick_load(tip_force, tip_moment)
     if force == 0.0 and moment == 0.0:
@@ -161,22 +179,19 @@ def convergence_order(
     if any(b <= a for a, b in zip(grid_list, grid_list[1:])):
         raise ValueError("grids must be strictly increasing")
 
-    solutions = [
-        solve_static(geom, grid_size=g, tip_force=tip_force, tip_moment=tip_moment)
-        for g in grid_list
-    ]
-    return _fitted_order(geom.length, solutions)
+    ei = composite_section(geom).flexural_rigidity
+    tips = [_solve_nodes(geom.length, ei, g, force, moment)[0][-1] for g in grid_list]
+    return _fitted_order(geom.length, grid_list, tips)
 
 
-def _fitted_order(length: float, solutions: list[BeamSolution]) -> float:
+def _fitted_order(length: float, grids: list[int], tips: list[float]) -> float:
     """Least-squares slope of log(tip change) against log(h), coarse to fine."""
-    import numpy as np
-
-    tips = [solution.tip_deflection for solution in solutions]
-    steps = [length / (solution.grid_size - 1) for solution in solutions]
-    diffs = [
-        max(abs(coarse - fine), np.finfo(float).tiny)
+    xs = [math.log(length / (g - 1)) for g in grids[:-1]]
+    ys = [
+        math.log(max(abs(coarse - fine), sys.float_info.min))
         for coarse, fine in zip(tips, tips[1:])
     ]
-    slope, _ = np.polyfit(np.log(steps[:-1]), np.log(diffs), 1)
-    return float(slope)
+    x_mean = sum(xs) / len(xs)
+    y_mean = sum(ys) / len(ys)
+    num = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+    return num / sum((x - x_mean) ** 2 for x in xs)

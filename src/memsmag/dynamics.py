@@ -8,6 +8,7 @@ instantaneous anchor stress.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -188,18 +189,23 @@ def simulate_transient(
     # zero-state sum of P^(j-1-k) [g1 g2 g3] f_k over k < j. One matrix product
     # per chunk gives every block's zero-state rows, a scan over the block
     # starts carries y_s, and a second product adds P^j y_s.
-    powers, kernel = _block_tables(step_map)
+    powers, kernel = _block_tables(step_map.tobytes())
     (p_xx, p_xv), (p_vx, p_vv) = powers[:, :, -1].tolist()
     steps = int(round(duration / dt))
     blocks = -(-steps // BLOCK_STEPS)
-    # The last block may run past the end; x and v are views that drop those rows.
-    x = np.empty(blocks * BLOCK_STEPS + 1)
-    v = np.empty(blocks * BLOCK_STEPS + 1)
-    x[0], v[0] = x0, v0
+    # The four output columns are rows of one block; the returned columns
+    # are views that drop the samples the last block runs past the end.
+    # One allocation rather than four also lets glibc (which raises its heap
+    # trim threshold to the largest freed mmap block) keep the pages of
+    # repeated transients rather than fault them back in on every call.
+    table = np.empty((len(TRANSIENT_COLUMNS), blocks * BLOCK_STEPS + 1))
+    time, x, v, _ = table
+    time[0], x[0], v[0] = 0.0, x0, v0
     xs, vs = x0, v0
     for first in range(0, blocks, CHUNK_BLOCKS):
         count = min(CHUNK_BLOCKS, blocks - first)
         rows = slice(1 + first * BLOCK_STEPS, 1 + (first + count) * BLOCK_STEPS)
+        np.multiply(np.arange(rows.start, rows.stop), dt, out=time[rows])
         xb, vb = (out[rows].reshape(count, BLOCK_STEPS) for out in (x, v))
         forcing = _forcing(first * BLOCK_STEPS, count, dt, freq, peak).reshape(count, -1)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -213,11 +219,9 @@ def simulate_transient(
             for col, (out, power) in enumerate(zip((xb, vb), powers)):
                 out += state[:-1] @ power
                 out[:, -1] = state[1:, col]
-    x, v = x[: steps + 1], v[: steps + 1]
-
-    time = np.arange(steps + 1) * dt
+    time, x, v, voltage = table[:, : steps + 1]
     with np.errstate(over="ignore", invalid="ignore"):
-        voltage = volts_per_meter * x
+        np.multiply(volts_per_meter, x, out=voltage)
     for name, column in zip(TRANSIENT_COLUMNS[1:], (x, v, voltage)):
         if not np.isfinite(column).all():
             first = int(np.isfinite(column).argmin())
@@ -253,8 +257,9 @@ def _forcing(first: int, blocks: int, dt: float, freq: Optional[float], peak: fl
     return out
 
 
-def _block_tables(step_map: np.ndarray) -> tuple:
-    """Block tables of the step map [P g1 g2 g3], split by output row r.
+@functools.lru_cache(maxsize=8)
+def _block_tables(step_map_bytes: bytes) -> tuple:
+    """Block tables of the (2, 5) float64 step map [P g1 g2 g3], given as bytes.
 
     powers[r] is (2, B) with column j - 1 holding row r of P^j, j = 1..B.
     kernel[r] is (3B, B): entry (c*B + k, j - 1) is row r of P^(j-1-k) g(c+1)
@@ -262,9 +267,13 @@ def _block_tables(step_map: np.ndarray) -> tuple:
     _forcing lays it out, times kernel[r] is its zero-state response. The
     powers are taken in long double, where the platform has it, so each
     entry is rounded once and a block's P^B drifts no more than one step.
+    Transients of one resonator at one step share the tables, which are
+    kept read-only for the last few step maps; the bytes key tells -0.0
+    from 0.0.
     """
     import numpy as np
 
+    step_map = np.frombuffer(step_map_bytes).reshape(2, 5)
     steps = np.arange(BLOCK_STEPS)
     power = np.empty((BLOCK_STEPS + 1, 2, 2), dtype=np.longdouble)
     power[0] = np.eye(2)
@@ -276,7 +285,10 @@ def _block_tables(step_map: np.ndarray) -> tuple:
     lag = steps[None, :] - steps[:, None]  # (k, j - 1) -> j - 1 - k
     kernel = np.where((lag >= 0)[:, :, None, None], gains[np.maximum(lag, 0)], 0.0)
     kernel = kernel.transpose(2, 3, 0, 1).reshape(2, 3 * BLOCK_STEPS, BLOCK_STEPS)
-    return power[1:].transpose(1, 2, 0).copy(), kernel
+    powers = power[1:].transpose(1, 2, 0).copy()
+    for array in (powers, kernel):
+        array.setflags(write=False)
+    return powers, kernel
 
 
 def _half_ptp(values: np.ndarray) -> float:

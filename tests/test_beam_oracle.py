@@ -1,9 +1,13 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from memsmag import (
     BeamGeometry,
     LayerSpec,
+    SingularSystemError,
     builtin_material,
     composite_section,
     convergence_order,
@@ -60,6 +64,70 @@ def test_load_sign_symmetry():
     up = solve_static(_beam(), grid_size=100, tip_force=1e-6)
     down = solve_static(_beam(), grid_size=100, tip_force=-1e-6)
     assert np.array_equal(up.deflection, -down.deflection)
+    assert np.array_equal(up.bending_moment, -down.bending_moment)
+
+
+def _exact_system_solution(n, h, ei, force, moment):
+    """The finite-difference system assembled row by row in Fractions and
+    solved by exact Gauss-Jordan elimination: w and the stencil moments."""
+    rows = [[Fraction(0)] * (n + 1) for _ in range(n)]
+
+    def put(row, first, coefficients, rhs=0.0):
+        for offset, c in enumerate(coefficients):
+            rows[row][first + offset] = Fraction(c)
+        rows[row][n] = Fraction(rhs)
+
+    put(0, 0, (1,))
+    put(1, 0, (-3, 4, -1))
+    for i in range(2, n - 2):
+        put(i, i - 2, (1, -4, 6, -4, 1))
+    put(n - 2, n - 4, (-1, 4, -5, 2), h**2 * moment / ei)
+    put(n - 1, n - 5, (3, -14, 24, -18, 5), -2.0 * h**3 * force / ei)
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col]
+        scale = lead[col]
+        lead[:] = [v / scale for v in lead]
+        for r in range(n):
+            factor = rows[r][col]
+            if r != col and factor != 0:
+                rows[r] = [a - factor * b for a, b in zip(rows[r], lead)]
+    w = [row[n] for row in rows]
+    second = (
+        [2 * w[0] - 5 * w[1] + 4 * w[2] - w[3]]
+        + [w[i - 1] - 2 * w[i] + w[i + 1] for i in range(1, n - 1)]
+        + [2 * w[-1] - 5 * w[-2] + 4 * w[-3] - w[-4]]
+    )
+    to_moment = Fraction(ei) / Fraction(h**2)
+    return w, [d * to_moment for d in second]
+
+
+@pytest.mark.parametrize("load", [{"tip_force": 1e-6}, {"tip_moment": -3e-10}])
+def test_nodes_are_the_exact_discrete_solution_within_one_ulp(load):
+    geom = _beam()
+    n = 55
+    solution = solve_static(geom, grid_size=n, **load)
+    ei = composite_section(geom).flexural_rigidity
+    exact_w, exact_m = _exact_system_solution(
+        n, geom.length / (n - 1), ei, load.get("tip_force", 0.0), load.get("tip_moment", 0.0)
+    )
+    for got, want in zip(
+        list(solution.deflection) + list(solution.bending_moment), exact_w + exact_m
+    ):
+        assert abs(Fraction(float(got)) - want) <= Fraction(math.ulp(float(want)))
+
+
+@pytest.mark.parametrize("load", [
+    {"tip_force": 1e308},  # every input finite; the tip is beyond the float range
+    {"tip_force": math.inf},
+    {"tip_force": math.nan},
+    {"tip_moment": -math.inf},
+    {"tip_moment": math.nan},
+])
+def test_out_of_range_load_is_a_singular_system(load):
+    with pytest.raises(SingularSystemError, match="non-finite"):
+        solve_static(_beam(), grid_size=400, **load)
 
 
 def test_anchor_stress_single_layer():
@@ -80,7 +148,7 @@ def test_moment_profile():
     assert abs(solution.bending_moment[-1]) < 1e-3 * anchor
 
     # A tip moment bends the beam into an exact quadratic, so the moment
-    # profile is flat up to solver roundoff, which grows with grid size.
+    # profile is flat up to the rounding of the load and of each node.
     moment = 1e-10
     pure = solve_static(geom, grid_size=100, tip_moment=moment)
     assert np.max(np.abs(pure.bending_moment - moment)) < 1e-6 * moment
@@ -89,7 +157,8 @@ def test_moment_profile():
 def test_convergence_order():
     order = convergence_order(_beam(), [100, 200, 400], tip_force=1e-6)
     assert 1.8 <= order <= 2.2
-    assert order == pytest.approx(2.05, abs=0.02)
+    # The exact discrete solution's order; no roundoff moves it.
+    assert order == pytest.approx(2.00239, abs=1e-5)
 
 
 def test_convergence_order_load_scaling():

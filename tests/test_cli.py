@@ -616,7 +616,7 @@ def _fresh_lines(code: str) -> list:
 
 
 def test_cold_import_loads_no_scipy():
-    # Nor numpy: only transient, verify, freq-response and log sweeps need it.
+    # Nor numpy: only transient, freq-response and log sweeps need it.
     code = f"import sys, memsmag, memsmag.cli; print({_HEAVY_MODULES})"
     assert _fresh_lines(code) == ["[]"]
 
@@ -640,6 +640,7 @@ def test_cold_commands_load_no_numpy(tmp_path):
         ["noise"],
         sweep,
         sweep + ["--format", "structured-text"],
+        ["verify"],
         ["transient", "--out", out],
     ]
     code = (

@@ -27,6 +27,7 @@ from memsmag.dynamics import (
     CSV_CHUNK_ROWS,
     MAX_TRANSIENT_STEPS,
     TRANSIENT_COLUMNS,
+    _block_tables,
     _forcing,
 )
 
@@ -293,6 +294,23 @@ def test_forcing_signs_follow_the_fmod_rule(drive_ratio):
                 want = 2.0 if math.fmod(at * freq, 1.0) < 0.5 else -2.0
                 assert forcing[i // _B, c, i % _B] == want
     assert np.all(_forcing(3, 2, dt, None, 2.0) == 2.0)
+
+
+def test_repeated_transient_reuses_read_only_block_tables():
+    # One resonator at one step: the second run takes the kept tables and
+    # gives the same bits, and no caller can write to the shared tables.
+    scenario, res = _default_parts()
+    dt = 1.0 / (200 * res.natural_frequency)
+    args = (res, scenario.sensor, Drive("dc", scenario.drive.amplitude),
+            scenario.environment, 1000 * dt, dt)
+    first = simulate_transient(*args)
+    hits = _block_tables.cache_info().hits
+    second = simulate_transient(*args)
+    assert _block_tables.cache_info().hits == hits + 1
+    for name in ("time", "displacement", "velocity", "output_voltage"):
+        assert np.array_equal(getattr(first, name), getattr(second, name))
+    tables = _block_tables(np.full((2, 5), 0.5).tobytes())
+    assert not any(table.flags.writeable for table in tables)
 
 
 def test_transient_scratch_memory_is_one_chunk():

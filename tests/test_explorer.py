@@ -1059,14 +1059,14 @@ def test_oracle_check_solves_each_grid_once(monkeypatch):
     import memsmag.explorer as explorer
 
     grids = []
-    real = beam_oracle.solve_static
+    real = beam_oracle._solve_nodes
 
-    def counted(geom, grid_size=400, **kwargs):
+    def counted(length, ei, grid_size, force, moment):
         grids.append(grid_size)
-        return real(geom, grid_size=grid_size, **kwargs)
+        return real(length, ei, grid_size, force, moment)
 
-    monkeypatch.setattr(explorer, "solve_static", counted)
-    monkeypatch.setattr(beam_oracle, "solve_static", counted)
+    monkeypatch.setattr(explorer, "_solve_nodes", counted)
+    monkeypatch.setattr(beam_oracle, "_solve_nodes", counted)
     oracle_check(default_scenario("lorentz"))
     assert grids == [100, 200, 400]
 

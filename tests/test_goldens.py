@@ -6,10 +6,11 @@ the file of the same name under tests/goldens/. A change to the model or
 to the serializers that moves any digit fails here.
 
 `optimize` is pinned on a 1-parameter box; a change that moves its search
-on purpose (a new stopping rule) regenerates those two files. `transient`
-is left out because its output is due to change on purpose; `verify` and
-`freq-response` because LAPACK and np.geomspace may move their last digits
-from one build to another.
+on purpose (a new stopping rule) regenerates those two files. `verify` is
+pinned too: its beam solves are exact integer arithmetic and its order fit
+uses only `math`, so no LAPACK build moves its digits. `transient` is left
+out because its output is due to change on purpose, and `freq-response`
+because np.geomspace may move its last digits from one build to another.
 
 Regenerate every golden file, after a deliberate change, with
 
@@ -67,6 +68,7 @@ CASES = {
     ),
     "optimize.txt": (["optimize", "--param", "{param}"], True),
     "optimize.yaml": (["optimize", "--param", "{param}", "--format", "structured-text"], False),
+    "verify.txt": (["verify"], True),
 }
 
 
