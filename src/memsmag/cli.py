@@ -16,6 +16,7 @@ from .scenario import Scenario, load_scenario
 from .explorer import (
     DEFAULT_CONSTRAINTS,
     MAX_SWEEP_POINTS,
+    _geomspace,
     emit_report,
     noise_figures,
     optimize,
@@ -97,19 +98,26 @@ def _cmd_noise(args) -> int:
 
 
 def _cmd_freq_response(args) -> int:
-    import numpy as np
-
     if not 2 <= args.points <= MAX_SWEEP_POINTS:
         raise ValueError(f"--points must be between 2 and {MAX_SWEEP_POINTS}, got {args.points}")
     scenario = _load(args)
     resonator = scenario.sensor.resonator(scenario.quality_factor)
-    f_min = args.f_min if args.f_min is not None else resonator.natural_frequency / 10.0
-    f_max = args.f_max if args.f_max is not None else resonator.natural_frequency * 10.0
+    f0 = resonator.natural_frequency
+    f_min = f0 / 10.0 if args.f_min is None else args.f_min
+    f_max = f0 * 10.0 if args.f_max is None else args.f_max
+    # A default end the resonance puts out of range is a runtime failure that
+    # names the resonance and the flag that overrides it, as for transient.
+    for flag, value, given in (("--f-min", f_min, args.f_min), ("--f-max", f_max, args.f_max)):
+        if given is None and not 0 < value < math.inf:
+            raise DomainError(
+                f"freq-response: with the resonant frequency {f0!r} Hz, the default {flag}"
+                f" is {value!r} Hz; give {flag}"
+            )
     if not 0 < f_min < f_max < math.inf:
         raise ValueError(f"need finite 0 < --f-min < --f-max, got {f_min!r} and {f_max!r}")
     lines = ["frequency_Hz,amplitude_m_per_N,phase_rad"]
-    for frequency in np.geomspace(f_min, f_max, args.points):
-        point = frequency_response(resonator, float(frequency))
+    for frequency in _geomspace(f_min, f_max, args.points):
+        point = frequency_response(resonator, frequency)
         lines.append(f"{point.frequency!r},{point.amplitude!r},{point.phase!r}")
     with open(args.out, "w", newline="") as handle:
         handle.write("\n".join(lines) + "\n")

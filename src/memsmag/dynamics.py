@@ -74,11 +74,18 @@ def frequency_response(resonator: LumpedResonator, frequency: float) -> Frequenc
     """Displacement-per-force amplitude and phase at one drive frequency.
 
     amplitude = (1/k) / sqrt((1 - r^2)^2 + (r/Q)^2) with r = f/f0; the
-    phase lags from 0 at dc toward -pi far above resonance.
+    phase lags from 0 at dc toward -pi far above resonance. Raises
+    DomainError for a resonance outside (0, inf) Hz.
     """
     if frequency <= 0:
         raise ValueError("frequency must be > 0")
-    r = frequency / resonator.natural_frequency
+    f0 = resonator.natural_frequency
+    if not 0.0 < f0 < math.inf:  # a plate mass that overflowed to inf leaves 0 Hz
+        raise DomainError(
+            f"resonant frequency {f0!r} Hz at effective mass {resonator.effective_mass!r} kg:"
+            " the frequency ratio f / f0 is undefined"
+        )
+    r = frequency / f0
     q = resonator.quality_factor
     amplitude = (1.0 / resonator.stiffness) / math.hypot(1.0 - r * r, r / q)
     phase = -math.atan2(r / q, 1.0 - r * r)

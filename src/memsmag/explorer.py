@@ -242,6 +242,32 @@ def _linspace(start: float, stop: float, steps: int) -> list:
     return values + [stop]
 
 
+def _geomspace(start: float, stop: float, steps: int) -> list:
+    """np.geomspace(start, stop, steps).tolist() for positive ends, in plain Python.
+
+    The ends are `start` and `stop` exactly; each point between is 10**e,
+    with the exponents spaced by _linspace between the correctly rounded
+    log10 of the ends. libm's pow and numpy's may round apart, so an
+    interior point can differ by 1 ulp from numpy's, where numpy's log10
+    rounds correctly too. A power past the float range reads as inf, as
+    numpy gives it.
+    """
+    # libm's log10 (math.log10) misrounds a few percent of inputs, and an
+    # exponent e one ulp off moves 10**e by about ln(10)·|e| ulp; decimal's
+    # log10 rounds correctly.
+    from decimal import Context, Decimal
+
+    context = Context(prec=40)
+    low, high = (float(context.log10(Decimal(end))) for end in (start, stop))
+    values = [start]
+    for exponent in _linspace(low, high, steps)[1:-1]:
+        try:
+            values.append(10.0 ** exponent)
+        except OverflowError:
+            values.append(math.inf)
+    return values + [stop]
+
+
 def sweep(
     scenario: Scenario,
     parameter_path: str,
@@ -262,12 +288,9 @@ def sweep(
     elif scale == "log":
         if start <= 0 or stop <= 0:
             raise ValueError("log scale needs positive endpoints")
-        import numpy as np  # math has no geomspace that matches it bit for bit
-
         # An infinite or NaN endpoint gives points that are not finite;
         # each fails in its own row, as on the linear scale.
-        with np.errstate(all="ignore"):
-            values = np.geomspace(start, stop, steps).tolist()
+        values = _geomspace(float(start), float(stop), steps)
     else:
         raise ValueError(f"scale must be 'linear' or 'log', got {scale!r}")
     field = _resolve_path(scenario.tree, parameter_path)

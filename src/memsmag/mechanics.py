@@ -113,11 +113,16 @@ def composite_section(geom: BeamGeometry) -> CompositeSection:
             ) from None
         mass += layer.material.density * area
         z += t
-    if ei == 0.0:  # the tip stiffness and every deflection divide by it
-        raise DomainError(
-            f"flexural rigidity EI underflows to 0 at beam width {w!r} m and layer"
-            f" thicknesses {', '.join(repr(layer.thickness) for layer in geom.layers)} m"
+    if ei == 0.0 or not math.isfinite(ei):
+        # The tip stiffness and every deflection divide by EI. It is not
+        # finite when E w t overflows, which makes the neutral axis inf / inf.
+        at = (
+            f"at beam width {w!r} m and layer thicknesses"
+            f" {', '.join(repr(layer.thickness) for layer in geom.layers)} m"
         )
+        if ei == 0.0:
+            raise DomainError(f"flexural rigidity EI underflows to 0 {at}")
+        raise OverflowError(f"flexural rigidity EI leaves the float range {at}")
     return CompositeSection(
         flexural_rigidity=ei,
         neutral_axis_height=neutral,

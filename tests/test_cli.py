@@ -380,7 +380,7 @@ def test_freq_response_bad_range_is_invalid_input(tmp_path, capsys, monkeypatch,
     def no_allocation(*args, **kwargs):
         raise AssertionError("the table allocated its points")
 
-    monkeypatch.setattr(np, "geomspace", no_allocation)
+    monkeypatch.setattr("memsmag.cli._geomspace", no_allocation)
     out = tmp_path / "response.csv"
     argv = ["freq-response", "--config", _empty_config(tmp_path), *flags, "--out", str(out)]
     assert main(argv) == 1
@@ -560,6 +560,11 @@ _JOULE_OVERFLOW = (
        " thicknesses 1e-07, 2.8e-07, 1e-06 m")
       for command, stage in (("simulate", "mechanics: "), ("noise", "mechanics: "),
                              ("verify", ""))),
+    # E w t overflows, so the neutral axis is inf / inf and EI is not finite.
+    *((command, "sensor: {support_beam: {width: 1.7e+308}}",
+       "OverflowError: flexural rigidity EI leaves the float range at beam width 1.7e+308 m"
+       " and layer thicknesses 1e-07, 2.8e-07, 1e-06 m")
+      for command in ("simulate", "verify", "transient")),
     # The plate's mass overflows, so the resonance underflows to 0 Hz.
     ("transient", "sensor: {kind: ferro, plate_length: 1.0e+300, plate_width: 1.0e+300}",
      "transient: with the resonant frequency 0.0 Hz, the default --duration is inf s;"
@@ -568,6 +573,13 @@ _JOULE_OVERFLOW = (
      "sensor: {kind: ferro, plate_length: 1.0e+300, plate_width: 1.0e+300}",
      "resonant frequency 0.0 Hz at effective mass inf kg: the step bound"
      " dt <= 1/(50 f0) is undefined"),
+    ("freq-response", "sensor: {kind: ferro, plate_length: 1.0e+300, plate_width: 1.0e+300}",
+     "freq-response: with the resonant frequency 0.0 Hz, the default --f-min is 0.0 Hz;"
+     " give --f-min"),
+    ("freq-response --f-min 1 --f-max 10",
+     "sensor: {kind: ferro, plate_length: 1.0e+300, plate_width: 1.0e+300}",
+     "resonant frequency 0.0 Hz at effective mass inf kg: the frequency ratio f / f0"
+     " is undefined"),
     # A stressed layer's lift: the curvature, then the tip angle kappa l.
     ("simulate", "material_overrides: {aluminum: {youngs_modulus: 1.0}}\n"
      "sensor: {support_beam: {layers: [{material: silicon, thickness: 1.0e-15},"
@@ -581,14 +593,16 @@ _JOULE_OVERFLOW = (
 ], ids=["simulate-thickness", "verify-thickness", "verify-top-layer", "verify-length",
         "simulate-current", "noise-current", "noise-gauge-width", "simulate-gauge-thickness",
         "noise-beam-width", "transient-suspension-width", "simulate-beam-rigidity",
-        "noise-beam-rigidity", "verify-beam-rigidity", "transient-zero-resonance",
-        "transient-zero-resonance-given-span", "simulate-stack-curvature",
-        "simulate-stack-tip-angle"])
+        "noise-beam-rigidity", "verify-beam-rigidity", "simulate-beam-width-overflow",
+        "verify-beam-width-overflow", "transient-beam-width-overflow",
+        "transient-zero-resonance", "transient-zero-resonance-given-span",
+        "freq-response-zero-resonance", "freq-response-zero-resonance-given-range",
+        "simulate-stack-curvature", "simulate-stack-tip-angle"])
 def test_power_overflow_names_the_dimension(tmp_path, capsys, command, config, error):
     path = tmp_path / "scenario.yaml"
     path.write_text(config)
     argv = [*command.split(), "--config", str(path)]
-    if argv[0] in ("simulate", "transient"):
+    if argv[0] in ("simulate", "transient", "freq-response"):
         argv += ["--out", str(tmp_path / "out.csv")]
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {error}\n")
@@ -616,7 +630,7 @@ def _fresh_lines(code: str) -> list:
 
 
 def test_cold_import_loads_no_scipy():
-    # Nor numpy: only transient, freq-response and log sweeps need it.
+    # Nor numpy: of the commands, only transient needs it.
     code = f"import sys, memsmag, memsmag.cli; print({_HEAVY_MODULES})"
     assert _fresh_lines(code) == ["[]"]
 
@@ -634,13 +648,17 @@ def test_cold_commands_load_no_numpy(tmp_path):
     out = str(tmp_path / "out")
     sweep = ["sweep", "--path", "drive.amplitude", "--start", "1e-3", "--stop", "1e-2",
              "--steps", "5", "--out", out]
+    log_sweep = sweep + ["--scale", "log"]
     runs = [
         ["simulate", "--out", out],
         ["simulate", "--format", "structured-text", "--out", out],
         ["noise"],
         sweep,
         sweep + ["--format", "structured-text"],
+        log_sweep,
+        log_sweep + ["--format", "structured-text"],
         ["verify"],
+        ["freq-response", "--out", out],
         ["transient", "--out", out],
     ]
     code = (
@@ -727,8 +745,8 @@ def _leaf_values(scenario, path) -> tuple:
 def test_bounded_extremes_end_in_one_named_outcome(tmp_path_factory, data):
     # Values at and beside each declared bound, and float extremes, in one to
     # three leaves, material overrides among them: every command ends with a
-    # clean exit code and one message, and a transient that succeeds writes
-    # only finite samples.
+    # clean exit code and one message, and a transient or frequency table
+    # that succeeds writes only finite samples.
     kind = data.draw(st.sampled_from(sorted(_DEFAULTS)))
     scenario = _DEFAULTS[kind]
     # material_overrides.<film>.<field> leaves, absent from the default trees.
@@ -748,6 +766,7 @@ def test_bounded_extremes_end_in_one_named_outcome(tmp_path_factory, data):
         ["simulate", "--out", str(folder / "report.csv")],
         ["noise"],
         ["verify"],
+        ["freq-response", "--out", str(folder / "response.csv")],
         ["transient", "--out", str(folder / "transient.csv")],
     )
     for argv in commands:
@@ -758,7 +777,7 @@ def test_bounded_extremes_end_in_one_named_outcome(tmp_path_factory, data):
         assert code in (0, 1, 2)
         if code == 0:
             assert err == ""
-            if argv[0] == "transient":
+            if argv[0] in ("freq-response", "transient"):
                 assert np.isfinite(np.loadtxt(argv[2], delimiter=",", skiprows=1)).all()
         elif err.startswith("error: invalid scenario:\n"):
             assert code == 1

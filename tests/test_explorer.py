@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import math
 import random
+import sys
 import warnings
 from pathlib import Path
 
@@ -210,6 +211,37 @@ def test_linear_sweep_values_are_np_linspaces_bits(monkeypatch):
             warnings.simplefilter("error")
             values = sweep(scenario, "drive.amplitude", start, stop, steps).values
         assert [v.hex() for v in values] == [v.hex() for v in expected], (start, stop, steps)
+
+
+def test_log_sweep_values_are_within_an_ulp_of_np_geomspace(monkeypatch):
+    # libm's pow and numpy's may round apart in the last place; the ends are
+    # the given values exactly. At the largest float, 10**log10(x) overflows
+    # and the middle point reads inf, as numpy gives it.
+    monkeypatch.setattr(explorer, "_run_point", lambda scenario, edits: (None, None, None))
+    scenario = default_scenario("lorentz")
+    largest = sys.float_info.max
+    cases = [(1e-3, 1e-1, 3), (1e-3, 1e-3, 5), (1e-1, 1e-3, 7), (largest, 1e308, 4),
+             (5e-324, largest, explorer.MAX_SWEEP_POINTS), (largest, largest, 3)]
+    rng = random.Random(20080603)
+    for _ in range(2000):
+        start, stop = (
+            max(math.ldexp(rng.random(), rng.randint(-1074, 1023)), math.ulp(0.0))
+            for _ in range(2)
+        )
+        cases.append((start, stop, rng.choice([2, 3, 4, 5, rng.randint(2, 400)])))
+    for start, stop, steps in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = np.geomspace(start, stop, steps).tolist()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = sweep(scenario, "drive.amplitude", start, stop, steps, scale="log").values
+        assert len(values) == steps
+        assert (values[0], values[-1]) == (start, stop)
+        for value, reference in zip(values[1:-1], expected[1:-1]):
+            near = (reference, math.nextafter(reference, math.inf), math.nextafter(reference, 0.0))
+            assert value in near, (start, stop, steps, value.hex(), reference.hex())
+    assert sweep(scenario, "drive.amplitude", largest, largest, 3, scale="log").values[1] == math.inf
 
 
 def test_overflowing_linear_sweep_runs_without_warnings(tmp_path):

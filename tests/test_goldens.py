@@ -8,9 +8,10 @@ to the serializers that moves any digit fails here.
 `optimize` is pinned on a 1-parameter box; a change that moves its search
 on purpose (a new stopping rule) regenerates those two files. `verify` is
 pinned too: its beam solves are exact integer arithmetic and its order fit
-uses only `math`, so no LAPACK build moves its digits. `transient` is left
-out because its output is due to change on purpose, and `freq-response`
-because np.geomspace may move its last digits from one build to another.
+uses only `math`, so no LAPACK build moves its digits. `freq-response` is
+pinned: its frequency grid is plain Python, so no numpy build moves its
+digits. `transient` is left out because its output is due to change on
+purpose.
 
 Regenerate every golden file, after a deliberate change, with
 
@@ -69,6 +70,7 @@ CASES = {
     "optimize.txt": (["optimize", "--param", "{param}"], True),
     "optimize.yaml": (["optimize", "--param", "{param}", "--format", "structured-text"], False),
     "verify.txt": (["verify"], True),
+    "freq_response.csv": (["freq-response"], False),
 }
 
 
