@@ -6,7 +6,6 @@ cantilever sensors with piezoresistive readout.
 from .errors import (
     DomainError,
     InfeasibleError,
-    InvalidCalibrationError,
     MemsmagError,
     MissingPropertyError,
     NoPeakError,

@@ -153,12 +153,7 @@ def _extreme_fiber_stress(geom, section, anchor_moment: float) -> float:
     return worst
 
 
-def convergence_order(
-    geom: BeamGeometry,
-    grids: list[int],
-    tip_force: float | None = None,
-    tip_moment: float | None = None,
-) -> float:
+def convergence_order(geom: BeamGeometry, grids: list[int], tip_force: float) -> float:
     """Observed order of accuracy from a sequence of grid refinements.
 
     Uses the change in tip deflection between consecutive grids as the error
@@ -166,12 +161,13 @@ def convergence_order(
     also scale as h^p, so the least-squares slope of log(difference) against
     log(h) recovers p without a trusted reference solution. Grids should
     form a roughly constant refinement ratio (for example 100, 200, 400).
-    Central differences should land near 2. The load must excite a varying
-    curvature: a pure tip moment gives a quadratic deflection the stencils
-    reproduce exactly, so its fitted order is only rounding noise.
+    Central differences should land near 2. The load is a tip force, which
+    excites a varying curvature: a pure tip moment gives a quadratic
+    deflection the stencils reproduce exactly, so its fitted order would be
+    only rounding noise.
     """
-    force, moment = _pick_load(tip_force, tip_moment)
-    if force == 0.0 and moment == 0.0:
+    force = float(tip_force)
+    if force == 0.0:
         raise ValueError("convergence_order needs a nonzero load")
     grid_list = [int(g) for g in grids]
     if len(grid_list) < 3:
@@ -180,7 +176,7 @@ def convergence_order(
         raise ValueError("grids must be strictly increasing")
 
     ei = composite_section(geom).flexural_rigidity
-    tips = [_solve_nodes(geom.length, ei, g, force, moment)[0][-1] for g in grid_list]
+    tips = [_solve_nodes(geom.length, ei, g, force, 0.0)[0][-1] for g in grid_list]
     return _fitted_order(geom.length, grid_list, tips)
 
 

@@ -288,7 +288,3 @@ def main(argv=None) -> int:
         # A bare OverflowError or ZeroDivisionError message names no cause.
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -302,19 +302,17 @@ def _half_ptp(values: np.ndarray) -> float:
     return float(values.max() - values.min()) / 2.0
 
 
-def steady_state_amplitude(series: TimeSeries, settle_fraction: float = 0.5) -> SteadyState:
+def steady_state_amplitude(series: TimeSeries) -> SteadyState:
     """Half peak-to-peak amplitudes over the settled tail of a transient.
 
-    Discards the leading settle_fraction of the record (the caller should
-    size the run so that covers several ring-up time constants, about
-    5 Q/f0), then checks the last two drive periods (or tail halves for dc)
-    agree within 1% before reporting.
+    Discards the first half of the record (the caller should size the run
+    so that covers several ring-up time constants, about 5 Q/f0), then
+    checks the last two drive periods (or tail halves for dc) agree within
+    1% before reporting.
     """
-    if not 0 <= settle_fraction < 1:
-        raise ValueError("settle_fraction must be in [0, 1)")
-    n = len(series.time)
-    tail = series.displacement[int(settle_fraction * n) :]
-    tail_v = series.output_voltage[int(settle_fraction * n) :]
+    start = len(series.time) // 2
+    tail = series.displacement[start:]
+    tail_v = series.output_voltage[start:]
     if len(tail) < 4:
         raise ValueError("too few samples after settling to measure amplitude")
 

@@ -25,10 +25,6 @@ class DomainError(MemsmagError):
     """A numeric argument is outside the operation's domain."""
 
 
-class InvalidCalibrationError(MemsmagError):
-    """A calibration table is empty or not strictly monotone."""
-
-
 class UnsupportedStackError(MemsmagError):
     """The layer stack does not match what the operation supports."""
 

@@ -281,6 +281,9 @@ def sweep(
     Points that fail keep their slot: the report is None and the error
     column records what went wrong, so a sweep never dies half way.
     """
+    # An int or a type that stands for one (numpy's), but not a bool.
+    if isinstance(steps, bool) or not hasattr(steps, "__index__"):
+        raise ValueError(f"steps must be an integer, got {steps!r}")
     if not 2 <= steps <= MAX_SWEEP_POINTS:
         raise ValueError(f"steps must be between 2 and {MAX_SWEEP_POINTS}, got {steps}")
     if scale == "linear":
@@ -761,7 +764,7 @@ def emit_report(obj: Union[SimulationReport, SweepResult], format: str, path) ->
 def __getattr__(name):
     # optimize no longer calls scipy. This hook stays only because
     # perfbench/spans.py's Tracer.install looks the name up without a
-    # default; it goes when that lookup does (ROADMAP item 3).
+    # default; it goes when that lookup does (ROADMAP items 2 and 5).
     if name == "minimize":
         from scipy.optimize import minimize
 

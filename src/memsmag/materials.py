@@ -68,7 +68,7 @@ class LayerSpec:
     residual_stress: float = field(default=0.0, metadata={"optional": True})  # Pa, tensile positive
 
     def __post_init__(self):
-        if self.thickness <= 0:
+        if not self.thickness > 0:
             raise ValueError("layer thickness must be > 0")
 
 

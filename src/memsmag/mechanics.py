@@ -9,7 +9,7 @@ of residually stressed layers, which drives the post-release lift-up.
 import math
 from dataclasses import dataclass, field, replace
 
-from .errors import DomainError, InvalidCalibrationError, UnsupportedStackError
+from .errors import DomainError, UnsupportedStackError
 from .materials import LayerSpec
 
 # Rayleigh effective-mass fraction for a tip-loaded uniform cantilever.
@@ -21,7 +21,7 @@ SLENDERNESS_WARN_LIMIT = 10.0
 # Post-anneal tensile stress in the aluminum film vs anneal temperature.
 # (673.15 K, 150 MPa) is the measured 30 s RTA anchor point; the 423.15 K
 # entry is a synthetic as-deposited point at the evaporation temperature.
-# No scenario key sets it; pass anneal_stress's `calibration` to change it.
+# No scenario key sets it.
 DEFAULT_ANNEAL_TABLE = ((423.15, 30e6), (673.15, 150e6))  # (K, Pa)
 
 
@@ -34,9 +34,9 @@ class BeamGeometry:
     layers: list[LayerSpec]
 
     def __post_init__(self):
-        if self.length <= 0:
+        if not self.length > 0:
             raise ValueError("beam length must be > 0")
-        if self.width <= 0:
+        if not self.width > 0:
             raise ValueError("beam width must be > 0")
         if not self.layers:
             raise ValueError("beam needs at least one layer")
@@ -208,23 +208,18 @@ def lumped_resonator(
     )
 
 
-def anneal_stress(anneal_temperature: float, calibration=DEFAULT_ANNEAL_TABLE) -> float:
-    """Post-anneal film stress by piecewise-linear interpolation.
+def anneal_stress(anneal_temperature: float) -> float:
+    """Post-anneal film stress from DEFAULT_ANNEAL_TABLE.
 
-    `calibration` is a table of (temperature K, stress Pa) points with
-    strictly increasing temperatures; queries beyond the table ends clamp to
-    the end values.
+    Linear between the two table points and clamped to the end values
+    beyond them, as np.interp gives it bit for bit (NaN stays NaN).
     """
-    import numpy as np
-
-    table = list(calibration)
-    if len(table) < 2:
-        raise InvalidCalibrationError("calibration table needs at least 2 points")
-    temps = np.array([p[0] for p in table], dtype=float)
-    stresses = np.array([p[1] for p in table], dtype=float)
-    if not np.all(np.diff(temps) > 0):
-        raise InvalidCalibrationError("calibration temperatures must strictly increase")
-    return float(np.interp(anneal_temperature, temps, stresses))
+    (t0, s0), (t1, s1) = DEFAULT_ANNEAL_TABLE
+    if anneal_temperature <= t0:
+        return s0
+    if anneal_temperature >= t1:
+        return s1
+    return (s1 - s0) / (t1 - t0) * (anneal_temperature - t0) + s0
 
 
 def stack_curvature(geom: BeamGeometry) -> float:

@@ -373,9 +373,10 @@ def build_scenario(tree: dict) -> Scenario:
     """Merge a partial tree over the packaged defaults and build it.
 
     Raises ValidationError listing every violated invariant, not just the
-    first one found.
+    first one found. None, like an empty file, means the empty tree.
     """
-    tree = tree or {}
+    if tree is None:
+        tree = {}
     if not isinstance(tree, dict):
         raise ValidationError(["top level: expected a mapping"])
     kind = "lorentz"

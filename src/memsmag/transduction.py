@@ -12,7 +12,7 @@ temperature rise.
 import math
 from dataclasses import dataclass, field
 
-from .errors import DomainError, InvalidCalibrationError, MissingPropertyError
+from .errors import DomainError, MissingPropertyError
 from .mechanics import (
     BeamGeometry,
     LumpedResonator,
@@ -243,18 +243,14 @@ def joule_offset(current: float, offset_coefficient: float = DEFAULT_OFFSET_COEF
     return offset_coefficient * _current_squared(current, "Joule offset c I^2")
 
 
-def fit_power_law_offset(points=OFFSET_CALIBRATION_POINTS) -> tuple[float, float]:
+def fit_power_law_offset() -> tuple[float, float]:
     """Two-point fit of offset = a*I^p, the alternate calibration mode.
 
-    The measured offsets do not sit on one quadratic, so this mode trades
-    the stated square law for exact agreement with both points. Returns
-    (coefficient a in V/A^p, exponent p).
+    The offsets measured at OFFSET_CALIBRATION_POINTS do not sit on one
+    quadratic, so this mode trades the stated square law for exact
+    agreement with both points. Returns (coefficient a in V/A^p, exponent p).
     """
-    (i1, v1), (i2, v2) = points
-    if min(i1, v1, i2, v2) <= 0:
-        raise InvalidCalibrationError("offset calibration needs positive points")
-    if i1 == i2:
-        raise InvalidCalibrationError("offset calibration needs distinct currents")
+    (i1, v1), (i2, v2) = OFFSET_CALIBRATION_POINTS
     exponent = math.log(v2 / v1) / math.log(i2 / i1)
     coefficient = v1 / i1**exponent
     return coefficient, exponent

@@ -635,6 +635,21 @@ def test_cold_import_loads_no_scipy():
     assert _fresh_lines(code) == ["[]"]
 
 
+def test_cold_anneal_stress_loads_no_numpy():
+    # solve_static comes last and must load numpy, which shows that the
+    # listing would catch an import.
+    code = (
+        "import sys, memsmag\n"
+        "print(memsmag.anneal_stress(700.0))\n"
+        f"print({_HEAVY_MODULES})\n"
+        "memsmag.solve_static(memsmag.default_scenario().sensor.support_beam, 50, 1e-6)\n"
+        f"print({_HEAVY_MODULES})\n"
+    )
+    lines = _fresh_lines(code)
+    assert lines[:2] == ["150000000.0", "[]"]
+    assert lines[2].startswith("['numpy'")
+
+
 def test_cold_optimize_loads_no_scipy(tmp_path):
     argv = ["optimize", "--config", _empty_config(tmp_path), "--param", "drive.amplitude:0.001:0.012"]
     code = f"import sys; from memsmag.cli import main; print(main({argv!r})); print({_HEAVY_MODULES})"

@@ -415,8 +415,36 @@ def test_steady_state_rejects_decaying_signal():
     )
     with pytest.raises(UnsettledError):
         steady_state_amplitude(series)
-    with pytest.raises(ValueError):
-        steady_state_amplitude(series, settle_fraction=1.0)
+
+
+def _series(x, dt=1e-3, drive_period=None):
+    x = np.asarray(x, dtype=float)
+    t = np.arange(len(x)) * dt
+    return TimeSeries(dt=dt, time=t, displacement=x, velocity=np.zeros_like(t),
+                      output_voltage=3.0 * x, drive_period=drive_period)
+
+
+def test_steady_state_needs_a_long_enough_tail():
+    # The first half of the record is discarded: 5 samples keep 3.
+    with pytest.raises(ValueError, match="too few samples after settling"):
+        steady_state_amplitude(_series([0.0, 1.0, -1.0, 1.0, -1.0]))
+    # A square drive needs two whole periods in the tail: 100 samples keep
+    # 50, and a 30-sample period needs 60.
+    square = _series(np.sin(np.arange(100) * 2.0 * math.pi / 30.0), drive_period=30e-3)
+    with pytest.raises(ValueError, match="shorter than two drive periods"):
+        steady_state_amplitude(square)
+
+
+def test_steady_state_of_a_dc_record_compares_tail_halves():
+    # A settled dc record: each half of the tail swings by the same ripple.
+    x = 2e-9 + 1e-12 * np.cos(np.arange(400) * math.pi / 10.0)
+    steady = steady_state_amplitude(_series(x))
+    assert steady.displacement == pytest.approx(1e-12, rel=1e-9)
+    assert steady.voltage == pytest.approx(3e-12, rel=1e-9)
+    # One half swinging twice as far is not settled.
+    x[300:] = 2e-9 + 2e-12 * np.cos(np.arange(100) * math.pi / 10.0)
+    with pytest.raises(UnsettledError):
+        steady_state_amplitude(_series(x))
 
 
 def test_timeseries_csv_roundtrip(tmp_path):

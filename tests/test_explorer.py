@@ -628,6 +628,10 @@ def test_sweep_point_cap_allocates_nothing(monkeypatch):
         with pytest.raises(ValueError, match=f"steps must be between 2 and {explorer.MAX_SWEEP_POINTS}"):
             sweep(default_scenario("lorentz"), "drive.amplitude", 1e-3, 1e-2,
                   explorer.MAX_SWEEP_POINTS + 1, scale)
+        # A float or bool count is refused by name, not by range()'s TypeError.
+        for steps in (5.0, True):
+            with pytest.raises(ValueError, match=f"steps must be an integer, got {steps!r}"):
+                sweep(default_scenario("lorentz"), "drive.amplitude", 1e-3, 1e-2, steps, scale)
 
 
 def test_optimize_trace_records_every_point():
@@ -952,8 +956,15 @@ def _surfaces(dim: int) -> dict:
         # a tie that a sorting network reorders.
         return 0.0 if math.fsum(x[1:]) > 0.5 * dim - 0.49 else 1.0
 
+    phases = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(dim)]
+
+    def ripple(x):
+        # Local minima a step apart: outside contractions land uphill of the
+        # reflection and the simplex shrinks.
+        return bowl(x) + 0.3 * math.fsum(math.sin(17.0 * v + p) for v, p in zip(x, phases))
+
     return {"bowl": bowl, "terraces": terraces, "steps": steps, "flat": lambda x: 1.0,
-            "nan": holes}
+            "nan": holes, "ripple": ripple}
 
 
 def _start_simplex(z0) -> list:
@@ -974,7 +985,7 @@ def _evaluated_points(minimizer, surface, simplex, maxfev):
     return points, final
 
 
-@pytest.mark.parametrize("surface", ["bowl", "terraces", "steps", "flat", "nan"])
+@pytest.mark.parametrize("surface", ["bowl", "terraces", "steps", "flat", "nan", "ripple"])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_nelder_mead_evaluates_scipys_points(scipy_nelder_mead, dim, surface):
     func = _surfaces(dim)[surface]

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -107,3 +108,5 @@ def test_material_invariants(kwargs):
 def test_layer_needs_positive_thickness():
     with pytest.raises(ValueError):
         LayerSpec(material=builtin_material("silicon"), thickness=0.0)
+    with pytest.raises(ValueError, match="thickness"):
+        LayerSpec(material=builtin_material("silicon"), thickness=math.nan)

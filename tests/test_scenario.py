@@ -149,6 +149,40 @@ def test_override_violations():
         build_scenario({"material_overrides": {"silicon": {"sparkle": 1.0}}})
 
 
+@pytest.mark.parametrize(
+    "tree, violation",
+    [
+        ({"sensor": 5}, "sensor: expected a mapping"),
+        ({"sensor": {"kind": "bogus"}},
+         "sensor.kind: must be one of ('lorentz', 'ferro'), got 'bogus'"),
+        ({"material_overrides": 5}, "material_overrides: expected a mapping"),
+        ({"material_overrides": {"silicon": 5}},
+         "material_overrides.silicon: expected a mapping of material fields"),
+        ({"sensor": {"support_beam": {"layers": [{"material": "silicon"}]}}},
+         "sensor.support_beam.layers[0].thickness: missing"),
+        (5, "top level: expected a mapping"),
+    ],
+)
+def test_malformed_sections_name_one_violation(tree, violation):
+    with pytest.raises(ValidationError) as excinfo:
+        build_scenario(tree)
+    assert excinfo.value.violations == [violation]
+
+
+def test_null_tree_and_null_overrides_build_the_default():
+    default = default_scenario("lorentz").sensor
+    assert build_scenario(None).sensor == default
+    assert build_scenario({"material_overrides": None}).sensor == default
+
+
+@pytest.mark.parametrize("tree", [[], 0, "", False])
+def test_falsy_top_level_is_not_an_empty_tree(tree):
+    # Only None stands for the empty tree, as an empty file does in load_scenario.
+    with pytest.raises(ValidationError) as excinfo:
+        build_scenario(tree)
+    assert excinfo.value.violations == ["top level: expected a mapping"]
+
+
 def test_share_count_validation():
     with pytest.raises(ValidationError, match="expected an integer"):
         build_scenario({"sensor": {"load_share_count": 2.5}})
