@@ -16,10 +16,9 @@ shrinks the truncation error with no roundoff growing behind it. Only
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
-from .errors import SingularSystemError
+from .errors import DomainError, SingularSystemError
 from .mechanics import BeamGeometry, composite_section
 
 MIN_GRID_SIZE = 50
@@ -183,10 +182,14 @@ def convergence_order(geom: BeamGeometry, grids: list[int], tip_force: float) ->
 def _fitted_order(length: float, grids: list[int], tips: list[float]) -> float:
     """Least-squares slope of log(tip change) against log(h), coarse to fine."""
     xs = [math.log(length / (g - 1)) for g in grids[:-1]]
-    ys = [
-        math.log(max(abs(coarse - fine), sys.float_info.min))
-        for coarse, fine in zip(tips, tips[1:])
-    ]
+    ys = []
+    for coarse, fine, grid, finer in zip(tips, tips[1:], grids, grids[1:]):
+        if coarse == fine:  # a subnormal load rounds the change away
+            raise DomainError(
+                f"tip deflection {fine!r} m does not change from the {grid}-node grid to"
+                f" the {finer}-node grid: no convergence order to fit"
+            )
+        ys.append(math.log(abs(coarse - fine)))
     x_mean = sum(xs) / len(xs)
     y_mean = sum(ys) / len(ys)
     num = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))

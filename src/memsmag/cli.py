@@ -10,7 +10,8 @@ import math
 import os
 import sys
 
-from .dynamics import MAX_TRANSIENT_STEPS, frequency_response, simulate_transient
+from .dynamics import MAX_TRANSIENT_STEPS, MIN_DRIVE_PERIODS, MIN_STEPS_PER_PERIOD
+from .dynamics import frequency_response, simulate_transient
 from .errors import DomainError, MemsmagError, ParseError, UnknownPathError, ValidationError
 from .scenario import Scenario, load_scenario
 from .explorer import (
@@ -105,14 +106,6 @@ def _cmd_freq_response(args) -> int:
     f0 = resonator.natural_frequency
     f_min = f0 / 10.0 if args.f_min is None else args.f_min
     f_max = f0 * 10.0 if args.f_max is None else args.f_max
-    # A default end the resonance puts out of range is a runtime failure that
-    # names the resonance and the flag that overrides it, as for transient.
-    for flag, value, given in (("--f-min", f_min, args.f_min), ("--f-max", f_max, args.f_max)):
-        if given is None and not 0 < value < math.inf:
-            raise DomainError(
-                f"freq-response: with the resonant frequency {f0!r} Hz, the default {flag}"
-                f" is {value!r} Hz; give {flag}"
-            )
     if not 0 < f_min < f_max < math.inf:
         raise ValueError(f"need finite 0 < --f-min < --f-max, got {f_min!r} and {f_max!r}")
     lines = ["frequency_Hz,amplitude_m_per_N,phase_rad"]
@@ -128,24 +121,26 @@ def _transient_span(args, resonator, drive) -> tuple:
     """(duration, dt): the flags where given, else 20 periods of the square
     drive (or of the resonance) and 1/200 of the shorter period.
 
-    A default the scenario puts out of range is a runtime failure that names
-    the frequencies it comes from and the flag that overrides it; a given
-    flag is checked by simulate_transient.
+    A square drive so slow that no run within the step cap covers its
+    periods at the step bound is a runtime failure that names both
+    frequencies; so is a default run over the cap, which names the flags
+    that override it. A given flag is checked by simulate_transient.
     """
-    # A resonance that underflowed to 0 Hz has no period; the check below names it.
     f0 = resonator.natural_frequency
-    period = 1.0 / f0 if f0 > 0.0 else math.inf
+    period = 1.0 / f0
     source = f"the resonant frequency {f0!r} Hz"
     if drive.waveform == "square":
         source = f"drive.frequency {drive.frequency!r} Hz and {source}"
+        fewest = MIN_DRIVE_PERIODS * MIN_STEPS_PER_PERIOD * f0 / drive.frequency
+        if fewest > MAX_TRANSIENT_STEPS:
+            raise DomainError(
+                f"transient: with {source}, {MIN_DRIVE_PERIODS} drive periods at dt <="
+                f" 1/({MIN_STEPS_PER_PERIOD} f0) take {fewest:.3e} steps, over the cap of"
+                f" {MAX_TRANSIENT_STEPS}"
+            )
         duration, dt = 20.0 / drive.frequency, min(period, 1.0 / drive.frequency) / 200.0
     else:
         duration, dt = 20.0 * period, period / 200.0
-    for flag, value, given in (("--duration", duration, args.duration), ("--dt", dt, args.dt)):
-        if given is None and not 0 < value < math.inf:
-            raise DomainError(
-                f"transient: with {source}, the default {flag} is {value!r} s; give {flag}"
-            )
     if args.duration is None and args.dt is None and duration / dt > MAX_TRANSIENT_STEPS:
         raise DomainError(
             f"transient: with {source}, the default run takes {duration / dt:.3e} steps, over "

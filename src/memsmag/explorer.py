@@ -462,12 +462,17 @@ def optimize(
     deterministic restart set covers 2^d + 1 basins. Constraint violations
     and failed evaluations get a death penalty scaled by the relative
     violation. The best returned is always the best feasible point actually
-    evaluated; Infeasible is raised when there is none.
+    evaluated; Infeasible is raised when there is none. Each free parameter
+    must name a different field.
     """
     params = [_normalize_parameter(p) for p in free_parameters]
     if not 1 <= len(params) <= MAX_FREE_PARAMETERS:
         raise ValueError(f"need 1..{MAX_FREE_PARAMETERS} free parameters")
     fields = [_resolve_path(scenario.tree, path) for path, _, _ in params]
+    for i, steps in enumerate(fields):
+        if steps in fields[:i]:
+            first = params[fields.index(steps)][0]
+            raise ValueError(f"{params[i][0]}: the same field as the free parameter {first}")
     limits = _constraint_limits(constraints)
     score = _objective_fn(objective)
     dim = len(params)

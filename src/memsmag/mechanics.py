@@ -62,6 +62,15 @@ class LumpedResonator:
     quality_factor: float
     damping: float  # N*s/m
 
+    def __post_init__(self):
+        # Frequency ratios, periods and step bounds all divide by f0; a plate
+        # mass that overflows to inf leaves 0 Hz.
+        if not 0.0 < self.natural_frequency < math.inf:
+            raise DomainError(
+                f"resonant frequency {self.natural_frequency!r} Hz is outside (0, inf) Hz:"
+                f" stiffness {self.stiffness!r} N/m, effective mass {self.effective_mass!r} kg"
+            )
+
 
 @dataclass
 class LiftProfile:

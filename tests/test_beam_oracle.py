@@ -6,6 +6,7 @@ import pytest
 
 from memsmag import (
     BeamGeometry,
+    DomainError,
     LayerSpec,
     SingularSystemError,
     builtin_material,
@@ -174,6 +175,10 @@ def test_convergence_order_argument_checks():
         convergence_order(_beam(), [100, 200], tip_force=1e-6)
     with pytest.raises(ValueError):
         convergence_order(_beam(), [100, 200, 400], tip_force=0.0)
+    # A subnormal load's tip deflections round to 0 on every grid.
+    with pytest.raises(DomainError, match=r"^tip deflection 0.0 m does not change from the"
+                       r" 100-node grid to the 200-node grid"):
+        convergence_order(_beam(), [100, 200, 400], tip_force=5e-324)
 
 
 def test_composite_stack_deflection_matches_closed_form():

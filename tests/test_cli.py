@@ -317,15 +317,19 @@ def test_transient_zero_or_nan_flag_is_invalid_input(tmp_path, capsys, flags):
 
 
 @pytest.mark.parametrize("frequency, error", [
-    ("5.0e-324", "the default --duration is inf s; give --duration"),
-    ("1.0e-300", "the default run takes 2.309e+307 steps, over the cap of 10000000; "
-                 "give --duration and --dt"),
-], ids=["duration-overflows", "over-step-cap"])
+    # 10 drive periods at dt <= 1/(50 f0) are over the cap, so no flag can help.
+    ("5.0e-324", "10 drive periods at dt <= 1/(50 f0) take inf steps, over the cap of 10000000"),
+    ("1.0e-300", "10 drive periods at dt <= 1/(50 f0) take 2.887e+306 steps, over the cap of"
+                 " 10000000"),
+    # Only the default is over the cap: --duration 10 --dt 3e-6 would run.
+    ("1.0", "the default run takes 2.309e+07 steps, over the cap of 10000000; "
+            "give --duration and --dt"),
+], ids=["duration-overflows", "over-step-cap", "default-over-step-cap"])
 def test_transient_default_out_of_range_is_a_named_runtime_failure(
     tmp_path, capsys, frequency, error
 ):
-    # The config is valid and no flag was given: the default the scenario
-    # derives is at fault, not the input.
+    # The config is valid and no flag was given: the scenario is at fault,
+    # not the input.
     path = tmp_path / "scenario.yaml"
     path.write_text(f"drive: {{frequency: {frequency}}}")
     scenario = default_scenario("lorentz")
@@ -467,6 +471,15 @@ def test_optimize_bad_param_spec(tmp_path):
     assert code == 1
 
 
+def test_optimize_repeated_param_is_invalid_input(tmp_path, capsys):
+    argv = ["optimize", "--config", _empty_config(tmp_path),
+            "--param", "noise_band[0]:1:2", "--param", "noise_band[00]:1:3"]
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "", "error: noise_band[00]: the same field as the free parameter noise_band[0]\n"
+    )
+
+
 @pytest.mark.parametrize("command, flag", [
     ("sweep", ["--path", "drive.bogus", "--start", "1", "--stop", "2", "--steps", "2"]),
     ("optimize", ["--param", "drive.bogus:1:2"]),
@@ -565,21 +578,14 @@ _JOULE_OVERFLOW = (
        "OverflowError: flexural rigidity EI leaves the float range at beam width 1.7e+308 m"
        " and layer thicknesses 1e-07, 2.8e-07, 1e-06 m")
       for command in ("simulate", "verify", "transient")),
-    # The plate's mass overflows, so the resonance underflows to 0 Hz.
-    ("transient", "sensor: {kind: ferro, plate_length: 1.0e+300, plate_width: 1.0e+300}",
-     "transient: with the resonant frequency 0.0 Hz, the default --duration is inf s;"
-     " give --duration"),
-    ("transient --duration 1e-3 --dt 1e-6",
-     "sensor: {kind: ferro, plate_length: 1.0e+300, plate_width: 1.0e+300}",
-     "resonant frequency 0.0 Hz at effective mass inf kg: the step bound"
-     " dt <= 1/(50 f0) is undefined"),
-    ("freq-response", "sensor: {kind: ferro, plate_length: 1.0e+300, plate_width: 1.0e+300}",
-     "freq-response: with the resonant frequency 0.0 Hz, the default --f-min is 0.0 Hz;"
-     " give --f-min"),
-    ("freq-response --f-min 1 --f-max 10",
-     "sensor: {kind: ferro, plate_length: 1.0e+300, plate_width: 1.0e+300}",
-     "resonant frequency 0.0 Hz at effective mass inf kg: the frequency ratio f / f0"
-     " is undefined"),
+    # The plate's mass overflows, so the resonance underflows to 0 Hz, with
+    # or without the flags that set a span or a range.
+    *((command, "sensor: {kind: ferro, plate_length: 1.0e+300, plate_width: 1.0e+300}",
+       f"{stage}resonant frequency 0.0 Hz is outside (0, inf) Hz: stiffness 0.046935 N/m,"
+       " effective mass inf kg")
+      for command, stage in (("simulate", "mechanics: "), ("noise", "mechanics: "),
+                             ("transient", ""), ("transient --duration 1e-3 --dt 1e-6", ""),
+                             ("freq-response", ""), ("freq-response --f-min 1 --f-max 10", ""))),
     # A stressed layer's lift: the curvature, then the tip angle kappa l.
     ("simulate", "material_overrides: {aluminum: {youngs_modulus: 1.0}}\n"
      "sensor: {support_beam: {layers: [{material: silicon, thickness: 1.0e-15},"
@@ -595,6 +601,7 @@ _JOULE_OVERFLOW = (
         "noise-beam-width", "transient-suspension-width", "simulate-beam-rigidity",
         "noise-beam-rigidity", "verify-beam-rigidity", "simulate-beam-width-overflow",
         "verify-beam-width-overflow", "transient-beam-width-overflow",
+        "simulate-zero-resonance", "noise-zero-resonance",
         "transient-zero-resonance", "transient-zero-resonance-given-span",
         "freq-response-zero-resonance", "freq-response-zero-resonance-given-range",
         "simulate-stack-curvature", "simulate-stack-tip-angle"])

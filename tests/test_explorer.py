@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import math
 import random
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -598,6 +599,11 @@ def test_optimize_argument_errors():
         optimize(scenario, [("drive.amplitude", 1e-3, 2e-3)], objective="bogus")
     with pytest.raises(UnknownPathError):
         optimize(scenario, [("drive.bogus", 1e-3, 2e-3)])
+    # One field twice, however its index is spelled, is refused before a point runs.
+    for paths in (("drive.amplitude",) * 2, ("noise_band[0]", "noise_band[00]")):
+        with pytest.raises(ValueError, match=rf"^{re.escape(paths[1])}: the same field as the"
+                           rf" free parameter {re.escape(paths[0])}$"):
+            optimize(scenario, [(paths[0], 1e-3, 5e-2), (paths[1], 1e-3, 2e-3)])
 
 
 @pytest.mark.parametrize("constraints, message", [

@@ -151,6 +151,12 @@ def test_resonator_argument_checks():
         lumped_resonator(geom, quality_factor=0.5)
     with pytest.raises(ValueError):
         lumped_resonator(geom, 30.0, tip_mass=-1e-9)
+    # A resonance outside (0, inf) Hz is refused however the record is built.
+    good = lumped_resonator(geom, 30.0)
+    for f0 in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match=rf"^resonant frequency {f0!r} Hz is outside"
+                           r" \(0, inf\) Hz: stiffness .* N/m, effective mass .* kg$"):
+            dataclasses.replace(good, natural_frequency=f0)
 
 
 def test_underflowing_stiffness_is_a_named_domain_error():
