@@ -20,12 +20,10 @@ from .errors import (
 )
 from .materials import (
     BUILTIN_NAMES,
-    CAPABILITY_FIELDS,
     LayerSpec,
     Material,
     builtin_material,
     override_material,
-    validate_for,
 )
 from .mechanics import (
     DEFAULT_ANNEAL_TABLE,

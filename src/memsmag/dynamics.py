@@ -79,8 +79,8 @@ def frequency_response(resonator: LumpedResonator, frequency: float) -> Frequenc
     amplitude = (1/k) / sqrt((1 - r^2)^2 + (r/Q)^2) with r = f/f0; the
     phase lags from 0 at dc toward -pi far above resonance.
     """
-    if frequency <= 0:
-        raise ValueError("frequency must be > 0")
+    if not 0 < frequency < math.inf:
+        raise ValueError("frequency must be > 0 and finite")
     r = frequency / resonator.natural_frequency
     q = resonator.quality_factor
     amplitude = (1.0 / resonator.stiffness) / math.hypot(1.0 - r * r, r / q)
@@ -143,8 +143,8 @@ def simulate_transient(
             f"{1.0 / (MIN_STEPS_PER_PERIOD * f0):.3e} s"
         )
     if drive.waveform == "square":
-        if drive.frequency <= 0:
-            raise ValueError("square drive needs frequency > 0")
+        if not 0 < drive.frequency < math.inf:
+            raise ValueError("square drive needs a frequency > 0 and finite")
         if duration < MIN_DRIVE_PERIODS / drive.frequency:
             raise ValueError(f"duration must cover at least {MIN_DRIVE_PERIODS} drive periods")
         period = 1.0 / drive.frequency

@@ -30,7 +30,8 @@ class UnsupportedStackError(MemsmagError):
 
 
 class SingularSystemError(MemsmagError):
-    """The finite-difference linear system could not be solved."""
+    """The finite-difference beam system is not well posed in floats: its
+    squared grid step underflows to 0, or its load terms are not finite."""
 
 
 class StepTooLargeError(MemsmagError):

@@ -8,12 +8,7 @@ scenario config instead of silently edited here.
 
 from dataclasses import dataclass, field, fields, replace
 
-from .errors import MissingPropertyError, NotFoundError
-
-# Optional properties each capability needs at call time.
-CAPABILITY_FIELDS = {
-    "piezoresistive": ("pi_longitudinal", "hooge_alpha", "carrier_density"),
-}
+from .errors import NotFoundError
 
 
 def requirement(ge=None, gt=None) -> str:
@@ -31,8 +26,8 @@ class Material:
     """One film material. SI units throughout; optional fields may be None.
 
     A set field is held at construction to the bound its metadata declares;
-    optional fields are only required when an operation needs them (see
-    validate_for).
+    optional fields are only required where a record reads them (a gauge
+    film needs the piezoresistive ones, see transduction.GaugeSpec).
     """
 
     name: str
@@ -131,19 +126,6 @@ def builtin_material(name: str) -> Material:
         raise NotFoundError(
             f"unknown material '{name}'; valid names: {', '.join(BUILTIN_NAMES)}"
         ) from None
-
-
-def validate_for(material: Material, capability: str) -> None:
-    """Raise MissingPropertyError unless `material` supports `capability`."""
-    try:
-        needed = CAPABILITY_FIELDS[capability]
-    except KeyError:
-        raise NotFoundError(
-            f"unknown capability '{capability}'; valid: {', '.join(CAPABILITY_FIELDS)}"
-        ) from None
-    missing = [f for f in needed if getattr(material, f) is None]
-    if missing:
-        raise MissingPropertyError(material.name, missing)
 
 
 def override_material(base: Material, **overrides) -> Material:

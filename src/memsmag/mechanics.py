@@ -188,9 +188,9 @@ def lumped_resonator(
     k = 3EI/l^3, m_eff = (33/140)*m'*l plus any rigid tip mass (a plate
     carried at the free end), D = sqrt(k*m_eff)/Q.
     """
-    if quality_factor <= 0.5:
+    if not quality_factor > 0.5:
         raise ValueError("quality_factor must be > 0.5")
-    if tip_mass < 0:
+    if not tip_mass >= 0:
         raise ValueError("tip_mass must be >= 0")
     section = composite_section(geom)
     try:

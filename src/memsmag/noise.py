@@ -10,7 +10,7 @@ field.
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, MissingPropertyError
+from .errors import DomainError
 from .mechanics import LumpedResonator
 from .transduction import Environment, GaugeSpec, SensorDesign
 
@@ -29,7 +29,7 @@ class NoiseBudget:
     min_detectable_field: float  # T
 
     def flicker_psd_at(self, frequency: float) -> float:
-        if frequency <= 0:
+        if not frequency > 0:
             raise DomainError(f"frequency must be > 0, got {frequency}")
         return self.flicker_scale / frequency
 
@@ -58,10 +58,7 @@ def thermal_mechanical_psd(damping: float, temperature: float) -> float:
 
 def carrier_count(gauge: GaugeSpec) -> float:
     """Free carriers in the gauge volume, l*w*t*carrier_density."""
-    density = gauge.material.carrier_density
-    if density is None:
-        raise MissingPropertyError(gauge.material.name, ("carrier_density",))
-    return gauge.length * gauge.width * gauge.thickness * density
+    return gauge.length * gauge.width * gauge.thickness * gauge.material.carrier_density
 
 
 def rms_noise(white_psd: float, flicker_scale: float, band: tuple) -> float:
@@ -104,16 +101,14 @@ def noise_budget(
 ) -> NoiseBudget:
     """Full budget at the bridge output for one operating point.
 
-    Flicker needs the gauge material's Hooge alpha and carrier density; the
-    mechanical term uses the damping of `resonator`, which should be the
-    design's own, design.resonator(Q), referred through the bridge volts
-    per unit tip force. `sensitivity` (V/T) should be the design's own,
-    transduction.sensitivity(design, drive, env); the SNR and the minimum
-    detectable field scale with it.
+    Flicker reads the gauge film's Hooge alpha and carrier density, which
+    GaugeSpec requires of its film; the mechanical term uses the damping of
+    `resonator`, which should be the design's own, design.resonator(Q),
+    referred through the bridge volts per unit tip force. `sensitivity`
+    (V/T) should be the design's own, transduction.sensitivity(design,
+    drive, env); the SNR and the minimum detectable field scale with it.
     """
     gauge = design.gauge
-    if gauge.material.hooge_alpha is None:
-        raise MissingPropertyError(gauge.material.name, ("hooge_alpha",))
     alpha = gauge.material.hooge_alpha
     # Each half bridge divides the bias, so the active gauge sees half.
     voltage = design.bridge_bias / 2.0

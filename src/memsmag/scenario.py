@@ -25,7 +25,6 @@ from .materials import (
     builtin_material,
     override_material,
     requirement,
-    validate_for,
     within,
 )
 from .mechanics import BeamGeometry
@@ -244,11 +243,11 @@ def _material(name, path, violations, materials):
 
 
 def _film(name, path, violations, materials):
-    """The gauge film: a material that has the piezoresistive properties."""
+    """The gauge film: a material that GaugeSpec.check_film accepts."""
     film = _material(name, path, violations, materials)
     if film is not None:
         try:
-            validate_for(film, "piezoresistive")
+            GaugeSpec.check_film(film)
         except MissingPropertyError as exc:
             violations.append(f"{path}: {exc}")
     return film

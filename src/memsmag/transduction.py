@@ -31,15 +31,31 @@ OFFSET_CALIBRATION_POINTS = ((10e-3, 0.03e-3), (50e-3, 0.1e-3))
 END_MOMENT_TIP_FORCE = 1.5  # tip force per unit M0/l
 
 
-@dataclass
+@dataclass(frozen=True)
 class GaugeSpec:
-    """Piezoresistive gauge at the anchor, one active arm of the bridge."""
+    """Piezoresistive gauge at the anchor, one active arm of the bridge.
+
+    Its film must set FILM_FIELDS: pi_l for the bridge, Hooge's alpha and
+    the carrier density for the flicker noise.
+    """
+
+    FILM_FIELDS = ("pi_longitudinal", "hooge_alpha", "carrier_density")
 
     length: float = field(metadata={"gt": 0})  # m
     width: float = field(metadata={"gt": 0})  # m
     thickness: float = field(metadata={"gt": 0})  # m
     resistance: float = field(metadata={"gt": 0})  # Ohm
     material: object  # Material supplying pi_l, flicker alpha, carrier density
+
+    def __post_init__(self):
+        self.check_film(self.material)
+
+    @staticmethod
+    def check_film(material) -> None:
+        """Raise MissingPropertyError naming each FILM_FIELDS entry `material` lacks."""
+        missing = [name for name in GaugeSpec.FILM_FIELDS if getattr(material, name) is None]
+        if missing:
+            raise MissingPropertyError(material.name, missing)
 
 
 @dataclass
@@ -90,7 +106,7 @@ class SensorDesign:
     def bridge_voltage(self, stress: float) -> float:
         """Bridge output for an anchor stress, through the design's gauge."""
         return bridge_output(
-            piezo_fractional_resistance(stress, _gauge_pi(self.gauge)),
+            piezo_fractional_resistance(stress, self.gauge.material.pi_longitudinal),
             self.bridge_bias,
         )
 
@@ -183,13 +199,6 @@ class FerroDesign(SensorDesign):
             env.field_angle + self.misalignment,
         )
         return END_MOMENT_TIP_FORCE * torque / self.suspension.length
-
-
-def _gauge_pi(gauge: GaugeSpec) -> float:
-    pi = gauge.material.pi_longitudinal
-    if pi is None:
-        raise MissingPropertyError(gauge.material.name, ("pi_longitudinal",))
-    return pi
 
 
 def lorentz_force(current: float, top_beam_length: float, field: float, angle: float) -> float:

@@ -52,8 +52,9 @@ def test_response_static_limit():
     point = frequency_response(res, res.natural_frequency * 1e-6)
     assert point.amplitude == pytest.approx(1.0 / res.stiffness, rel=1e-9)
     assert point.phase == pytest.approx(0.0, abs=1e-6)
-    with pytest.raises(ValueError):
-        frequency_response(res, 0.0)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="frequency must be > 0 and finite"):
+            frequency_response(res, bad)
 
 
 def _golden_max(fn, lo, hi):
@@ -188,10 +189,11 @@ def test_transient_argument_checks():
                            duration=0.1, dt=ok_dt)
     with pytest.raises(ValueError, match=f"cap of {MAX_TRANSIENT_STEPS} steps"):
         simulate_transient(*args, duration=1.0, dt=1e-320)
-    nofreq = Drive(waveform="square", amplitude=1e-3, frequency=0.0)
-    with pytest.raises(ValueError, match="frequency"):
-        simulate_transient(res, scenario.sensor, nofreq, scenario.environment,
-                           duration=0.1, dt=ok_dt)
+    for frequency in (0.0, math.nan, math.inf):
+        nofreq = Drive(waveform="square", amplitude=1e-3, frequency=frequency)
+        with pytest.raises(ValueError, match="frequency"):
+            simulate_transient(res, scenario.sensor, nofreq, scenario.environment,
+                               duration=0.1, dt=ok_dt)
 
 
 def _textbook_rk4(resonator, design, drive, env, duration, dt, x0, v0):

@@ -17,13 +17,12 @@ from memsmag import dynamics, explorer
 from memsmag import (
     DEFAULT_CONSTRAINTS,
     HIGH_CURRENT_WARNING,
+    DomainError,
     InfeasibleError,
     Material,
     MemsmagError,
-    MissingPropertyError,
     UnknownPathError,
     build_scenario,
-    builtin_material,
     composite_section,
     curl_tip_height,
     default_scenario,
@@ -145,11 +144,10 @@ def test_non_finite_reports_fail_their_sweep_points_and_optimizer_points():
 
 
 def test_stage_prefix_on_failures():
-    # Validation rejects a non-piezoresistive gauge film, so swap it in
-    # after the build to reach the runtime failure.
-    scenario = default_scenario("lorentz")
-    scenario.sensor.gauge.material = builtin_material("silicon_nitride")
-    with pytest.raises(MissingPropertyError, match="transduction: material"):
+    # A validated temperature that underflows the Johnson PSD fails at run
+    # time, and the error names the stage it failed in.
+    scenario = build_scenario({"environment": {"temperature": 1.0e-320}})
+    with pytest.raises(DomainError, match=r"^noise: Johnson PSD"):
         run_scenario(scenario)
 
 

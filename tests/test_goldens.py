@@ -10,8 +10,8 @@ on purpose (a new stopping rule) regenerates those two files. `verify` is
 pinned too: its beam solves are exact integer arithmetic and its order fit
 uses only `math`, so no LAPACK build moves its digits. `freq-response` is
 pinned: its frequency grid is plain Python, so no numpy build moves its
-digits. `transient` is left out because its output is due to change on
-purpose.
+digits. `transient` is left out: its block step products go through
+numpy's `matmul`, so its last digits can depend on the BLAS build.
 
 Regenerate every golden file, after a deliberate change, with
 

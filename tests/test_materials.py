@@ -5,6 +5,7 @@ import pytest
 
 from memsmag import (
     BUILTIN_NAMES,
+    GaugeSpec,
     LayerSpec,
     Material,
     MissingPropertyError,
@@ -12,7 +13,6 @@ from memsmag import (
     builtin_material,
     default_tree,
     override_material,
-    validate_for,
 )
 
 
@@ -47,7 +47,7 @@ def test_unknown_material():
 
 def test_nitride_is_not_piezoresistive():
     with pytest.raises(MissingPropertyError) as info:
-        validate_for(builtin_material("silicon_nitride"), "piezoresistive")
+        GaugeSpec.check_film(builtin_material("silicon_nitride"))
     assert info.value.material_name == "silicon_nitride"
     # Insulator: every piezoresistive property is absent, all are reported.
     assert set(info.value.missing) == {
@@ -58,13 +58,8 @@ def test_nitride_is_not_piezoresistive():
 
 
 def test_capability_checks_pass_for_catalog_roles():
-    validate_for(builtin_material("polysilicon"), "piezoresistive")
-    validate_for(builtin_material("silicon"), "piezoresistive")
-
-
-def test_unknown_capability():
-    with pytest.raises(NotFoundError, match="capability"):
-        validate_for(builtin_material("silicon"), "levitating")
+    GaugeSpec.check_film(builtin_material("polysilicon"))
+    GaugeSpec.check_film(builtin_material("silicon"))
 
 
 def test_override_returns_new_record():

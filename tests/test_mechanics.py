@@ -147,10 +147,12 @@ def test_resonator_tip_mass_lowers_frequency():
 
 def test_resonator_argument_checks():
     geom = _beam(500e-6, 20e-6, LayerSpec(SILICON, 2e-6))
-    with pytest.raises(ValueError):
-        lumped_resonator(geom, quality_factor=0.5)
-    with pytest.raises(ValueError):
-        lumped_resonator(geom, 30.0, tip_mass=-1e-9)
+    for q in (0.5, math.nan):
+        with pytest.raises(ValueError, match="quality_factor must be > 0.5"):
+            lumped_resonator(geom, quality_factor=q)
+    for mass in (-1e-9, math.nan):
+        with pytest.raises(ValueError, match="tip_mass must be >= 0"):
+            lumped_resonator(geom, 30.0, tip_mass=mass)
     # A resonance outside (0, inf) Hz is refused however the record is built.
     good = lumped_resonator(geom, 30.0)
     for f0 in (0.0, -1.0, math.inf, math.nan):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -80,10 +81,12 @@ def test_default_sensitivities():
 
 
 def test_sensitivity_needs_gauge_coefficient():
-    scenario = default_scenario("lorentz")
-    scenario.sensor.gauge.material = builtin_material("silicon_nitride")
+    gauge = default_scenario("lorentz").sensor.gauge
+    nitride = builtin_material("silicon_nitride")
     with pytest.raises(MissingPropertyError, match="pi_longitudinal"):
-        sensitivity(scenario.sensor, scenario.drive, scenario.environment)
+        dataclasses.replace(gauge, material=nitride)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        gauge.material = nitride
 
 
 def test_chain_identity():
@@ -203,8 +206,7 @@ def test_override_changes_gauge_response():
     scenario = default_scenario("lorentz")
     sensor = scenario.sensor
     base = sensitivity(sensor, scenario.drive, scenario.environment)
-    sensor.gauge.material = override_material(
-        sensor.gauge.material, pi_longitudinal=2.04e-9
-    )
+    material = override_material(sensor.gauge.material, pi_longitudinal=2.04e-9)
+    sensor.gauge = dataclasses.replace(sensor.gauge, material=material)
     doubled = sensitivity(sensor, scenario.drive, scenario.environment)
     assert doubled == pytest.approx(2 * base, rel=1e-9)
