@@ -464,6 +464,11 @@ def optimize(
     violation. The best returned is always the best feasible point actually
     evaluated; Infeasible is raised when there is none. Each free parameter
     must name a different field.
+
+    The trace keeps one record per evaluation. A point this call has
+    already evaluated is scored from its first evaluation, so each distinct
+    point is built and run once and a callable objective is called at most
+    once per distinct point (only feasible points are scored).
     """
     params = [_normalize_parameter(p) for p in free_parameters]
     if not 1 <= len(params) <= MAX_FREE_PARAMETERS:
@@ -479,6 +484,7 @@ def optimize(
 
     trace = []
     best = None  # (scenario, report, trace record) of the best feasible point
+    seen = {}  # physical point -> (value, feasible) of its first evaluation
 
     def evaluate(z):
         nonlocal best
@@ -486,17 +492,23 @@ def optimize(
         physical = tuple(
             float(lo + zi * (hi - lo)) for zi, (_, lo, hi) in zip(z, params)
         )
-        built, report, _ = _run_point(scenario, zip(fields, physical))
-        violation = 1.0 if report is None else _constraint_violation(report, limits)
-        feasible = violation == 0.0
-        value = score(report) if feasible else _PENALTY * (1.0 + violation)
+        first = physical not in seen
+        if first:
+            built, report, _ = _run_point(scenario, zip(fields, physical))
+            violation = 1.0 if report is None else _constraint_violation(report, limits)
+            feasible = violation == 0.0
+            value = score(report) if feasible else _PENALTY * (1.0 + violation)
+            seen[physical] = value, feasible
+        else:
+            value, feasible = seen[physical]
         record = {
             "params": {p: x for (p, _, _), x in zip(params, physical)},
             "objective": value,
             "feasible": feasible,
         }
         trace.append(record)
-        if feasible and (best is None or value < best[2]["objective"]):
+        # A repeat scored no better than its first visit, so it cannot become best.
+        if first and feasible and (best is None or value < best[2]["objective"]):
             best = built, report, record
         return value
 

@@ -162,7 +162,7 @@ def max_anchor_stress(
 
     The tip load is shared by `load_share_count` anchored beams.
     """
-    if load_share_count < 1:
+    if not load_share_count >= 1:
         raise ValueError("load_share_count must be >= 1")
     try:
         square = thickness**2

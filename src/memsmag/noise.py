@@ -40,7 +40,7 @@ class NoiseBudget:
 
 def thermal_electrical_psd(resistance: float, temperature: float) -> float:
     """Johnson voltage PSD 4*k_b*T*R."""
-    if resistance <= 0 or temperature <= 0:
+    if not resistance > 0 or not temperature > 0:
         raise ValueError("resistance and temperature must be > 0")
     return 4.0 * BOLTZMANN * temperature * resistance
 
@@ -51,7 +51,7 @@ def thermal_mechanical_psd(damping: float, temperature: float) -> float:
     Referral to output volts multiplies by the squared static
     force-to-voltage gain of the transduction chain.
     """
-    if damping < 0 or temperature <= 0:
+    if not damping >= 0 or not temperature > 0:
         raise ValueError("damping must be >= 0 and temperature > 0")
     return 4.0 * BOLTZMANN * temperature * damping
 
@@ -78,7 +78,7 @@ def min_detectable_field(sensitivity: float, rms: float, snr_target: float = 1.0
 
     The sign of the sensitivity only says which way the output swings.
     """
-    if sensitivity == 0:
+    if not abs(sensitivity) > 0:
         raise DomainError("sensitivity must be nonzero to resolve a field")
     return snr_target * rms / abs(sensitivity)
 

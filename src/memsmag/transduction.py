@@ -208,7 +208,7 @@ def lorentz_force(current: float, top_beam_length: float, field: float, angle: f
 
 def ferro_torque(magnetization: float, plate_volume: float, field: float, angle: float) -> float:
     """Torque magnitude (M*V)*B*sin(angle) on the magnetized plate."""
-    if plate_volume <= 0:
+    if not plate_volume > 0:
         raise ValueError("plate_volume must be > 0")
     return magnetization * plate_volume * field * math.sin(angle)
 
@@ -220,7 +220,7 @@ def piezo_fractional_resistance(stress: float, pi_longitudinal: float) -> float:
 
 def bridge_output(fractional_resistance: float, bias: float) -> float:
     """Single-active-arm Wheatstone output V_bias * (ΔR/R) / 4."""
-    if bias <= 0:
+    if not bias > 0:
         raise ValueError("bridge bias must be > 0")
     return bias * fractional_resistance / 4.0
 
@@ -247,7 +247,7 @@ def _current_squared(current: float, figure: str) -> float:
 
 def joule_offset(current: float, offset_coefficient: float = DEFAULT_OFFSET_COEFFICIENT) -> float:
     """Field-independent bridge offset c*I^2 from drive self-heating."""
-    if offset_coefficient < 0:
+    if not offset_coefficient >= 0:
         raise ValueError("offset_coefficient must be >= 0")
     return offset_coefficient * _current_squared(current, "Joule offset c I^2")
 
@@ -276,7 +276,7 @@ def joule_temperature_rise(
     current: float, loop_resistance: float, thermal_resistance: float
 ) -> float:
     """Loop temperature rise I^2*R_loop*R_th in kelvin."""
-    if min(current, loop_resistance, thermal_resistance) < 0:
+    if not (current >= 0 and loop_resistance >= 0 and thermal_resistance >= 0):
         raise ValueError("current, loop_resistance, thermal_resistance must be >= 0")
     square = _current_squared(current, "temperature rise I^2 R_loop R_th")
     return square * loop_resistance * thermal_resistance

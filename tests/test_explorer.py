@@ -539,8 +539,51 @@ def test_optimize_keeps_the_scenario_it_built(monkeypatch):
         [("drive.amplitude", 1e-3, 12e-3)],
         objective="sensitivity",
     )
-    assert len(builds) == len(result.trace)
+    # A point the search revisits is scored from its first evaluation.
+    assert len(builds) == len({tuple(e["params"].values()) for e in result.trace})
     assert result.report.scenario is result.best.tree
+
+
+def test_optimize_runs_each_distinct_point_once(monkeypatch):
+    scenario = default_scenario("lorentz")
+    params = [("drive.amplitude", 1e-3, 50e-3)]
+    fields = [explorer._resolve_path(scenario.tree, path) for path, _, _ in params]
+    limits = explorer._constraint_limits(None)
+    run_point = explorer._run_point
+    runs = []
+
+    def counted_run(scenario, edits):
+        edits = list(edits)
+        runs.append(tuple(value for _, value in edits))
+        return run_point(scenario, edits)
+
+    scores = []
+
+    def sensitivity(report):
+        scores.append(report)
+        return -report.sensitivity
+
+    monkeypatch.setattr(explorer, "_run_point", counted_run)
+    result = optimize(scenario, params, sensitivity)
+    points = [tuple(e["params"].values()) for e in result.trace]
+    assert (len(points), len(set(points))) == (1200, 349)
+    assert sorted(runs) == sorted(set(points))
+    # Only feasible points are scored: once each.
+    assert len(scores) == len({p for p, e in zip(points, result.trace) if e["feasible"]})
+
+    for point, entry in zip(points, result.trace):
+        _, report, _ = run_point(scenario, zip(fields, point))
+        violation = 1.0 if report is None else explorer._constraint_violation(report, limits)
+        feasible = violation == 0.0
+        value = -report.sensitivity if feasible else explorer._PENALTY * (1.0 + violation)
+        assert entry == {"params": {"drive.amplitude": point[0]}, "objective": value,
+                         "feasible": feasible}
+
+    # The memo lives for one call: a second search runs its points again.
+    runs.clear()
+    again = optimize(scenario, params, "sensitivity")
+    assert repr(again.trace) == repr(result.trace)
+    assert sorted(runs) == sorted(set(points))
 
 
 def test_sweep_overflow_points_keep_slots():

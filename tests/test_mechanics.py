@@ -112,8 +112,9 @@ def test_anchor_stress_share_count():
     shared = max_anchor_stress(5e-9, 300e-6, 20e-6, 1.35e-6, load_share_count=3)
     alone = max_anchor_stress(5e-9, 300e-6, 20e-6, 1.35e-6, load_share_count=1)
     assert alone == pytest.approx(3 * shared, rel=1e-12)
-    with pytest.raises(ValueError):
-        max_anchor_stress(5e-9, 300e-6, 20e-6, 1.35e-6, load_share_count=0)
+    for count in (0, math.nan):
+        with pytest.raises(ValueError):
+            max_anchor_stress(5e-9, 300e-6, 20e-6, 1.35e-6, load_share_count=count)
 
 
 def test_resonator_damping_identity():

@@ -32,16 +32,18 @@ def test_thermal_electrical_example():
     assert psd == pytest.approx(1.657e-17, rel=1e-3, abs=0)
     assert thermal_electrical_psd(2000.0, 300.0) == pytest.approx(2 * psd, rel=1e-12, abs=0)
     assert thermal_electrical_psd(1000.0, 1e-9) < 1e-25
-    with pytest.raises(ValueError):
-        thermal_electrical_psd(0.0, 300.0)
+    for resistance, temperature in ((0.0, 300.0), (math.nan, 300.0), (1000.0, math.nan)):
+        with pytest.raises(ValueError):
+            thermal_electrical_psd(resistance, temperature)
 
 
 def test_thermal_mechanical_example():
     psd = thermal_mechanical_psd(1e-6, 300.0)
     assert psd == pytest.approx(1.657e-26, rel=1e-3, abs=0)
     assert thermal_mechanical_psd(0.0, 300.0) == 0.0
-    with pytest.raises(ValueError):
-        thermal_mechanical_psd(1e-6, 0.0)
+    for damping, temperature in ((1e-6, 0.0), (math.nan, 300.0), (1e-6, math.nan)):
+        with pytest.raises(ValueError):
+            thermal_mechanical_psd(damping, temperature)
 
 
 def _unit_gauge(**overrides):
@@ -136,8 +138,9 @@ def test_min_detectable_field_example():
         min_detectable_field(0.15, 4.07e-7) / 2, rel=1e-12
     )
     assert min_detectable_field(-0.15, 4.07e-7) == min_detectable_field(0.15, 4.07e-7)
-    with pytest.raises(DomainError):
-        min_detectable_field(0.0, 4.07e-7)
+    for sensitivity in (0.0, math.nan):
+        with pytest.raises(DomainError):
+            min_detectable_field(sensitivity, 4.07e-7)
 
 
 def test_default_budget():

@@ -39,8 +39,9 @@ def test_ferro_torque_example():
         4.8e-10, rel=1e-12, abs=0
     )
     assert ferro_torque(4.8e5, volume, 0.4, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        ferro_torque(4.8e5, 0.0, 0.4, math.pi / 2)
+    for plate_volume in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            ferro_torque(4.8e5, plate_volume, 0.4, math.pi / 2)
 
 
 def test_underflowing_plate_volume_is_a_named_domain_error():
@@ -60,8 +61,9 @@ def test_gauge_response_examples():
     assert piezo_fractional_resistance(0.0, 1e-9) == 0.0
     assert bridge_output(8.23e-5, 2.0) == pytest.approx(41.2e-6, rel=2e-3)
     assert bridge_output(0.0, 2.0) == 0.0
-    with pytest.raises(ValueError):
-        bridge_output(8.23e-5, 0.0)
+    for bias in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            bridge_output(8.23e-5, bias)
 
 
 def test_lorentz_sensitivity_zero_drive():
@@ -129,8 +131,9 @@ def test_joule_offset_examples():
     assert joule_offset(10e-3) == pytest.approx(0.03e-3, rel=1e-12)
     assert joule_offset(50e-3) == pytest.approx(0.75e-3, rel=1e-12)
     assert joule_offset(-10e-3) == joule_offset(10e-3)
-    with pytest.raises(ValueError):
-        joule_offset(10e-3, offset_coefficient=-1.0)
+    for coefficient in (-1.0, math.nan):
+        with pytest.raises(ValueError):
+            joule_offset(10e-3, offset_coefficient=coefficient)
 
 
 def test_power_law_offset_calibration():
@@ -154,8 +157,10 @@ def test_joule_temperature_rise():
     assert joule_temperature_rise(0.0, 100.0, 1e4) == 0.0
     # I^2 * R_loop * R_th: (10 mA)^2 * 100 Ohm * 1e4 K/W.
     assert joule_temperature_rise(10e-3, 100.0, 1e4) == pytest.approx(100.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        joule_temperature_rise(-1e-3, 100.0, 1e4)
+    for args in ((-1e-3, 100.0, 1e4), (math.nan, 100.0, 1e4), (10e-3, math.nan, 1e4),
+                 (10e-3, 100.0, math.nan)):
+        with pytest.raises(ValueError):
+            joule_temperature_rise(*args)
 
 
 def test_joule_squares_name_the_drive_current():
