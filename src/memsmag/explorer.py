@@ -10,7 +10,6 @@ import io
 import itertools
 import math
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -83,15 +82,22 @@ class OptimizeResult:
     trace: list  # one {params, objective, feasible} record per evaluation
 
 
-@contextmanager
-def _stage(name: str):
-    # Tag propagated failures with the module that produced them.
-    try:
-        yield
-    except MemsmagError as exc:
-        if exc.args and isinstance(exc.args[0], str):
-            exc.args = (f"{name}: {exc.args[0]}",) + exc.args[1:]
-        raise
+class _stage:
+    """Tag a failure propagating out of the block with the module that
+    produced it. A class, not a generator: run_scenario enters three per
+    point."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, kind, exc, traceback):
+        if isinstance(exc, MemsmagError) and exc.args and isinstance(exc.args[0], str):
+            exc.args = (f"{self.name}: {exc.args[0]}",) + exc.args[1:]
 
 
 def _stress_margin(beam, stress: float) -> float:
@@ -210,8 +216,11 @@ def _with_value(tree, steps: list, value: float):
 def _run_point(scenario: Scenario, edits):
     """Build and run `scenario` with each (steps, value) edit applied.
 
-    The edited tree is already resolved, so it is parsed as it stands, and
-    each section the edits left untouched keeps `scenario`'s record.
+    The edited tree is already resolved, so it is parsed as it stands.
+    _with_value copies only the containers on each edited path, so only
+    the records on those paths are read again; every other record and
+    value is `scenario`'s own (see scenario._parse for the specs that a
+    kept record depends on).
     Returns (scenario, report, None), or (None, None, error) where the
     point fails and error is one line naming the exception type.
     """

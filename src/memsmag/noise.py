@@ -80,6 +80,10 @@ def min_detectable_field(sensitivity: float, rms: float, snr_target: float = 1.0
     """
     if not abs(sensitivity) > 0:
         raise DomainError("sensitivity must be nonzero to resolve a field")
+    if not rms >= 0:
+        raise DomainError(f"rms must be >= 0, got {rms}")
+    if not snr_target > 0:
+        raise DomainError(f"snr_target must be > 0, got {snr_target}")
     return snr_target * rms / abs(sensitivity)
 
 
@@ -139,6 +143,12 @@ def noise_budget(
             f"at environment.temperature {env.temperature!r} K"
         )
     signal = abs(sensitivity * env.field_magnitude)
+    if math.isnan(rms) and abs(sensitivity) > 0:
+        # A NaN rms comes from a figure above that is not finite. It carries
+        # through, so the report's finite check names that figure.
+        min_field = rms
+    else:
+        min_field = min_detectable_field(sensitivity, rms, env.snr_target)
     return NoiseBudget(
         thermal_electrical_psd=electrical,
         thermal_mechanical_psd_referred=mechanical,
@@ -147,5 +157,5 @@ def noise_budget(
         rms=rms,
         corner_frequency=corner,
         snr=signal / rms,
-        min_detectable_field=min_detectable_field(sensitivity, rms, env.snr_target),
+        min_detectable_field=min_field,
     )

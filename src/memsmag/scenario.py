@@ -159,16 +159,22 @@ def _num(node, key, path, violations, ge=None, gt=None, integer=False):
     return None
 
 
-def _record(record, sections, node, path, violations, materials, specs=None, extra=()):
+def _record(record, sections, node, path, violations, materials, base=None, specs=None, extra=()):
     """The `record` that mapping `node` at dotted `path` describes, or None
     after violations.
 
     Keys must be fields of `record` or in `extra`. Fields are read in
     declaration order, so violations come in that order. A field named in
-    `sections` is read by reader(value, path, violations, materials), a
-    partial of _record for a nested record. Any other field is a number held
-    to the bounds its metadata declares ("gt" or "ge", "integer", and
+    `sections` is read by reader(value, path, violations, materials, base),
+    a partial of _record for a nested record. Any other field is a number
+    held to the bounds its metadata declares ("gt" or "ge", "integer", and
     "optional" for a key that may be absent), or to `specs` when given.
+
+    `base` is None or the (node, record) pair a valid parent read at the
+    same path against the same specs. A field whose node is (by identity)
+    the base node's keeps the base record's value, which that node gave
+    without violations; a section whose node is not is read with the base
+    pair for that field.
     """
     if not isinstance(node, dict):
         violations.append(f"{path}: expected a mapping")
@@ -181,8 +187,17 @@ def _record(record, sections, node, path, violations, materials, specs=None, ext
             violations.append(f"{prefix}{key}: unknown field")
     values = {}
     for name, ge, gt, integer, optional in specs or declared:
+        sub = None
+        if base:
+            old_value = base[0].get(name)
+            # A valid parent's node holds no None, so None is an absent key.
+            if old_value is not None:
+                if node.get(name) is old_value:
+                    values[name] = getattr(base[1], name)
+                    continue
+                sub = old_value, getattr(base[1], name)
         if name in sections:
-            values[name] = sections[name](node.get(name), prefix + name, violations, materials)
+            values[name] = sections[name](node.get(name), prefix + name, violations, materials, sub)
         elif not optional or name in node:
             values[name] = _num(node, name, prefix, violations, ge, gt, integer)
     return None if len(violations) > start else record(**values)
@@ -228,7 +243,7 @@ def _materials(node, violations) -> dict:
     return materials
 
 
-def _material(name, path, violations, materials):
+def _material(name, path, violations, materials, base):
     """The material `name` names, overrides applied, or None after a violation."""
     if not isinstance(name, str):
         violations.append(f"{path}: expected a material name, got {name!r}")
@@ -242,9 +257,9 @@ def _material(name, path, violations, materials):
         return None
 
 
-def _film(name, path, violations, materials):
+def _film(name, path, violations, materials, base):
     """The gauge film: a material that GaugeSpec.check_film accepts."""
-    film = _material(name, path, violations, materials)
+    film = _material(name, path, violations, materials, base)
     if film is not None:
         try:
             GaugeSpec.check_film(film)
@@ -256,18 +271,26 @@ def _film(name, path, violations, materials):
 _layer = partial(_record, LayerSpec, {"material": _material})
 
 
-def _layers(node, path, violations, materials):
+def _layers(node, path, violations, materials, base):
     if not isinstance(node, list) or not node:
         violations.append(f"{path}: need at least one layer")
         return None
-    return [_layer(layer, f"{path}[{i}]", violations, materials) for i, layer in enumerate(node)]
+    olds = list(zip(*base)) if base else []
+    layers = []
+    for i, layer in enumerate(node):
+        sub = olds[i] if i < len(olds) else None
+        if sub and layer is sub[0]:
+            layers.append(sub[1])
+        else:
+            layers.append(_layer(layer, f"{path}[{i}]", violations, materials, sub))
+    return layers
 
 
 _beam = partial(_record, BeamGeometry, {"layers": _layers})
 _gauge = partial(_record, GaugeSpec, {"material": _film})
 
 
-def _sensor(node, path, violations, materials):
+def _sensor(node, path, violations, materials, base):
     if not isinstance(node, dict):
         violations.append(f"{path}: expected a mapping")
         return None
@@ -276,18 +299,20 @@ def _sensor(node, path, violations, materials):
         violations.append(f"{path}.kind: must be one of {SENSOR_KINDS}, got {kind!r}")
         return None
     design, beam_key, _ = _SENSORS[kind]
+    if base and type(base[1]) is not design:
+        base = None  # another kind's fields may have other bounds
     sections = {"gauge": _gauge, beam_key: _beam}
-    return _record(design, sections, node, path, violations, materials, extra=("kind",))
+    return _record(design, sections, node, path, violations, materials, base, extra=("kind",))
 
 
-def _waveform(waveform, path, violations, materials):
+def _waveform(waveform, path, violations, materials, base):
     if waveform not in ("dc", "square"):
         violations.append(f"{path}: must be 'dc' or 'square', got {waveform!r}")
     return waveform
 
 
 @lru_cache(maxsize=None)
-def _drive_specs(kind, square: bool) -> tuple:
+def _drive_bounds(kind, square: bool) -> tuple:
     """Drive's (name, *bounds) specs: the amplitude takes the bound of sensor
     `kind` (>= 0 for an invalid kind, already reported), and a square drive
     needs a frequency > 0."""
@@ -297,12 +322,19 @@ def _drive_specs(kind, square: bool) -> tuple:
     return tuple((f.name, *_bounds(bounds.get(f.name, f.metadata))) for f in fields(Drive))
 
 
-def _drive(node, path, violations, materials, kind):
-    specs = _drive_specs(kind, isinstance(node, dict) and node.get("waveform") == "square")
-    return _record(Drive, {"waveform": _waveform}, node, path, violations, materials, specs)
+def _drive_specs(tree) -> tuple:
+    """The drive specs of resolved `tree`, one shared tuple per (kind, square)."""
+    sensor, drive = tree.get("sensor"), tree.get("drive")
+    kind = sensor.get("kind") if isinstance(sensor, dict) else None
+    square = isinstance(drive, dict) and drive.get("waveform") == "square"
+    return _drive_bounds(kind if kind in SENSOR_KINDS else None, square)
 
 
-def _noise_band(band, path, violations, materials):
+def _drive(node, path, violations, materials, base, specs):
+    return _record(Drive, {"waveform": _waveform}, node, path, violations, materials, base, specs)
+
+
+def _noise_band(band, path, violations, materials, base):
     if (
         not isinstance(band, (list, tuple))
         or len(band) != 2
@@ -322,42 +354,38 @@ _environment = partial(_record, Environment, {})
 def _parse(tree: dict, parent: Scenario | None = None):
     """(Scenario, []) for a valid resolved tree, else (None, violations).
 
-    With a `parent` built from its own tree, a section whose node is the
-    very object the parent's tree holds keeps the parent's record, which
-    that node built without violations: `environment` always, `sensor`
-    when `material_overrides` is the same object too, and `drive` when
-    `sensor` is too, since its amplitude bound depends on the kind.
+    With a `parent` built from its own tree, any node that is (by identity)
+    the parent's node at the same path keeps the parent's record or value,
+    which that node gave without violations, so only the records on an
+    edited path are read again. A subtree the parent read against other
+    specs is read as if there were no parent: `sensor` when
+    `material_overrides` is not the parent's, `drive` when `sensor.kind`
+    (its amplitude bound) or `drive.waveform` (its frequency bound)
+    differs, and a sensor of another kind.
     """
     # Layers and the gauge need the overridden materials, but override
     # violations are reported last.
     late = []
     materials = _materials(tree.get("material_overrides"), late)
-    sensor = tree.get("sensor")
-    kind = sensor.get("kind") if isinstance(sensor, dict) else None
-
-    def kept(*keys):
-        # A reader of the parent's record for section keys[0], when each key's
-        # node is the parent's. A valid parent holds every section, so None
-        # (absent) never matches; absent material_overrides in both trees do.
-        if parent is None:
-            return None
-        for key in keys:
-            if tree.get(key) is not parent.tree.get(key):
-                return None
-        record = getattr(parent, keys[0])
-        return lambda *_: record
-
+    specs = _drive_specs(tree)
+    base = None
+    if parent is not None:
+        old = dict(parent.tree)
+        if tree.get("material_overrides") is not old.get("material_overrides"):
+            del old["sensor"]
+        if specs is not _drive_specs(parent.tree):
+            del old["drive"]
+        base = old, parent
     sections = {
-        "sensor": kept("sensor", "material_overrides") or _sensor,
-        "drive": kept("drive", "sensor")
-        or partial(_drive, kind=kind if kind in SENSOR_KINDS else None),
-        "environment": kept("environment") or _environment,
+        "sensor": _sensor,
+        "drive": partial(_drive, specs=specs),
+        "environment": _environment,
         "noise_band": _noise_band,
         "tree": lambda *_: tree,
     }
     violations = []
     scenario = _record(
-        Scenario, sections, tree, "", violations, materials, extra=("material_overrides",)
+        Scenario, sections, tree, "", violations, materials, base, extra=("material_overrides",)
     )
     violations += late
     return (None, violations) if violations else (scenario, [])

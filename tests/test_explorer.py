@@ -34,6 +34,7 @@ from memsmag import (
     stack_curvature,
     sweep,
 )
+from memsmag.scenario import _parse
 
 
 def test_lorentz_report_fields():
@@ -475,16 +476,107 @@ def test_point_reusing_parent_sections_matches_a_fresh_build(parent):
         kept = {
             "environment": section != "environment",
             "sensor": section not in ("sensor", "material_overrides"),
-            "drive": section not in ("sensor", "drive"),
+            "drive": section != "drive",
         }
         for new in _edit_values(scenario.tree, steps, value):
             got = explorer._run_point(scenario, [(steps, new)])
             assert got == _fresh_point(explorer._with_value(scenario.tree, steps, new)), (
                 path, new)
-            if got[0] is not None:
-                for name, keep in kept.items():
-                    assert (getattr(got[0], name) is getattr(scenario, name)) == keep, (
-                        path, new, name)
+            if got[0] is None:
+                continue
+            for name, keep in kept.items():
+                assert (getattr(got[0], name) is getattr(scenario, name)) == keep, (
+                    path, new, name)
+            if section == "sensor":
+                # Within the sensor, only the records on the edited path are new.
+                sensor, old = got[0].sensor, scenario.sensor
+                assert (sensor.gauge is old.gauge) == (steps[1] != "gauge"), (path, new)
+                beam_key = _BEAM_KEY[scenario.tree["sensor"]["kind"]]
+                layer_edit = steps[1] == beam_key and steps[2] == "layers"
+                assert (sensor.beam.layers is old.beam.layers) == (not layer_edit), (path, new)
+                if layer_edit:
+                    for i, layer in enumerate(sensor.beam.layers):
+                        assert (layer is old.beam.layers[i]) == (i != steps[3]), (path, new)
+
+
+# Multi-leaf points: the alw and flw boxes, and pairs across sections.
+_MULTI_EDITS = {
+    "lorentz": [
+        ("drive.amplitude", "sensor.support_beam.length", "sensor.support_beam.width"),
+        ("sensor.gauge.resistance", "drive.frequency"),
+        ("sensor.support_beam.layers[2].thickness", "environment.temperature", "quality_factor"),
+    ],
+    "ferro": [
+        ("sensor.suspension.length", "sensor.suspension.width"),
+        ("sensor.plate_length", "drive.amplitude"),
+        ("sensor.suspension.layers[0].thickness", "noise_band[1]"),
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", ["lorentz", "ferro"])
+def test_multi_leaf_point_matches_a_fresh_build(kind):
+    scenario = default_scenario(kind)
+    tree = scenario.tree
+    scales = [1.0, 1.5, 0.25, 0.0, -1.0]
+    for paths in _MULTI_EDITS[kind]:
+        steps = [explorer._resolve_path(tree, path) for path in paths]
+        values = []
+        for leaf in steps:
+            value = tree
+            for step in leaf:
+                value = value[step]
+            values.append(value)
+        # Every leaf scaled alike, then each leaf alone out of range.
+        points = [[v * scale for v in values] for scale in scales]
+        points += [
+            [v * (scale if i == j else 1.1) for i, v in enumerate(values)]
+            for j in range(len(values)) for scale in (0.0, -1.0)
+        ]
+        for point in points:
+            edits = list(zip(steps, point))
+            expected = tree
+            for leaf, value in edits:
+                expected = explorer._with_value(expected, leaf, value)
+            assert explorer._run_point(scenario, edits) == _fresh_point(expected), (paths, point)
+
+
+def _parse_cases():
+    """(parent, tree) pairs whose tree the parent read against other specs.
+
+    Each tree shares every node it can with the parent's tree and is set
+    directly, not through a sweep path.
+    """
+    lorentz, ferro = default_scenario("lorentz"), default_scenario("ferro")
+
+    def edited(parent, **sections):
+        return {**parent.tree, **sections}
+
+    sensor = lorentz.tree["sensor"]
+    drive = lorentz.tree["drive"]
+    yield "overrides", lorentz, edited(lorentz, material_overrides={
+        "silicon": {"pi_longitudinal": None}, "aluminum": {"yield_stress": -1.0}})
+    yield "same-overrides-new-object", lorentz, edited(lorentz, material_overrides={})
+    yield "kind-ferro", lorentz, edited(lorentz, sensor={**sensor, "kind": "ferro"})
+    yield "kind-lorentz-dc", ferro, edited(
+        ferro, sensor={**ferro.tree["sensor"], "kind": "lorentz"})
+    yield "kind-bad", lorentz, edited(lorentz, sensor={**sensor, "kind": "piezo"})
+    yield "waveform-dc", lorentz, edited(lorentz, drive={**drive, "waveform": "dc"})
+    yield "waveform-bad", lorentz, edited(lorentz, drive={**drive, "waveform": "sine"})
+    # A dc drive at 0 Hz is valid; the same 0.0 is not once it is square.
+    yield "dc-to-square", ferro, edited(
+        ferro, drive={**ferro.tree["drive"], "waveform": "square"})
+
+
+_PARSE_CASES = list(_parse_cases())
+
+
+@pytest.mark.parametrize("name, parent, tree", _PARSE_CASES, ids=[c[0] for c in _PARSE_CASES])
+def test_parse_with_parent_of_other_specs_matches_no_parent(name, parent, tree):
+    fresh = _parse(tree)
+    assert _parse(tree, parent) == fresh
+    if name == "dc-to-square":
+        assert fresh[1] == ["drive.frequency: must be > 0, got 0.0"]
 
 
 def test_optimize_pushes_to_bound():

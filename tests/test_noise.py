@@ -141,6 +141,25 @@ def test_min_detectable_field_example():
     for sensitivity in (0.0, math.nan):
         with pytest.raises(DomainError):
             min_detectable_field(sensitivity, 4.07e-7)
+    for rms in (-4.07e-7, math.nan):
+        with pytest.raises(DomainError, match="^rms must be >= 0"):
+            min_detectable_field(0.15, rms)
+    for snr_target in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError, match="^snr_target must be > 0"):
+            min_detectable_field(0.15, 4.07e-7, snr_target)
+
+
+def test_nan_rms_leaves_the_report_check_to_name_its_figure():
+    # Hooge alpha 0 times an overflowing bias squared makes the flicker
+    # scale, and so the rms, NaN; the referred mechanical PSD overflows
+    # first, and the report names it as it did before rms was guarded.
+    scenario = build_scenario({
+        "sensor": {"bridge_bias": 1.0e155, "support_beam": {"width": 1.0e-2}},
+        "material_overrides": {"silicon": {"hooge_alpha": 0.0}},
+    })
+    with pytest.raises(OverflowError, match=(
+            "^report figure noise_mechanical_referred_psd_V2_per_Hz is not finite: inf$")):
+        run_scenario(scenario)
 
 
 def test_default_budget():
