@@ -196,37 +196,39 @@ def _resolve_path(tree, path: str) -> list:
     return steps
 
 
-def _with_value(tree, steps: list, value: float):
-    """A new tree with the field that `steps` resolve to set to `value`.
+def _with_values(tree, edits):
+    """A new tree with each (steps, value) edit's field set to its value.
 
-    Only the containers along the path are copied; the rest is shared
-    with `tree`, which is left unchanged.
+    Only the containers along the edited paths are copied, each once; the
+    rest is shared with `tree`, which is left unchanged.
     """
-    nodes = [tree]
-    for step in steps[:-1]:
-        nodes.append(nodes[-1][step])
-    new = value
-    for node, step in zip(reversed(nodes), reversed(steps)):
-        node = node.copy()
-        node[step] = new
-        new = node
-    return new
+    root = tree.copy()
+    copied = {id(root)}
+    for steps, value in edits:
+        node = root
+        for step in steps[:-1]:
+            child = node[step]
+            if id(child) not in copied:
+                child = child.copy()
+                node[step] = child
+                copied.add(id(child))
+            node = child
+        node[steps[-1]] = value
+    return root
 
 
 def _run_point(scenario: Scenario, edits):
     """Build and run `scenario` with each (steps, value) edit applied.
 
     The edited tree is already resolved, so it is parsed as it stands.
-    _with_value copies only the containers on each edited path, so only
+    _with_values copies only the containers on the edited paths, so only
     the records on those paths are read again; every other record and
     value is `scenario`'s own (see scenario._parse for the specs that a
     kept record depends on).
     Returns (scenario, report, None), or (None, None, error) where the
     point fails and error is one line naming the exception type.
     """
-    tree = scenario.tree
-    for steps, value in edits:
-        tree = _with_value(tree, steps, value)
+    tree = _with_values(scenario.tree, edits)
     try:
         built, violations = _parse(tree, scenario)
         if violations:
@@ -370,12 +372,13 @@ class _Exhausted(Exception):
 
 def _clip(x) -> tuple:
     # As np.clip to [0, 1]: NaN passes through and -0.0 becomes 0.0.
-    return tuple(0.0 if v <= 0.0 else 1.0 if v >= 1.0 else v for v in x)
+    return tuple([0.0 if v <= 0.0 else 1.0 if v >= 1.0 else v for v in x])
 
 
 def _ranked(sim: list, fsim: list) -> tuple:
     # Stable, with NaN values last as np.argsort puts them.
-    order = sorted(range(len(fsim)), key=lambda k: (math.isnan(fsim[k]), fsim[k]))
+    keys = [(v != v, v) for v in fsim]
+    order = sorted(range(len(fsim)), key=keys.__getitem__)
     return [sim[k] for k in order], [fsim[k] for k in order]
 
 
@@ -390,18 +393,29 @@ def _nelder_mead(func, simplex, xatol: float, fatol: float, maxfev: int) -> tupl
     once every vertex is within `xatol` of the best and every value within
     `fatol`, or when `maxfev` evaluations are spent. Returns the final
     vertices (tuples) and their values, best first.
+
+    An iteration that leaves the ranked simplex and its values as it found
+    them has frozen it: every later iteration would evaluate the same points
+    and freeze it again. So its points are passed to `func` again, in order,
+    for as many whole iterations as the budget holds, without the simplex
+    arithmetic; the loop then runs the last partial iteration as usual.
+    The replay evaluates SciPy's points only if `func` depends on the point
+    alone, so that a repeated point gets its first value (optimize's memo
+    sees to that).
     """
     n = len(simplex) - 1
     calls = 0
+    points = []  # the points this iteration evaluated, in order
 
     def f(x) -> float:
         nonlocal calls
         if calls >= maxfev:
             raise _Exhausted
         calls += 1
+        points.append(x)
         return float(func(x))
 
-    sim = [_clip(2.0 - v if v > 1.0 else v for v in x) for x in simplex]
+    sim = [_clip([2.0 - v if v > 1.0 else v for v in x]) for x in simplex]
     fsim = [math.inf] * (n + 1)
     try:
         for k in range(n + 1):
@@ -411,10 +425,12 @@ def _nelder_mead(func, simplex, xatol: float, fatol: float, maxfev: int) -> tupl
     sim, fsim = _ranked(sim, fsim)
 
     while calls < maxfev:
+        start = sim.copy(), fsim.copy()  # the iteration edits both in place
+        points.clear()
         try:
             best, worst = sim[0], sim[n]
-            if all(abs(v - b) <= xatol for x in sim[1:] for v, b in zip(x, best)) and all(
-                abs(fsim[0] - fv) <= fatol for fv in fsim[1:]
+            if all(abs(fsim[0] - fv) <= fatol for fv in fsim[1:]) and all(
+                abs(v - b) <= xatol for x in sim[1:] for v, b in zip(x, best)
             ):
                 break
             # Vertices 0..n-1 added in turn, as np.add.reduce does; sum()
@@ -424,24 +440,24 @@ def _nelder_mead(func, simplex, xatol: float, fatol: float, maxfev: int) -> tupl
                 xbar = [a + v for a, v in zip(xbar, x)]
             xbar = [a / n for a in xbar]
 
-            xr = _clip(2.0 * a - w for a, w in zip(xbar, worst))
+            xr = _clip([2.0 * a - w for a, w in zip(xbar, worst)])
             fxr = f(xr)
             shrink = False
             if fxr < fsim[0]:
-                xe = _clip(3.0 * a - 2.0 * w for a, w in zip(xbar, worst))
+                xe = _clip([3.0 * a - 2.0 * w for a, w in zip(xbar, worst)])
                 fxe = f(xe)
                 sim[n], fsim[n] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[n - 1]:
                 sim[n], fsim[n] = xr, fxr
             elif fxr < fsim[n]:
-                xc = _clip(1.5 * a - 0.5 * w for a, w in zip(xbar, worst))
+                xc = _clip([1.5 * a - 0.5 * w for a, w in zip(xbar, worst)])
                 fxc = f(xc)
                 if fxc <= fxr:
                     sim[n], fsim[n] = xc, fxc
                 else:
                     shrink = True
             else:
-                xcc = _clip(0.5 * a + 0.5 * w for a, w in zip(xbar, worst))
+                xcc = _clip([0.5 * a + 0.5 * w for a, w in zip(xbar, worst)])
                 fxcc = f(xcc)
                 if fxcc < fsim[n]:
                     sim[n], fsim[n] = xcc, fxcc
@@ -450,11 +466,17 @@ def _nelder_mead(func, simplex, xatol: float, fatol: float, maxfev: int) -> tupl
             if shrink:
                 for j in range(1, n + 1):
                     # The vertex moves even when the budget refuses its value.
-                    sim[j] = _clip(b + 0.5 * (v - b) for b, v in zip(best, sim[j]))
+                    sim[j] = _clip([b + 0.5 * (v - b) for b, v in zip(best, sim[j])])
                     fsim[j] = f(sim[j])
         except _Exhausted:
             pass
         sim, fsim = _ranked(sim, fsim)
+        if calls < maxfev and (sim, fsim) == start:
+            replays = (maxfev - calls) // len(points)
+            for _ in range(replays):
+                for x in points:
+                    func(x)
+            calls += replays * len(points)
     return sim, fsim
 
 
@@ -477,7 +499,8 @@ def optimize(
     The trace keeps one record per evaluation. A point this call has
     already evaluated is scored from its first evaluation, so each distinct
     point is built and run once and a callable objective is called at most
-    once per distinct point (only feasible points are scored).
+    once per distinct point (only feasible points are scored). A vertex
+    Nelder-Mead revisits costs one trace record, a copy of its first.
     """
     params = [_normalize_parameter(p) for p in free_parameters]
     if not 1 <= len(params) <= MAX_FREE_PARAMETERS:
@@ -491,18 +514,25 @@ def optimize(
     score = _objective_fn(objective)
     dim = len(params)
 
+    names = [path for path, _, _ in params]
+    lows = [lo for _, lo, _ in params]
+    spans = [hi - lo for _, lo, hi in params]
     trace = []
     best = None  # (scenario, report, trace record) of the best feasible point
+    by_vertex = {}  # vertex -> the trace record of its first evaluation
     seen = {}  # physical point -> (value, feasible) of its first evaluation
 
     def evaluate(z):
         nonlocal best
+        first = by_vertex.get(z)
+        if first is not None:
+            # A repeated vertex: the record again, sharing no dict with it.
+            trace.append({**first, "params": dict(first["params"])})
+            return first["objective"]
         # Nelder-Mead with bounds clips every vertex into the unit box.
-        physical = tuple(
-            float(lo + zi * (hi - lo)) for zi, (_, lo, hi) in zip(z, params)
-        )
-        first = physical not in seen
-        if first:
+        physical = tuple([lo + zi * span for zi, lo, span in zip(z, lows, spans)])
+        new = physical not in seen
+        if new:
             built, report, _ = _run_point(scenario, zip(fields, physical))
             violation = 1.0 if report is None else _constraint_violation(report, limits)
             feasible = violation == 0.0
@@ -511,13 +541,14 @@ def optimize(
         else:
             value, feasible = seen[physical]
         record = {
-            "params": {p: x for (p, _, _), x in zip(params, physical)},
+            "params": dict(zip(names, physical)),
             "objective": value,
             "feasible": feasible,
         }
         trace.append(record)
+        by_vertex[z] = record
         # A repeat scored no better than its first visit, so it cannot become best.
-        if first and feasible and (best is None or value < best[2]["objective"]):
+        if new and feasible and (best is None or value < best[2]["objective"]):
             best = built, report, record
         return value
 

@@ -186,16 +186,17 @@ def _record(record, sections, node, path, violations, materials, base=None, spec
         if key not in keys and key not in extra:
             violations.append(f"{prefix}{key}: unknown field")
     values = {}
+    old_node, old_record = base or (None, None)
     for name, ge, gt, integer, optional in specs or declared:
         sub = None
         if base:
-            old_value = base[0].get(name)
+            old_value = old_node.get(name)
             # A valid parent's node holds no None, so None is an absent key.
             if old_value is not None:
                 if node.get(name) is old_value:
-                    values[name] = getattr(base[1], name)
+                    values[name] = getattr(old_record, name)
                     continue
-                sub = old_value, getattr(base[1], name)
+                sub = old_value, getattr(old_record, name)
         if name in sections:
             values[name] = sections[name](node.get(name), prefix + name, violations, materials, sub)
         elif not optional or name in node:
@@ -241,6 +242,20 @@ def _materials(node, violations) -> dict:
                     values[key] = value
         materials[name] = override_material(material, **values)
     return materials
+
+
+class _OnRequest(dict):
+    """The dict `build()` returns, built on the first membership test."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __contains__(self, name):
+        if self.build is not None:
+            self.update(self.build())
+            self.build = None
+        return super().__contains__(name)
 
 
 def _material(name, path, violations, materials, base):
@@ -366,12 +381,19 @@ def _parse(tree: dict, parent: Scenario | None = None):
     # Layers and the gauge need the overridden materials, but override
     # violations are reported last.
     late = []
-    materials = _materials(tree.get("material_overrides"), late)
+    overrides = tree.get("material_overrides")
+    if overrides and parent is not None and overrides is parent.tree.get("material_overrides"):
+        # The parent read these overrides without violations. A reader asks
+        # for a material only where a name is not the parent's node, which
+        # no numeric edit does, so they are built only on request.
+        materials = _OnRequest(partial(_materials, overrides, late))
+    else:
+        materials = _materials(overrides, late)
     specs = _drive_specs(tree)
     base = None
     if parent is not None:
         old = dict(parent.tree)
-        if tree.get("material_overrides") is not old.get("material_overrides"):
+        if overrides is not old.get("material_overrides"):
             del old["sensor"]
         if specs is not _drive_specs(parent.tree):
             del old["drive"]

@@ -34,6 +34,7 @@ from memsmag import (
     stack_curvature,
     sweep,
 )
+from memsmag import scenario as scenario_module
 from memsmag.scenario import _parse
 
 
@@ -453,13 +454,16 @@ def _fresh_point(tree):
         return None, None, f"{type(exc).__name__}: " + " ".join(str(exc).split())
 
 
+_OVERRIDES = {
+    "aluminum": {"youngs_modulus": 69.0e9, "yield_stress": 1.6e8},
+    "silicon": {"pi_longitudinal": 1.1e-9, "hooge_alpha": 2.0e-6},
+}
+
+
 @pytest.mark.parametrize("parent", [
     {},
     {"sensor": {"kind": "ferro"}},
-    {"material_overrides": {
-        "aluminum": {"youngs_modulus": 69.0e9, "yield_stress": 1.6e8},
-        "silicon": {"pi_longitudinal": 1.1e-9, "hooge_alpha": 2.0e-6},
-    }},
+    {"material_overrides": _OVERRIDES},
 ], ids=["lorentz", "ferro", "overrides"])
 def test_point_reusing_parent_sections_matches_a_fresh_build(parent):
     scenario = build_scenario(parent)
@@ -480,7 +484,7 @@ def test_point_reusing_parent_sections_matches_a_fresh_build(parent):
         }
         for new in _edit_values(scenario.tree, steps, value):
             got = explorer._run_point(scenario, [(steps, new)])
-            assert got == _fresh_point(explorer._with_value(scenario.tree, steps, new)), (
+            assert got == _fresh_point(explorer._with_values(scenario.tree, [(steps, new)])), (
                 path, new)
             if got[0] is None:
                 continue
@@ -497,6 +501,62 @@ def test_point_reusing_parent_sections_matches_a_fresh_build(parent):
                 if layer_edit:
                     for i, layer in enumerate(sensor.beam.layers):
                         assert (layer is old.beam.layers[i]) == (i != steps[3]), (path, new)
+
+
+def test_point_on_an_overrides_parent_builds_no_materials(monkeypatch):
+    scenario = build_scenario({"material_overrides": _OVERRIDES})
+    materials = scenario_module._materials
+    calls = []
+
+    def counted(node, violations):
+        calls.append(node)
+        return materials(node, violations)
+
+    monkeypatch.setattr(scenario_module, "_materials", counted)
+    for path, edit in _probe_inputs("lorentz", scenario):
+        if not path.startswith("material_overrides."):
+            assert explorer._run_point(scenario, [edit])[2] is None, path
+    # A numeric edit keeps every material name, so no reader asks for one.
+    assert calls == []
+    tree = scenario.tree
+    # A renamed layer material does ask: the overrides are built once, as
+    # a build without the parent builds them.
+    sensor = tree["sensor"]
+    beam = sensor["support_beam"]
+    layers = [{**beam["layers"][0], "material": "aluminum"}, *beam["layers"][1:]]
+    renamed = {**tree, "sensor": {**sensor, "support_beam": {**beam, "layers": layers}}}
+    built, violations = _parse(renamed, scenario)
+    assert calls == [tree["material_overrides"]]
+    assert (built, violations) == _parse(renamed)
+    assert built.sensor.beam.layers[0].material.youngs_modulus == 69.0e9
+
+
+def test_with_values_copies_only_the_edited_paths():
+    tree = default_scenario("lorentz").tree
+    before = copy.deepcopy(tree)
+    paths = ["drive.amplitude", "sensor.support_beam.length", "sensor.support_beam.width",
+             "sensor.support_beam.layers[1].thickness", "noise_band[1]"]
+    edits = [(explorer._resolve_path(tree, path), 0.25 * i) for i, path in enumerate(paths)]
+    new = explorer._with_values(tree, edits)
+    assert tree == before
+    expected = copy.deepcopy(tree)
+    for steps, value in edits:
+        node = expected
+        for step in steps[:-1]:
+            node = node[step]
+        node[steps[-1]] = value
+    assert new == expected
+    beam, old_beam = new["sensor"]["support_beam"], tree["sensor"]["support_beam"]
+    for ours, theirs in [(new, tree), (new["sensor"], tree["sensor"]), (beam, old_beam),
+                         (new["drive"], tree["drive"]), (new["noise_band"], tree["noise_band"]),
+                         (beam["layers"], old_beam["layers"]),
+                         (beam["layers"][1], old_beam["layers"][1])]:
+        assert ours is not theirs
+    for ours, theirs in [(new["environment"], tree["environment"]),
+                         (new["sensor"]["gauge"], tree["sensor"]["gauge"]),
+                         (beam["layers"][0], old_beam["layers"][0]),
+                         (beam["layers"][2], old_beam["layers"][2])]:
+        assert ours is theirs
 
 
 # Multi-leaf points: the alw and flw boxes, and pairs across sections.
@@ -535,9 +595,7 @@ def test_multi_leaf_point_matches_a_fresh_build(kind):
         ]
         for point in points:
             edits = list(zip(steps, point))
-            expected = tree
-            for leaf, value in edits:
-                expected = explorer._with_value(expected, leaf, value)
+            expected = explorer._with_values(tree, edits)
             assert explorer._run_point(scenario, edits) == _fresh_point(expected), (paths, point)
 
 
@@ -1051,7 +1109,7 @@ def scipy_nelder_mead(monkeypatch):
 
     argsort = np.argsort
 
-    def run(func, simplex, xatol, fatol, maxfev):
+    def run(func, simplex, xatol, fatol, maxfev, callback=None):
         with monkeypatch.context() as patch:
             patch.setattr(np, "argsort", lambda a: argsort(a, kind="stable"))
             result = minimize(
@@ -1059,6 +1117,7 @@ def scipy_nelder_mead(monkeypatch):
                 np.array(simplex[0]),
                 method="Nelder-Mead",
                 bounds=[(0.0, 1.0)] * len(simplex[0]),
+                callback=callback,
                 options={
                     "initial_simplex": np.array(simplex),
                     "xatol": xatol,
@@ -1148,14 +1207,83 @@ def test_nelder_mead_budget_stops_where_scipys_does(scipy_nelder_mead, dim):
         assert len(ours[0]) == maxfev
 
 
-def test_optimize_trace_matches_a_scipy_built_trace(monkeypatch, scipy_nelder_mead):
-    params = [("sensor.support_beam.length", 200e-6, 800e-6),
-              ("sensor.support_beam.width", 5e-6, 40e-6)]
-    ours = optimize(default_scenario("lorentz"), params, "sensitivity")
+def _scipy_iterations(scipy_nelder_mead, func, simplex, maxfev) -> list:
+    """The points SciPy evaluates in each iteration after the first simplex.
+
+    SciPy calls back after every iteration, the last one that the budget
+    cuts short included.
+    """
+    points, ends = [], []
+
+    def recorded(x):
+        points.append(x)
+        return func(x)
+
+    scipy_nelder_mead(recorded, simplex, 1e-5, 1e-300, maxfev,
+                      callback=lambda xk: ends.append(len(points)))
+    bounds = [len(simplex), *ends]
+    return [points[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_nelder_mead_budget_inside_a_frozen_simplex_stops_where_scipys_does(
+    monkeypatch, scipy_nelder_mead, dim
+):
+    # From the centre the nan surface freezes the simplex: from one
+    # iteration on, each evaluates the same points and leaves the simplex as
+    # it found it, so _nelder_mead replays those points. These budgets end at
+    # each evaluation of the first frozen iteration and the two after it.
+    func = _surfaces(dim)["nan"]
+    simplex = _start_simplex((0.5,) * dim)
+    whole = _scipy_iterations(scipy_nelder_mead, func, simplex, 400 * dim)[:-1]
+    frozen = next(k for k in range(len(whole)) if all(it == whole[k] for it in whole[k:]))
+    assert len(whole) - frozen > 3
+    size = len(whole[frozen])
+    start = len(simplex) + sum(len(it) for it in whole[:frozen])
+    ranked = explorer._ranked
+    rankings = []
+
+    def counted(sim, fsim):
+        rankings.append(fsim)
+        return ranked(sim, fsim)
+
+    monkeypatch.setattr(explorer, "_ranked", counted)
+    for maxfev in range(start + 1, start + 3 * size + 1):
+        rankings.clear()
+        ours = _evaluated_points(explorer._nelder_mead, func, simplex, maxfev)
+        theirs = _evaluated_points(scipy_nelder_mead, func, simplex, maxfev)
+        assert repr(ours) == repr(theirs), maxfev
+        assert len(ours[0]) == maxfev
+        # The first simplex, each iteration up to the frozen one and a last
+        # partial one are ranked; the replayed whole iterations are not.
+        past = maxfev - (start + size)
+        assert len(rankings) == frozen + 2 + (past > 0 and past % size > 0), maxfev
+
+
+_TRACE_BOXES = {
+    "lw": ("lorentz", [("sensor.support_beam.length", 200e-6, 800e-6),
+                       ("sensor.support_beam.width", 5e-6, 40e-6)], "sensitivity", 85),
+    # Each of the 3 and 9 restarts freezes its simplex and replays it.
+    "amp": ("lorentz", [("drive.amplitude", 1e-3, 50e-3)], "sensitivity", 1200),
+    "alw": ("lorentz", [("drive.amplitude", 1e-3, 50e-3),
+                        ("sensor.support_beam.length", 200e-6, 800e-6),
+                        ("sensor.support_beam.width", 5e-6, 40e-6)],
+            "min_detectable_field", 10800),
+}
+
+
+@pytest.mark.parametrize("box", list(_TRACE_BOXES))
+def test_optimize_trace_matches_a_scipy_built_trace(monkeypatch, scipy_nelder_mead, box):
+    kind, params, objective, evaluations = _TRACE_BOXES[box]
+    ours = optimize(default_scenario(kind), params, objective)
     monkeypatch.setattr(explorer, "_nelder_mead", scipy_nelder_mead)
-    reference = optimize(default_scenario("lorentz"), params, "sensitivity")
-    assert len(ours.trace) == 85
+    reference = optimize(default_scenario(kind), params, objective)
+    assert len(ours.trace) == evaluations
     assert repr(ours.trace) == repr(reference.trace)
+    # A repeated point's record is a copy of its first, sharing no dict.
+    records = {id(record) for record in ours.trace}
+    records |= {id(record["params"]) for record in ours.trace}
+    assert len(records) == 2 * evaluations
 
 
 def test_scipy_names_resolve_after_optimize():
