@@ -66,7 +66,7 @@ def solve_static(
     force, moment = _pick_load(tip_force, tip_moment)
     section = composite_section(geom)
     deflection, moments = _solve_nodes(
-        geom.length, section.flexural_rigidity, grid_size, force, moment
+        geom.length, section.flexural_rigidity, grid_size, force, moment, range(grid_size)
     )
     return BeamSolution(
         node_positions=np.linspace(0.0, geom.length, grid_size),
@@ -78,9 +78,12 @@ def solve_static(
 
 
 def _solve_nodes(
-    length: float, ei: float, grid_size: int, force: float, moment: float
+    length: float, ei: float, grid_size: int, force: float, moment: float, nodes
 ) -> tuple[list[float], list[float]]:
-    """Deflection and bending moment at each node, as plain floats.
+    """Deflection and bending moment at each of `nodes`, as plain floats.
+
+    `nodes` are indices into the grid, 0 at the clamp to grid_size - 1 at
+    the tip; a node's values do not depend on which others are asked for.
 
     With the free-end rows multiplied through by h^2 and 2 h^3 and the
     interior rows by h^4, the system's rows are
@@ -99,6 +102,9 @@ def _solve_nodes(
     is then an integer, and one int / int division rounds it correctly.
     The second-difference stencils give 2 c2 + 6 c3 i exactly on the cubic,
     so the moment EI (2 c2 + 6 c3 i) / h^2 is rounded the same way.
+    Under a single tip load |w| peaks at the tip and |M| at the clamp (the
+    moment is linear in i, and 0 at the tip under a force), so solving at
+    those two nodes raises on every load that the full grid raises on.
     """
     if grid_size < MIN_GRID_SIZE:
         raise ValueError(f"grid_size must be >= {MIN_GRID_SIZE}, got {grid_size}")
@@ -127,8 +133,8 @@ def _solve_nodes(
     s0, s1 = 2 * a2 * p_e * q_h, 6 * a3 * p_e * q_h
     moment_den = den * q_e * p_h
     try:
-        deflection = [((a3 * i + a2) * i + a1) * i / den for i in range(grid_size)]
-        moments = [(s0 + s1 * i) / moment_den for i in range(grid_size)]
+        deflection = [((a3 * i + a2) * i + a1) * i / den for i in nodes]
+        moments = [(s0 + s1 * i) / moment_den for i in nodes]
     except OverflowError:
         raise SingularSystemError("beam system solve produced non-finite values") from None
     return deflection, moments
@@ -155,15 +161,16 @@ def _extreme_fiber_stress(geom, section, anchor_moment: float) -> float:
 def convergence_order(geom: BeamGeometry, grids: list[int], tip_force: float) -> float:
     """Observed order of accuracy from a sequence of grid refinements.
 
-    Uses the change in tip deflection between consecutive grids as the error
-    proxy: for errors C*h^p at a fixed refinement ratio, those differences
-    also scale as h^p, so the least-squares slope of log(difference) against
-    log(h) recovers p without a trusted reference solution. Grids should
-    form a roughly constant refinement ratio (for example 100, 200, 400).
-    Central differences should land near 2. The load is a tip force, which
-    excites a varying curvature: a pure tip moment gives a quadratic
-    deflection the stencils reproduce exactly, so its fitted order would be
-    only rounding noise.
+    Solves each grid at its clamp and tip nodes only (see `_solve_nodes`),
+    and uses the change in tip deflection between consecutive grids as the
+    error proxy: for errors C*h^p at a fixed refinement ratio, those
+    differences also scale as h^p, so the least-squares slope of
+    log(difference) against log(h) recovers p without a trusted reference
+    solution. Grids should form a roughly constant refinement ratio (for
+    example 100, 200, 400). Central differences should land near 2. The
+    load is a tip force, which excites a varying curvature: a pure tip
+    moment gives a quadratic deflection the stencils reproduce exactly, so
+    its fitted order would be only rounding noise.
     """
     force = float(tip_force)
     if force == 0.0:
@@ -175,7 +182,7 @@ def convergence_order(geom: BeamGeometry, grids: list[int], tip_force: float) ->
         raise ValueError("grids must be strictly increasing")
 
     ei = composite_section(geom).flexural_rigidity
-    tips = [_solve_nodes(geom.length, ei, g, force, 0.0)[0][-1] for g in grid_list]
+    tips = [_solve_nodes(geom.length, ei, g, force, 0.0, (0, g - 1))[0][1] for g in grid_list]
     return _fitted_order(geom.length, grid_list, tips)
 
 

@@ -111,30 +111,26 @@ def _stress_margin(beam, stress: float) -> float:
     return min(yields) / abs(stress)
 
 
-def run_scenario(scenario: Scenario) -> SimulationReport:
-    """Populate every report field for one operating point."""
-    sensor, drive, env = scenario.sensor, scenario.drive, scenario.environment
-    with _stage("transduction"):
-        signal_gain = sensitivity(sensor, drive, env)
-        force = sensor.tip_force(drive, env, env.field_magnitude)
-        stress = sensor.anchor_stress(force)
-        offset = joule_offset(drive.amplitude, scenario.offset_coefficient)
-        output = sensor.bridge_voltage(stress) + offset
-        temperature_rise = joule_temperature_rise(
-            drive.amplitude, sensor.loop_resistance, scenario.thermal_resistance
-        )
-    with _stage("mechanics"):
-        resonator = sensor.resonator(scenario.quality_factor)
-        deflection = force / (sensor.load_share_count * resonator.stiffness)
-        margin = _stress_margin(sensor.beam, stress)
+class _SensorFigures:
+    """The figures of one sensor record that no drive or environment edit
+    moves: its resonator for each quality factor, and its beam warnings.
 
-    with _stage("noise"):
-        budget = noise_budget(sensor, env, scenario.noise_band, resonator, signal_gain)
+    A sweep or search keeps one for its parent's sensor, so the points that
+    keep that record (see scenario._parse) compute each figure once per
+    call. A figure is stored only once a point has computed it, so a point
+    that fails raises as run_scenario would.
+    """
 
+    __slots__ = ("resonators", "beam_warnings")
+
+    def __init__(self):
+        self.resonators = {}  # quality factor -> the sensor's resonator
+        self.beam_warnings = None
+
+
+def _beam_warnings(beam) -> list:
+    """The report warnings that the suspension beam alone decides."""
     warnings_list = []
-    if drive.amplitude > HIGH_CURRENT_THRESHOLD:
-        warnings_list.append(HIGH_CURRENT_WARNING)
-    beam = sensor.beam
     slenderness = beam.length / beam.total_thickness
     if slenderness < SLENDERNESS_WARN_LIMIT:
         warnings_list.append(
@@ -147,6 +143,44 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
         warnings_list.append(
             f"stressed layers curl the beam: curvature {curvature:.3g} 1/m, tip lift {lift:.3g} m"
         )
+    return warnings_list
+
+
+def run_scenario(scenario: Scenario) -> SimulationReport:
+    """Populate every report field for one operating point."""
+    return _report(scenario, _SensorFigures())
+
+
+def _report(scenario: Scenario, figures: _SensorFigures) -> SimulationReport:
+    """run_scenario's report. `figures` must belong to scenario.sensor: a
+    figure it holds is taken from it, one it lacks is computed and stored."""
+    sensor, drive, env = scenario.sensor, scenario.drive, scenario.environment
+    with _stage("transduction"):
+        signal_gain = sensitivity(sensor, drive, env)
+        force = sensor.tip_force(drive, env, env.field_magnitude)
+        stress = sensor.anchor_stress(force)
+        offset = joule_offset(drive.amplitude, scenario.offset_coefficient)
+        output = sensor.bridge_voltage(stress) + offset
+        temperature_rise = joule_temperature_rise(
+            drive.amplitude, sensor.loop_resistance, scenario.thermal_resistance
+        )
+    with _stage("mechanics"):
+        resonator = figures.resonators.get(scenario.quality_factor)
+        if resonator is None:
+            resonator = sensor.resonator(scenario.quality_factor)
+            figures.resonators[scenario.quality_factor] = resonator
+        deflection = force / (sensor.load_share_count * resonator.stiffness)
+        margin = _stress_margin(sensor.beam, stress)
+
+    with _stage("noise"):
+        budget = noise_budget(sensor, env, scenario.noise_band, resonator, signal_gain)
+
+    warnings_list = []
+    if drive.amplitude > HIGH_CURRENT_THRESHOLD:
+        warnings_list.append(HIGH_CURRENT_WARNING)
+    if figures.beam_warnings is None:
+        figures.beam_warnings = _beam_warnings(sensor.beam)
+    warnings_list += figures.beam_warnings
     report = SimulationReport(
         sensitivity=signal_gain,
         offset=offset,
@@ -217,14 +251,16 @@ def _with_values(tree, edits):
     return root
 
 
-def _run_point(scenario: Scenario, edits):
+def _run_point(scenario: Scenario, edits, figures: _SensorFigures):
     """Build and run `scenario` with each (steps, value) edit applied.
 
     The edited tree is already resolved, so it is parsed as it stands.
     _with_values copies only the containers on the edited paths, so only
     the records on those paths are read again; every other record and
     value is `scenario`'s own (see scenario._parse for the specs that a
-    kept record depends on).
+    kept record depends on). A point that keeps `scenario.sensor` takes
+    that sensor's figures from `figures`, which the calling sweep or search
+    keeps for it; a point with a sensor of its own computes them afresh.
     Returns (scenario, report, None), or (None, None, error) where the
     point fails and error is one line naming the exception type.
     """
@@ -233,7 +269,9 @@ def _run_point(scenario: Scenario, edits):
         built, violations = _parse(tree, scenario)
         if violations:
             raise ValidationError(violations)
-        return built, run_scenario(built), None
+        if built.sensor is not scenario.sensor:
+            figures = _SensorFigures()
+        return built, _report(built, figures), None
     except (MemsmagError, ValueError, ArithmeticError) as exc:
         # The scenario is invalid or cannot be evaluated, or its arithmetic
         # left the float range (t**3 overflowing, a width underflowing to
@@ -291,6 +329,10 @@ def sweep(
 
     Points that fail keep their slot: the report is None and the error
     column records what went wrong, so a sweep never dies half way.
+    The points of a drive, environment or other non-sensor parameter keep
+    the scenario's sensor record, so they share one resonator (per quality
+    factor) and one set of beam warnings, computed by the first point that
+    gets that far.
     """
     # An int or a type that stands for one (numpy's), but not a bool.
     if isinstance(steps, bool) or not hasattr(steps, "__index__"):
@@ -308,7 +350,8 @@ def sweep(
     else:
         raise ValueError(f"scale must be 'linear' or 'log', got {scale!r}")
     field = _resolve_path(scenario.tree, parameter_path)
-    points = [_run_point(scenario, [(field, value)]) for value in values]
+    figures = _SensorFigures()
+    points = [_run_point(scenario, [(field, value)], figures) for value in values]
     return SweepResult(
         parameter_path=parameter_path,
         values=values,
@@ -501,6 +544,8 @@ def optimize(
     point is built and run once and a callable objective is called at most
     once per distinct point (only feasible points are scored). A vertex
     Nelder-Mead revisits costs one trace record, a copy of its first.
+    Points that keep the scenario's sensor record share its resonator and
+    beam warnings, as a sweep's points do.
     """
     params = [_normalize_parameter(p) for p in free_parameters]
     if not 1 <= len(params) <= MAX_FREE_PARAMETERS:
@@ -521,6 +566,7 @@ def optimize(
     best = None  # (scenario, report, trace record) of the best feasible point
     by_vertex = {}  # vertex -> the trace record of its first evaluation
     seen = {}  # physical point -> (value, feasible) of its first evaluation
+    figures = _SensorFigures()  # of the scenario's sensor, for points that keep it
 
     def evaluate(z):
         nonlocal best
@@ -533,7 +579,7 @@ def optimize(
         physical = tuple([lo + zi * span for zi, lo, span in zip(z, lows, spans)])
         new = physical not in seen
         if new:
-            built, report, _ = _run_point(scenario, zip(fields, physical))
+            built, report, _ = _run_point(scenario, zip(fields, physical), figures)
             violation = 1.0 if report is None else _constraint_violation(report, limits)
             feasible = violation == 0.0
             value = score(report) if feasible else _PENALTY * (1.0 + violation)
@@ -568,10 +614,11 @@ def optimize(
 def oracle_check(scenario: Scenario) -> dict:
     """Cross-check the closed-form beam model against the brute-force solver.
 
-    Solves the scenario's suspension beam on 100, 200 and 400 nodes,
-    compares the finest solution's tip deflection and anchor moment with
-    the analytic values, and fits the solver's convergence order to all
-    three.
+    Solves the scenario's suspension beam on 100, 200 and 400 nodes at the
+    clamp and tip nodes only, where the deflection and the moment peak.
+    Compares the finest solution's tip deflection and anchor (clamp) moment
+    with the analytic values, and fits the solver's convergence order to
+    the three tip deflections.
     """
     beam = scenario.sensor.beam
     force = 1e-9
@@ -581,9 +628,10 @@ def oracle_check(scenario: Scenario) -> dict:
 
     grids = (100, 200, 400)
     solutions = [
-        _solve_nodes(beam.length, section.flexural_rigidity, n, force, 0.0) for n in grids
+        _solve_nodes(beam.length, section.flexural_rigidity, n, force, 0.0, (0, n - 1))
+        for n in grids
     ]
-    tips = [deflection[-1] for deflection, _ in solutions]
+    tips = [deflection[1] for deflection, _ in solutions]
     anchor_moment = solutions[-1][1][0]
     tip_error = abs(tips[-1] - analytic_tip) / abs(analytic_tip)
     moment_error = abs(anchor_moment - analytic_moment) / analytic_moment
@@ -821,7 +869,7 @@ def emit_report(obj: Union[SimulationReport, SweepResult], format: str, path) ->
 def __getattr__(name):
     # optimize no longer calls scipy. This hook stays only because
     # perfbench/spans.py's Tracer.install looks the name up without a
-    # default; it goes when that lookup does (ROADMAP items 2 and 5).
+    # default (CHANGES.md FOUND on EXTERNAL); it goes when that lookup does.
     if name == "minimize":
         from scipy.optimize import minimize
 

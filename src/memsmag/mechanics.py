@@ -142,6 +142,8 @@ def composite_section(geom: BeamGeometry) -> CompositeSection:
 
 def tip_deflection(section: CompositeSection, length: float, tip_force: float) -> float:
     """Tip deflection F*l^3 / (3 EI) of a clamped beam under a tip force."""
+    if not length > 0:
+        raise ValueError("beam length must be > 0")
     try:
         cube = length**3
     except OverflowError:

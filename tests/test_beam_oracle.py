@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from memsmag import (
     solve_static,
     tip_deflection,
 )
+from memsmag.beam_oracle import _fitted_order, _solve_nodes
 
 SILICON = builtin_material("silicon")
 
@@ -129,6 +131,27 @@ def test_nodes_are_the_exact_discrete_solution_within_one_ulp(load):
 def test_out_of_range_load_is_a_singular_system(load):
     with pytest.raises(SingularSystemError, match="non-finite"):
         solve_static(_beam(), grid_size=400, **load)
+
+
+@pytest.mark.parametrize("load", [{"tip_force": 1e-6}, {"tip_moment": -3e-10}])
+def test_chosen_nodes_match_the_full_solve_bit_for_bit(load):
+    geom = _beam()
+    ei = composite_section(geom).flexural_rigidity
+    force, moment = load.get("tip_force", 0.0), load.get("tip_moment", 0.0)
+    rng = random.Random(31)
+    for n in (50, 51, 100, 199, 200, 400, 800):
+        full = solve_static(geom, grid_size=n, **load)
+        nodes = [0, n - 1, *rng.sample(range(n), 5)]
+        deflection, moments = _solve_nodes(geom.length, ei, n, force, moment, nodes)
+        assert [w.hex() for w in deflection] == [float(full.deflection[i]).hex() for i in nodes]
+        assert [m.hex() for m in moments] == [float(full.bending_moment[i]).hex() for i in nodes]
+
+
+def test_convergence_order_fits_the_full_solves_tips():
+    geom = _beam()
+    grids = [100, 200, 400]
+    tips = [solve_static(geom, grid_size=g, tip_force=1e-6).tip_deflection for g in grids]
+    assert convergence_order(geom, grids, 1e-6) == _fitted_order(geom.length, grids, tips)
 
 
 def test_anchor_stress_single_layer():

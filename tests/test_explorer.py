@@ -31,11 +31,13 @@ from memsmag import (
     optimize,
     oracle_check,
     run_scenario,
+    solve_static,
     stack_curvature,
     sweep,
 )
 from memsmag import scenario as scenario_module
 from memsmag.scenario import _parse
+from memsmag.transduction import SensorDesign
 
 
 def test_lorentz_report_fields():
@@ -202,7 +204,7 @@ def _linear_ranges() -> list:
 
 def test_linear_sweep_values_are_np_linspaces_bits(monkeypatch):
     # The points themselves are not run: only the values are under test.
-    monkeypatch.setattr(explorer, "_run_point", lambda scenario, edits: (None, None, None))
+    monkeypatch.setattr(explorer, "_run_point", lambda scenario, edits, figures: (None, None, None))
     scenario = default_scenario("lorentz")
     for start, stop, steps in _linear_ranges():
         with warnings.catch_warnings():
@@ -218,7 +220,7 @@ def test_log_sweep_values_are_within_an_ulp_of_np_geomspace(monkeypatch):
     # libm's pow and numpy's may round apart in the last place; the ends are
     # the given values exactly. At the largest float, 10**log10(x) overflows
     # and the middle point reads inf, as numpy gives it.
-    monkeypatch.setattr(explorer, "_run_point", lambda scenario, edits: (None, None, None))
+    monkeypatch.setattr(explorer, "_run_point", lambda scenario, edits, figures: (None, None, None))
     scenario = default_scenario("lorentz")
     largest = sys.float_info.max
     cases = [(1e-3, 1e-1, 3), (1e-3, 1e-3, 5), (1e-1, 1e-3, 7), (largest, 1e308, 4),
@@ -417,8 +419,9 @@ def test_every_input_acts_on_a_report_figure(kind):
 
     base = figures(run_scenario(scenario))
     acted, inert = [], []
+    sensor_figures = explorer._SensorFigures()
     for path, edit in _probe_inputs(kind, scenario):
-        _, report, error = explorer._run_point(scenario, [edit])
+        _, report, error = explorer._run_point(scenario, [edit], sensor_figures)
         assert error is None, (path, error)
         (acted if figures(report) != base else inert).append(path)
     assert len(acted) > 30
@@ -467,6 +470,8 @@ _OVERRIDES = {
 ], ids=["lorentz", "ferro", "overrides"])
 def test_point_reusing_parent_sections_matches_a_fresh_build(parent):
     scenario = build_scenario(parent)
+    # One call's figures for every point, as one sweep or search keeps them.
+    sensor_figures = explorer._SensorFigures()
     paths = list(_numeric_paths(scenario.tree))
     overridden = any(path.startswith("material_overrides.") for path in paths)
     assert overridden == ("material_overrides" in parent)
@@ -483,7 +488,7 @@ def test_point_reusing_parent_sections_matches_a_fresh_build(parent):
             "drive": section != "drive",
         }
         for new in _edit_values(scenario.tree, steps, value):
-            got = explorer._run_point(scenario, [(steps, new)])
+            got = explorer._run_point(scenario, [(steps, new)], sensor_figures)
             assert got == _fresh_point(explorer._with_values(scenario.tree, [(steps, new)])), (
                 path, new)
             if got[0] is None:
@@ -515,7 +520,7 @@ def test_point_on_an_overrides_parent_builds_no_materials(monkeypatch):
     monkeypatch.setattr(scenario_module, "_materials", counted)
     for path, edit in _probe_inputs("lorentz", scenario):
         if not path.startswith("material_overrides."):
-            assert explorer._run_point(scenario, [edit])[2] is None, path
+            assert explorer._run_point(scenario, [edit], explorer._SensorFigures())[2] is None, path
     # A numeric edit keeps every material name, so no reader asks for one.
     assert calls == []
     tree = scenario.tree
@@ -578,6 +583,7 @@ _MULTI_EDITS = {
 def test_multi_leaf_point_matches_a_fresh_build(kind):
     scenario = default_scenario(kind)
     tree = scenario.tree
+    sensor_figures = explorer._SensorFigures()
     scales = [1.0, 1.5, 0.25, 0.0, -1.0]
     for paths in _MULTI_EDITS[kind]:
         steps = [explorer._resolve_path(tree, path) for path in paths]
@@ -596,7 +602,8 @@ def test_multi_leaf_point_matches_a_fresh_build(kind):
         for point in points:
             edits = list(zip(steps, point))
             expected = explorer._with_values(tree, edits)
-            assert explorer._run_point(scenario, edits) == _fresh_point(expected), (paths, point)
+            got = explorer._run_point(scenario, edits, sensor_figures)
+            assert got == _fresh_point(expected), (paths, point)
 
 
 def _parse_cases():
@@ -702,10 +709,10 @@ def test_optimize_runs_each_distinct_point_once(monkeypatch):
     run_point = explorer._run_point
     runs = []
 
-    def counted_run(scenario, edits):
+    def counted_run(scenario, edits, figures):
         edits = list(edits)
         runs.append(tuple(value for _, value in edits))
-        return run_point(scenario, edits)
+        return run_point(scenario, edits, figures)
 
     scores = []
 
@@ -722,7 +729,7 @@ def test_optimize_runs_each_distinct_point_once(monkeypatch):
     assert len(scores) == len({p for p, e in zip(points, result.trace) if e["feasible"]})
 
     for point, entry in zip(points, result.trace):
-        _, report, _ = run_point(scenario, zip(fields, point))
+        _, report, _ = run_point(scenario, zip(fields, point), explorer._SensorFigures())
         violation = 1.0 if report is None else explorer._constraint_violation(report, limits)
         feasible = violation == 0.0
         value = -report.sensitivity if feasible else explorer._PENALTY * (1.0 + violation)
@@ -915,6 +922,62 @@ def test_stressed_stack_lift_in_report():
     # The lift is a warning, not a figure.
     plain = run_scenario(default_scenario("lorentz"))
     assert explorer._csv_row(report)[:-1] == explorer._csv_row(plain)[:-1]
+
+
+def test_points_keeping_the_parent_sensor_compute_its_resonator_once(monkeypatch):
+    real = SensorDesign.resonator
+    calls = []  # the quality factor of each call
+
+    def counted(design, quality_factor):
+        calls.append(quality_factor)
+        return real(design, quality_factor)
+
+    monkeypatch.setattr(SensorDesign, "resonator", counted)
+    scenario = default_scenario("lorentz")
+    result = sweep(scenario, "environment.field_magnitude", 0.0, 10e-4, 200)
+    assert None not in result.reports
+    assert calls == [scenario.quality_factor]
+    # A search over the drive alone keeps the sensor too.
+    calls.clear()
+    optimize(scenario, [("drive.amplitude", 1e-3, 50e-3)], "sensitivity")
+    assert calls == [scenario.quality_factor]
+    # A beam edit builds a sensor per point, and each computes its own.
+    calls.clear()
+    result = sweep(scenario, "sensor.support_beam.width", 10e-6, 30e-6, 20)
+    assert None not in result.reports
+    assert calls == [scenario.quality_factor] * 20
+    # One resonator per quality factor; the first point fails validation.
+    calls.clear()
+    result = sweep(scenario, "quality_factor", 0.5, 60.0, 20)
+    assert result.reports[0] is None and None not in result.reports[1:]
+    assert calls == result.values[1:]
+
+
+@pytest.mark.parametrize("parent, path, start, stop, scale", [
+    ({}, "environment.field_magnitude", 0.0, 10e-4, "linear"),
+    ({}, "quality_factor", 0.5, 60.0, "linear"),
+    (_STRESSED, "environment.field_magnitude", 0.0, 10e-4, "linear"),
+    ({}, "drive.amplitude", 1e-4, 1e300, "log"),
+    ({}, "drive.amplitude", 1e300, 1e-4, "log"),
+    ({"sensor": {"kind": "ferro"}}, "environment.field_angle", 0.1, 2.9, "linear"),
+    (_STRESSED, "sensor.support_beam.length", 10e-6, 800e-6, "linear"),
+], ids=["field", "quality_factor", "stressed", "overflow-up", "overflow-down", "ferro-angle",
+        "beam-length"])
+def test_sweep_reports_reusing_the_parent_sensor_match_fresh_runs(parent, path, start, stop, scale):
+    scenario = build_scenario(parent)
+    result = sweep(scenario, path, start, stop, 40, scale)
+    steps = explorer._resolve_path(scenario.tree, path)
+    for value, report, error in zip(result.values, result.reports, result.errors):
+        _, fresh, fresh_error = _fresh_point(explorer._with_values(scenario.tree, [(steps, value)]))
+        assert (report, error) == (fresh, fresh_error), value
+        if report is not None:
+            assert report == run_scenario(build_scenario(report.scenario)), value
+    if parent is _STRESSED:
+        assert all(report.warnings[-1].startswith("stressed layers curl the beam")
+                   for report in result.reports)
+    if path == "drive.amplitude":
+        # Points on both sides of the overflow, whichever comes first.
+        assert None in result.reports and any(result.reports)
 
 
 _CORPUS_FLOATS = [
@@ -1364,6 +1427,15 @@ def test_oracle_check_both_kinds():
         assert 1.8 <= result["convergence_order"] <= 2.2
 
 
+@pytest.mark.parametrize("kind", ["lorentz", "ferro"])
+def test_oracle_check_fd_figures_are_the_full_solves(kind):
+    beam = default_scenario(kind).sensor.beam
+    result = oracle_check(default_scenario(kind))
+    solution = solve_static(beam, 400, tip_force=1e-9)
+    assert result["tip_deflection_fd_m"].hex() == solution.tip_deflection.hex()
+    assert result["anchor_moment_fd_N_m"].hex() == float(solution.bending_moment[0]).hex()
+
+
 def test_oracle_check_solves_each_grid_once(monkeypatch):
     import memsmag.beam_oracle as beam_oracle
     import memsmag.explorer as explorer
@@ -1371,9 +1443,9 @@ def test_oracle_check_solves_each_grid_once(monkeypatch):
     grids = []
     real = beam_oracle._solve_nodes
 
-    def counted(length, ei, grid_size, force, moment):
+    def counted(length, ei, grid_size, force, moment, nodes):
         grids.append(grid_size)
-        return real(length, ei, grid_size, force, moment)
+        return real(length, ei, grid_size, force, moment, nodes)
 
     monkeypatch.setattr(explorer, "_solve_nodes", counted)
     monkeypatch.setattr(beam_oracle, "_solve_nodes", counted)

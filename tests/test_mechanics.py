@@ -103,6 +103,13 @@ def test_tip_deflection_linearity():
     assert tip_deflection(section, 300e-6, 2e-6) == pytest.approx(2 * one, rel=1e-12)
 
 
+def test_tip_deflection_argument_checks():
+    section = CompositeSection(2.253e-12, 1e-6, 1.0, 1.0)
+    for length in (0.0, -300e-6, math.nan):
+        with pytest.raises(ValueError, match="beam length must be > 0"):
+            tip_deflection(section, length, 1e-6)
+
+
 def test_anchor_stress_example():
     stress = max_anchor_stress(5e-9, 300e-6, 20e-6, 1.35e-6, load_share_count=3)
     assert stress == pytest.approx(8.23e4, rel=1e-3)
