@@ -166,6 +166,10 @@ def max_anchor_stress(
     """
     if not load_share_count >= 1:
         raise ValueError("load_share_count must be >= 1")
+    if not width > 0:
+        raise ValueError("beam width must be > 0")
+    if not thickness > 0:
+        raise ValueError("beam thickness must be > 0")
     try:
         square = thickness**2
     except OverflowError:

@@ -7,6 +7,15 @@ field's bound is declared in the field's metadata (see _record). User files
 are merged over the packaged default for the chosen sensor kind, every
 invariant is checked with all violations collected, and the fully resolved
 tree rides along in the built Scenario so reports can echo the exact inputs.
+
+Configs parse with libyaml's C parser (`yaml.CSafeLoader`) when PyYAML has
+it, and with PyYAML's own parser otherwise. PyYAML's parser also reads any
+document holding a character on which the two are known to disagree (a tab,
+one of `? ! % | >`, any other control character but a newline, anything
+outside ASCII), any document with more than _MAX_OPENERS of the characters
+`[ { : -` that can open a nesting level, and any document libyaml refuses.
+So the trees and the error text, line and snippet included, are the ones
+`yaml.safe_load` gives either way.
 """
 
 import copy
@@ -62,13 +71,49 @@ class Scenario:
     tree: dict  # resolved key tree, echoed into reports
 
 
+# libyaml's parser, or None on a PyYAML built without it.
+_CLOADER = getattr(yaml, "CSafeLoader", None)
+
+# A character on which libyaml and PyYAML's parser are known to read a
+# document differently: a tab, ? ! % | >, any other control character but a
+# newline, or anything outside ASCII. One class, the newline and printable
+# ASCII less those five, searches several times faster than an alternation.
+_PURE_ONLY_RE = re.compile(r'[^\n "#$&-=@-{}~]')
+
+# libyaml's parser recurses in C once per nesting level and crashes the
+# process on a stack overflow (about 24,000 levels on an 8 MB stack), where
+# PyYAML's raises RecursionError. A document nests no deeper than its count
+# of the characters that can open a level, so it goes to libyaml only when
+# that count is small.
+_OPENERS = "[{:-"
+_MAX_OPENERS = 1000
+
+
+def _load_yaml(text: str):
+    """`yaml.safe_load(text)`, parsed by libyaml where the two agree.
+
+    A document libyaml refuses is parsed again by PyYAML, so its error
+    carries PyYAML's message, line and snippet.
+    """
+    if (
+        _CLOADER is not None
+        and not _PURE_ONLY_RE.search(text)
+        and sum(map(text.count, _OPENERS)) <= _MAX_OPENERS
+    ):
+        try:
+            return yaml.load(text, Loader=_CLOADER)
+        except yaml.YAMLError:
+            pass
+    return yaml.safe_load(text)
+
+
 @lru_cache(maxsize=None)
 def _packaged_tree(kind: str) -> dict:
     """The packaged default tree, shared: callers must not mutate it."""
     if kind not in SENSOR_KINDS:
         raise NotFoundError(f"unknown sensor kind {kind!r}; choose from {SENSOR_KINDS}")
     text = resources.files("memsmag").joinpath(f"configs/default_{kind}.yaml").read_text()
-    return yaml.safe_load(text)
+    return _load_yaml(text)
 
 
 def default_tree(kind: str = "lorentz") -> dict:
@@ -442,22 +487,26 @@ def load_scenario(path) -> Scenario:
     """Build the scenario described by a YAML file.
 
     An empty file yields the fully default design. Parse failures raise
-    ParseError with the offending line; invariant violations raise
-    ValidationError naming each bad field.
+    ParseError with the offending line, as does a tree nested too deeply
+    to read; invariant violations raise ValidationError naming each bad
+    field.
     """
     with open(path) as handle:
         text = handle.read()
     try:
-        tree = yaml.safe_load(text)
+        tree = _load_yaml(text)
+        if tree is None:
+            tree = {}
+        if not isinstance(tree, dict):
+            raise ParseError(f"{path}: expected a key tree at the top level")
+        return build_scenario(tree)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f"{path}:{mark.line + 1}" if mark is not None else str(path)
         raise ParseError(f"{where}: {exc}") from exc
-    if tree is None:
-        tree = {}
-    if not isinstance(tree, dict):
-        raise ParseError(f"{path}: expected a key tree at the top level")
-    return build_scenario(tree)
+    except RecursionError:
+        # The traceback would run to thousands of frames, one per level.
+        raise ParseError(f"{path}: the key tree nests too deeply to read") from None
 
 
 def default_scenario(kind: str = "lorentz") -> Scenario:

@@ -267,6 +267,8 @@ def fit_power_law_offset() -> tuple[float, float]:
 
 def power_law_offset(current: float, coefficient: float, exponent: float) -> float:
     """Offset a*|I|^p; even in the current like the quadratic mode."""
+    if not math.isfinite(current):
+        raise ValueError("current must be finite")
     if current == 0.0:
         return 0.0
     return coefficient * abs(current) ** exponent

@@ -86,6 +86,14 @@ def test_unparseable_config(tmp_path):
     assert code == 1
 
 
+def test_deeply_nested_config_is_one_error_line(tmp_path, capsys):
+    cfg = tmp_path / "deep.yaml"
+    cfg.write_text("noise_band: " + "[" * 3000 + "]" * 3000 + "\n")
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {cfg}: the key tree nests too deeply to read\n"
+
+
 def test_usage_errors(tmp_path):
     assert main([]) == 1
     assert main(["frobnicate"]) == 1

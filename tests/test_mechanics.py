@@ -122,6 +122,12 @@ def test_anchor_stress_share_count():
     for count in (0, math.nan):
         with pytest.raises(ValueError):
             max_anchor_stress(5e-9, 300e-6, 20e-6, 1.35e-6, load_share_count=count)
+    for width in (0.0, -20e-6, math.nan):
+        with pytest.raises(ValueError, match="beam width must be > 0"):
+            max_anchor_stress(5e-9, 300e-6, width, 1.35e-6, load_share_count=3)
+    for thickness in (0.0, -1.35e-6, math.nan):
+        with pytest.raises(ValueError, match="beam thickness must be > 0"):
+            max_anchor_stress(5e-9, 300e-6, 20e-6, thickness, load_share_count=3)
 
 
 def test_resonator_damping_identity():

@@ -1,9 +1,13 @@
 import copy
 import dataclasses
+import functools
 import math
+import random
 import re
+from importlib import resources
 
 import pytest
+import yaml
 
 from memsmag import (
     FerroDesign,
@@ -20,7 +24,19 @@ from memsmag import (
     override_material,
     validate_tree,
 )
-from memsmag.scenario import _packaged_tree, _resolve
+from memsmag import scenario
+from memsmag.scenario import SENSOR_KINDS, _load_yaml, _packaged_tree, _resolve
+
+
+@pytest.fixture(params=["libyaml", "pyyaml"])
+def parser(request, monkeypatch):
+    """Runs a test on libyaml's parser, then on PyYAML's own."""
+    if request.param == "libyaml":
+        if scenario._CLOADER is None:
+            pytest.skip("PyYAML was built without libyaml")
+    else:
+        monkeypatch.setattr(scenario, "_CLOADER", None)
+    return request.param
 
 
 def test_defaults_build_both_kinds():
@@ -212,7 +228,7 @@ def test_scalar_validations():
         )
 
 
-def test_parse_error_has_location(tmp_path):
+def test_parse_error_has_location(tmp_path, parser):
     path = tmp_path / "broken.yaml"
     path.write_text("drive:\n  amplitude: [1, 2\n")
     with pytest.raises(ParseError) as excinfo:
@@ -220,6 +236,77 @@ def test_parse_error_has_location(tmp_path):
     message = str(excinfo.value)
     assert str(path) in message
     assert re.search(r":\d+", message.replace(str(path), "", 1))
+    # PyYAML's own text, snippet included, whichever parser read the file.
+    with pytest.raises(yaml.YAMLError) as reference:
+        yaml.safe_load(path.read_text())
+    assert message == f"{path}:{reference.value.problem_mark.line + 1}: {reference.value}"
+
+
+# Characters the mutations draw from: YAML's indicators, a tab, a carriage
+# return, an escape, a non-ASCII letter, a byte-order mark and the digits.
+_MUTATION_CHARS = " \t\n\r:-[]{},#'\"!&*|>%@?.eE+\\\u00b5\ufeff0123456789"
+
+
+@functools.lru_cache(maxsize=None)
+def _mutated_configs(count=1000, seed=20081):
+    """`count` copies of the packaged defaults and of their dumped trees,
+    each with 1 to 3 characters inserted, deleted or replaced, paired with
+    what yaml.safe_load makes of each."""
+    bases = [
+        resources.files("memsmag").joinpath(f"configs/default_{kind}.yaml").read_text()
+        for kind in SENSOR_KINDS
+    ] + [yaml.safe_dump(default_scenario(kind).tree) for kind in SENSOR_KINDS]
+    rng = random.Random(seed)
+    corpus = []
+    for _ in range(count):
+        text = rng.choice(bases)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(text))
+            edit = rng.choice(("insert", "delete", "replace"))
+            char = "" if edit == "delete" else rng.choice(_MUTATION_CHARS)
+            text = text[:i] + char + text[i + (edit != "insert"):]
+        corpus.append((text, _outcome(yaml.safe_load, text)))
+    return corpus
+
+
+def _outcome(load, text):
+    """The repr of the tree `load` reads from `text`, or its error's type and text."""
+    try:
+        return repr(load(text))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_load_yaml_reads_mutations_as_safe_load_does(parser):
+    corpus = _mutated_configs()
+    # Most documents pass the screen, so libyaml's reading is what is compared.
+    screened = sum(not scenario._PURE_ONLY_RE.search(text) for text, _ in corpus)
+    assert screened > len(corpus) // 2
+    if parser == "pyyaml":
+        corpus = corpus[::4]  # each call is yaml.safe_load's; a quarter shows it
+    for text, expected in corpus:
+        assert _outcome(_load_yaml, text) == expected, text
+
+
+# 900 levels pass the screen, so libyaml reads them and _resolve overflows
+# Python's stack; 3000 go to PyYAML's parser, which overflows it first.
+@pytest.mark.parametrize("depth", [900, 3000])
+def test_deep_nesting_is_a_parse_error(tmp_path, parser, depth):
+    path = tmp_path / "deep.yaml"
+    path.write_text("noise_band:\n" + "- " * depth + "1.0\n")
+    with pytest.raises(ParseError, match=re.escape(f"{path}: the key tree nests too deeply")):
+        load_scenario(path)
+
+
+def test_libyaml_never_reads_a_document_that_could_overflow_its_stack(monkeypatch):
+    # libyaml's parser recurses in C and would crash the process, not raise.
+    def refuse(text):
+        raise AssertionError("libyaml was handed a document nested 100,000 deep")
+
+    monkeypatch.setattr(scenario, "_CLOADER", refuse)
+    monkeypatch.setattr(yaml, "safe_load", lambda text: "read by PyYAML")
+    for opener in "[{-:":
+        assert _load_yaml(opener * 100_000) == "read by PyYAML"
 
 
 def test_parse_error_non_mapping(tmp_path):

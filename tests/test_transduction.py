@@ -151,6 +151,9 @@ def test_power_law_offset_calibration():
     assert power_law_offset(-10e-3, coefficient, exponent) == power_law_offset(
         10e-3, coefficient, exponent
     )
+    for current in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="current must be finite"):
+            power_law_offset(current, coefficient, exponent)
 
 
 def test_joule_temperature_rise():
