@@ -31,11 +31,14 @@ TRANSIENT_COLUMNS = ("t_s", "x_m", "v_m_per_s", "V_out_V")  # one per TimeSeries
 # Steps one row of the transient's block product advances.
 BLOCK_STEPS = 32
 
+# Blocks one row of the second product, over block starts, advances.
+GROUP_BLOCKS = 16
+
 # Blocks per chunk of forcing samples; bounds the transient's scratch memory.
 CHUNK_BLOCKS = 256
 
-# Rows TimeSeries.to_csv formats per call; bounds its scratch memory.
-CSV_CHUNK_ROWS = 8192
+# Rows TimeSeries.to_csv formats into one string; bounds its scratch memory.
+CSV_CHUNK_ROWS = 1024
 
 
 @dataclass
@@ -60,11 +63,14 @@ class TimeSeries:
         import numpy as np
 
         columns = (self.time, self.displacement, self.velocity, self.output_voltage)
+        # The bytes np.savetxt(fmt="%.17g", delimiter=",") writes, formatted
+        # a chunk of rows per string rather than a row per call.
+        line = ",".join(["%.17g"] * len(columns)) + "\n"
         with open(path, "w") as handle:
             handle.write(",".join(TRANSIENT_COLUMNS) + "\n")
             for first in range(0, len(self.time), CSV_CHUNK_ROWS):
                 rows = np.column_stack([c[first : first + CSV_CHUNK_ROWS] for c in columns])
-                np.savetxt(handle, rows, delimiter=",", fmt="%.17g")
+                handle.write(line * len(rows) % tuple(rows.ravel().tolist()))
 
 
 @dataclass
@@ -118,9 +124,10 @@ def simulate_transient(
     """Integrate m x'' + D x' + k x = F(t) with classical 4th-order RK.
 
     RK4 on this linear system is one affine map per step, built once and
-    applied a block of BLOCK_STEPS steps per matrix product. The square
-    waveform applies the forcing with exact sign flips every half
-    period; dc applies it constantly. The voltage column maps displacement
+    applied a block of BLOCK_STEPS steps per matrix product, with the
+    state carried across GROUP_BLOCKS blocks per product. The square
+    waveform applies the forcing with exact sign flips every half period;
+    dc applies it constantly. The voltage column maps displacement
     through instantaneous anchor stress, gauge, and bridge. Starts from rest
     unless initial conditions are given. The run must cover
     MIN_DRIVE_PERIODS periods of a square drive at a step of at most
@@ -186,10 +193,16 @@ def simulate_transient(
 
     # Over a block of B steps from y_s, y after j steps is P^j y_s plus the
     # zero-state sum of P^(j-1-k) [g1 g2 g3] f_k over k < j. One matrix product
-    # per chunk gives every block's zero-state rows, a scan over the block
-    # starts carries y_s, and a second product adds P^j y_s.
-    powers, kernel = _block_tables(step_map.tobytes())
-    (p_xx, p_xv), (p_vx, p_vv) = powers[:, :, -1].tolist()
+    # per chunk gives every block's zero-state rows. Block ends then follow
+    # the same kind of recurrence one level up, y_(b+1) = Q y_b + z_b with
+    # Q = P^B and z_b the block's zero-state end, so a second product over
+    # groups of G blocks gives each block end from its group's start, a scan
+    # over the group starts carries the state, and products with Q^i and P^j
+    # add the starts back in.
+    powers, kernel = _block_tables(step_map.tobytes(), BLOCK_STEPS)
+    block_map = np.column_stack((powers[:, :, -1], np.eye(2)))  # [Q I]
+    group_powers, group_kernel = _block_tables(block_map.tobytes(), GROUP_BLOCKS)
+    (q_xx, q_xv), (q_vx, q_vv) = group_powers[:, :, -1].tolist()
     steps = int(round(duration / dt))
     blocks = -(-steps // BLOCK_STEPS)
     # The four output columns are rows of one block; the returned columns
@@ -203,21 +216,34 @@ def simulate_transient(
     xs, vs = x0, v0
     for first in range(0, blocks, CHUNK_BLOCKS):
         count = min(CHUNK_BLOCKS, blocks - first)
+        groups = -(-count // GROUP_BLOCKS)
         rows = slice(1 + first * BLOCK_STEPS, 1 + (first + count) * BLOCK_STEPS)
         np.multiply(np.arange(rows.start, rows.stop), dt, out=time[rows])
         xb, vb = (out[rows].reshape(count, BLOCK_STEPS) for out in (x, v))
         forcing = _forcing(first * BLOCK_STEPS, count, dt, freq, peak).reshape(count, -1)
+        # Zero-state block ends laid out as the group kernel reads them; the
+        # blocks that pad the last group past the run's end are zero.
+        ends = np.zeros((2, groups * GROUP_BLOCKS))
         with np.errstate(over="ignore", invalid="ignore"):
             for out, kern in zip((xb, vb), kernel):
                 np.matmul(forcing, kern, out=out)
-            state = [(xs, vs)]
-            for zx, zv in zip(xb[:, -1].tolist(), vb[:, -1].tolist()):
-                xs, vs = p_xx * xs + p_xv * vs + zx, p_vx * xs + p_vv * vs + zv
-                state.append((xs, vs))
-            state = np.array(state)
+            ends[:, :count] = xb[:, -1], vb[:, -1]
+            ends = ends.reshape(2, groups, GROUP_BLOCKS).transpose(1, 0, 2).reshape(groups, -1)
+            zx, zv = (ends @ kern for kern in group_kernel)
+            starts = []
+            for ex, ev in zip(zx[:, -1].tolist(), zv[:, -1].tolist()):
+                starts.append((xs, vs))
+                xs, vs = q_xx * xs + q_xv * vs + ex, q_vx * xs + q_vv * vs + ev
+            starts = np.array(starts)
+            # state[i] is the state at the start of the chunk's block i.
+            state = np.empty((groups * GROUP_BLOCKS + 1, 2))
+            state[0] = starts[0]
+            for col, (zero, power) in enumerate(zip((zx, zv), group_powers)):
+                state[1:, col] = (zero + starts @ power).ravel()
             for col, (out, power) in enumerate(zip((xb, vb), powers)):
-                out += state[:-1] @ power
-                out[:, -1] = state[1:, col]
+                out += state[:count] @ power
+                out[:, -1] = state[1 : count + 1, col]
+        xs, vs = state[count].tolist()
     time, x, v, voltage = table[:, : steps + 1]
     with np.errstate(over="ignore", invalid="ignore"):
         np.multiply(volts_per_meter, x, out=voltage)
@@ -256,34 +282,38 @@ def _forcing(first: int, blocks: int, dt: float, freq: Optional[float], peak: fl
     return out
 
 
-@functools.lru_cache(maxsize=8)
-def _block_tables(step_map_bytes: bytes) -> tuple:
-    """Block tables of the (2, 5) float64 step map [P g1 g2 g3], given as bytes.
+@functools.lru_cache(maxsize=16)
+def _block_tables(step_map_bytes: bytes, length: int) -> tuple:
+    """Block tables of a (2, 2 + m) float64 step map [P G], given as bytes.
 
-    powers[r] is (2, B) with column j - 1 holding row r of P^j, j = 1..B.
-    kernel[r] is (3B, B): entry (c*B + k, j - 1) is row r of P^(j-1-k) g(c+1)
-    for k < j and 0 otherwise, so a block's forcing, flattened as
-    _forcing lays it out, times kernel[r] is its zero-state response. The
-    powers are taken in long double, where the platform has it, so each
-    entry is rounded once and a block's P^B drifts no more than one step.
+    The map takes y+ = P y + G u for a state y of two and an input u of m.
+    Over a block of B = length steps, powers[r] is (2, B) with column
+    j - 1 holding row r of P^j, j = 1..B. kernel[r] is (mB, B): entry
+    (c*B + k, j - 1) is row r of P^(j-1-k) G[:, c] for k < j and 0
+    otherwise, so a block's inputs, flattened input by input (as _forcing
+    lays out [g1 g2 g3]'s forcing over BLOCK_STEPS steps, or as
+    simulate_transient lays out [P^B I]'s block ends over GROUP_BLOCKS
+    blocks), times kernel[r] is its zero-state response. The powers are
+    taken in long double, where the platform has it, so each entry is
+    rounded once and a block's P^B drifts no more than one step.
     Transients of one resonator at one step share the tables, which are
     kept read-only for the last few step maps; the bytes key tells -0.0
     from 0.0.
     """
     import numpy as np
 
-    step_map = np.frombuffer(step_map_bytes).reshape(2, 5)
-    steps = np.arange(BLOCK_STEPS)
-    power = np.empty((BLOCK_STEPS + 1, 2, 2), dtype=np.longdouble)
+    step_map = np.frombuffer(step_map_bytes).reshape(2, -1)
+    steps = np.arange(length)
+    power = np.empty((length + 1, 2, 2), dtype=np.longdouble)
     power[0] = np.eye(2)
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(BLOCK_STEPS):
+        for j in range(length):
             power[j + 1] = step_map[:, :2] @ power[j]
-        gains = (power[:BLOCK_STEPS] @ step_map[:, 2:]).astype(float)  # P^d [g1 g2 g3]
+        gains = (power[:length] @ step_map[:, 2:]).astype(float)  # P^d G
         power = power.astype(float)
     lag = steps[None, :] - steps[:, None]  # (k, j - 1) -> j - 1 - k
     kernel = np.where((lag >= 0)[:, :, None, None], gains[np.maximum(lag, 0)], 0.0)
-    kernel = kernel.transpose(2, 3, 0, 1).reshape(2, 3 * BLOCK_STEPS, BLOCK_STEPS)
+    kernel = kernel.transpose(2, 3, 0, 1).reshape(2, -1, length)
     powers = power[1:].transpose(1, 2, 0).copy()
     for array in (powers, kernel):
         array.setflags(write=False)

@@ -19,6 +19,7 @@ So the trees and the error text, line and snippet included, are the ones
 """
 
 import copy
+import itertools
 import re
 import sys
 from dataclasses import dataclass, field, fields
@@ -124,8 +125,23 @@ def default_tree(kind: str = "lorentz") -> dict:
 # A signed ASCII decimal number with an optional exponent: 45, -0.5, 4.8e5.
 _DECIMAL_RE = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
+# Most nodes (mappings, lists and leaves) a resolved key tree may hold. The
+# packaged defaults hold 42 and 43. YAML aliases let a short file repeat one
+# subtree many times over, and the resolved tree copies every repeat: nine
+# levels of ten aliases each, about 530 bytes, would ask for 10^9 leaves.
+MAX_TREE_NODES = 100_000
 
-def _resolve(base, node):
+
+class _TreeTooLarge(ValidationError):
+    """The resolved key tree would hold more than MAX_TREE_NODES nodes."""
+
+    def __init__(self):
+        super().__init__(
+            [f"top level: the key tree holds more than {MAX_TREE_NODES} nodes once resolved"]
+        )
+
+
+def _resolve(base, node, counter=None):
     """`node` merged over `base` as a new tree, numeric strings as floats.
 
     Mappings merge key by key (base keys first); anything else in `node`
@@ -135,20 +151,25 @@ def _resolve(base, node):
     YAML file gives. YAML leaves exponent forms like 4.8e5 as strings
     unless they carry a decimal point and a signed exponent, so a string
     that is wholly a decimal number, exponent optional, becomes a float;
-    any other string (" 30 ", "1_000", "nan") stays a string.
+    any other string (" 30 ", "1_000", "nan") stays a string. Raises
+    _TreeTooLarge once the result passes MAX_TREE_NODES nodes.
     """
+    if counter is None:
+        counter = itertools.count(1)
+    if next(counter) > MAX_TREE_NODES:
+        raise _TreeTooLarge()
     if isinstance(node, dict):
         base = base if isinstance(base, dict) else {}
         merged = {
-            key: _resolve(value, node[key] if key in node else value)
+            key: _resolve(value, node[key] if key in node else value, counter)
             for key, value in base.items()
         }
         for key, value in node.items():
             if key not in base:
-                merged[key] = _resolve(value, value)
+                merged[key] = _resolve(value, value, counter)
         return merged
     if isinstance(node, (list, tuple)):
-        return [_resolve(value, value) for value in node]
+        return [_resolve(value, value, counter) for value in node]
     if isinstance(node, str) and _DECIMAL_RE.fullmatch(node):
         return float(node)
     if isinstance(node, float):
@@ -467,7 +488,9 @@ def build_scenario(tree: dict) -> Scenario:
     """Merge a partial tree over the packaged defaults and build it.
 
     Raises ValidationError listing every violated invariant, not just the
-    first one found. None, like an empty file, means the empty tree.
+    first one found, or naming the cap when the merged tree would hold
+    more than MAX_TREE_NODES nodes. None, like an empty file, means the
+    empty tree.
     """
     if tree is None:
         tree = {}
@@ -488,8 +511,8 @@ def load_scenario(path) -> Scenario:
 
     An empty file yields the fully default design. Parse failures raise
     ParseError with the offending line, as does a tree nested too deeply
-    to read; invariant violations raise ValidationError naming each bad
-    field.
+    to read or one whose aliases expand past MAX_TREE_NODES nodes;
+    invariant violations raise ValidationError naming each bad field.
     """
     with open(path) as handle:
         text = handle.read()
@@ -507,6 +530,11 @@ def load_scenario(path) -> Scenario:
     except RecursionError:
         # The traceback would run to thousands of frames, one per level.
         raise ParseError(f"{path}: the key tree nests too deeply to read") from None
+    except _TreeTooLarge:
+        raise ParseError(
+            f"{path}: the key tree holds more than {MAX_TREE_NODES} nodes once its"
+            " aliases are expanded"
+        ) from None
 
 
 def default_scenario(kind: str = "lorentz") -> Scenario:

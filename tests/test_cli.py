@@ -94,6 +94,19 @@ def test_deeply_nested_config_is_one_error_line(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {cfg}: the key tree nests too deeply to read\n"
 
 
+def test_config_of_nested_aliases_is_one_error_line(tmp_path, capsys):
+    # Six levels of ten aliases each: 10^6 leaves once expanded.
+    cfg = tmp_path / "aliases.yaml"
+    lines = ["l0: &l0 [" + ", ".join(["0"] * 10) + "]"]
+    lines += [f"l{i}: &l{i} [" + ", ".join([f"*l{i - 1}"] * 10) + "]" for i in range(1, 6)]
+    cfg.write_text("\n".join(lines) + "\n")
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: the key tree holds more than ")
+    assert err.count("\n") == 1
+
+
 def test_usage_errors(tmp_path):
     assert main([]) == 1
     assert main(["frobnicate"]) == 1

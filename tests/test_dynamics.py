@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -25,6 +26,7 @@ from memsmag.dynamics import (
     BLOCK_STEPS,
     CHUNK_BLOCKS,
     CSV_CHUNK_ROWS,
+    GROUP_BLOCKS,
     MAX_TRANSIENT_STEPS,
     TRANSIENT_COLUMNS,
     _block_tables,
@@ -267,17 +269,68 @@ def test_transient_matches_textbook_rk4_off_the_step_grid(kind, start, drive_rat
     _assert_textbook(kind, start, "square", drive_ratio, 2400)
 
 
-_B, _CHUNK = BLOCK_STEPS, BLOCK_STEPS * CHUNK_BLOCKS
+_B, _G, _CHUNK = BLOCK_STEPS, BLOCK_STEPS * GROUP_BLOCKS, BLOCK_STEPS * CHUNK_BLOCKS
 
 
+# Block, group and chunk edges; the last run ends in a chunk of 22 blocks,
+# one whole group and a group of 6 padded to 16.
 @pytest.mark.parametrize("kind", ["lorentz", "ferro"])
 @pytest.mark.parametrize("start", ["rest", "moving"])
 @pytest.mark.parametrize("waveform, steps", [
     ("dc", 0), ("dc", 1), ("dc", _B - 1), ("dc", _B), ("dc", _B + 1),
-    ("square", _CHUNK - 1), ("square", _CHUNK + 1),
+    ("dc", _G - 1), ("square", _G), ("square", _G + 1),
+    ("square", _CHUNK - 1), ("square", _CHUNK + 1), ("dc", _CHUNK + 21 * _B + 3),
 ])
 def test_transient_matches_textbook_rk4_at_block_edges(kind, start, waveform, steps):
     _assert_textbook(kind, start, waveform, 9.3, steps)
+
+
+@pytest.mark.parametrize("damped", [True, False])
+def test_multi_chunk_run_is_the_step_by_step_affine_map(damped):
+    # Three chunks and five steps against the affine map of one textbook RK4
+    # step, y+ = P y + g1 F(t) + g2 F(t + dt/2) + g3 F(t + dt), applied one
+    # step at a time in float64: both products and the scan over group
+    # starts carry the state across every block, group and chunk edge.
+    scenario, res = _default_parts()
+    if not damped:
+        res = dataclasses.replace(res, quality_factor=math.inf, damping=0.0)
+    sensor, env = scenario.sensor, scenario.environment
+    f0 = res.natural_frequency
+    drive = Drive("square", scenario.drive.amplitude, 0.937 * f0)
+    dt, steps, x0, v0 = 1.0 / (200 * f0), 3 * _CHUNK + 5, 1e-7, -2e-7 * math.pi * f0
+    series = simulate_transient(res, sensor, drive, env, steps * dt, dt, x0=x0, v0=v0)
+
+    m, d, k = res.effective_mass, res.damping, res.stiffness
+
+    def rk4(y, forces):  # one textbook step with F(t), F(t + dt/2), F(t + dt)
+        def rate(y, force):
+            return np.array([y[1], (force - d * y[1] - k * y[0]) / m])
+
+        k1 = rate(y, forces[0])
+        k2 = rate(y + 0.5 * dt * k1, forces[1])
+        k3 = rate(y + 0.5 * dt * k2, forces[1])
+        k4 = rate(y + dt * k3, forces[2])
+        return y + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+
+    zero, one = np.zeros(2), np.eye(2)
+    (p_xx, p_vx), (p_xv, p_vv) = (rk4(column, (0.0, 0.0, 0.0)) for column in one)
+    gains = [rk4(zero, tuple(unit)).tolist() for unit in np.eye(3)]
+    peak = sensor.tip_force(drive, env, env.field_magnitude) / sensor.load_share_count
+    rows, (x, v) = [(x0, v0)], (x0, v0)
+    for i in range(steps):
+        t = i * dt
+        forces = [peak if math.fmod(at * drive.frequency, 1.0) < 0.5 else -peak
+                  for at in (t, t + 0.5 * dt, t + dt)]
+        x, v = (
+            p_xx * x + p_xv * v + sum(f * g[0] for f, g in zip(forces, gains)),
+            p_vx * x + p_vv * v + sum(f * g[1] for f, g in zip(forces, gains)),
+        )
+        rows.append((x, v))
+    reference = np.array(rows)
+    assert len(series.time) == len(reference) == steps + 1
+    for column, got in enumerate((series.displacement, series.velocity)):
+        want = reference[:, column]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("drive_ratio", [0.937, 1.0, 9.3, 150.0])
@@ -308,11 +361,15 @@ def test_repeated_transient_reuses_read_only_block_tables():
     first = simulate_transient(*args)
     hits = _block_tables.cache_info().hits
     second = simulate_transient(*args)
-    assert _block_tables.cache_info().hits == hits + 1
+    # Both levels hit: the steps' tables of [P g1 g2 g3] and the groups' of [P^B I].
+    assert _block_tables.cache_info().hits == hits + 2
     for name in ("time", "displacement", "velocity", "output_voltage"):
         assert np.array_equal(getattr(first, name), getattr(second, name))
-    tables = _block_tables(np.full((2, 5), 0.5).tobytes())
-    assert not any(table.flags.writeable for table in tables)
+    for inputs, length in ((3, BLOCK_STEPS), (2, GROUP_BLOCKS)):
+        powers, kernel = _block_tables(np.full((2, 2 + inputs), 0.5).tobytes(), length)
+        assert powers.shape == (2, 2, length)
+        assert kernel.shape == (2, inputs * length, length)
+        assert not powers.flags.writeable and not kernel.flags.writeable
 
 
 def test_transient_scratch_memory_is_one_chunk():

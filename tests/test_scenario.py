@@ -298,6 +298,39 @@ def test_deep_nesting_is_a_parse_error(tmp_path, parser, depth):
         load_scenario(path)
 
 
+def _nested_aliases(levels):
+    # Each level lists ten aliases of the one below, so the resolved tree
+    # would hold 10^levels leaves, from about 57 bytes a level.
+    lines = ["l0: &l0 [" + ", ".join(["0"] * 10) + "]"]
+    for i in range(1, levels):
+        lines.append(f"l{i}: &l{i} [" + ", ".join([f"*l{i - 1}"] * 10) + "]")
+    return "\n".join(lines) + "\n"
+
+
+def test_nested_aliases_fail_fast(tmp_path, parser):
+    # Six levels first: were the cap gone, that would fail here on about a
+    # million leaves, before nine levels asked for 10^9.
+    path = tmp_path / "aliases.yaml"
+    for levels in (6, 9):
+        path.write_text(_nested_aliases(levels))
+        expected = f"{path}: the key tree holds more than {scenario.MAX_TREE_NODES} nodes"
+        with pytest.raises(ParseError, match=re.escape(expected)) as info:
+            load_scenario(path)
+        assert "\n" not in str(info.value)
+        with pytest.raises(ValidationError, match="top level: the key tree holds more than"):
+            build_scenario(yaml.safe_load(_nested_aliases(levels)))
+
+
+def test_tree_node_cap_counts_every_node(monkeypatch):
+    # The packaged lorentz tree merged over itself is 42 nodes.
+    tree = _packaged_tree("lorentz")
+    monkeypatch.setattr(scenario, "MAX_TREE_NODES", 42)
+    assert build_scenario(tree).tree == tree
+    monkeypatch.setattr(scenario, "MAX_TREE_NODES", 41)
+    with pytest.raises(ValidationError, match="more than 41 nodes"):
+        build_scenario(tree)
+
+
 def test_libyaml_never_reads_a_document_that_could_overflow_its_stack(monkeypatch):
     # libyaml's parser recurses in C and would crash the process, not raise.
     def refuse(text):
