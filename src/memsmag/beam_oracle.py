@@ -26,6 +26,8 @@ MIN_GRID_SIZE = 50
 
 @dataclass
 class BeamSolution:
+    """Finite-difference static solution of a tip-loaded cantilever, node by node."""
+
     node_positions: np.ndarray  # m
     deflection: np.ndarray  # m
     bending_moment: np.ndarray  # N*m

@@ -3,6 +3,11 @@
 Exit codes: 0 on success, 1 for invalid input (bad flags, unreadable or
 invalid config, a parameter path that names no numeric field), 2 for
 runtime failures and failed verification.
+
+Start-up loads only the parser's needs: errors, grids (its limits and
+defaults) and scenario. Each command imports the rest itself: simulate,
+noise, sweep, optimize and verify import explorer (with noise and
+beam_oracle), and freq-response and transient import dynamics.
 """
 
 import argparse
@@ -10,21 +15,9 @@ import math
 import os
 import sys
 
-from .dynamics import MAX_TRANSIENT_STEPS, MIN_DRIVE_PERIODS, MIN_STEPS_PER_PERIOD
-from .dynamics import frequency_response, simulate_transient
 from .errors import DomainError, MemsmagError, ParseError, UnknownPathError, ValidationError
+from .grids import DEFAULT_CONSTRAINTS, MAX_SWEEP_POINTS, _geomspace
 from .scenario import Scenario, load_scenario
-from .explorer import (
-    DEFAULT_CONSTRAINTS,
-    MAX_SWEEP_POINTS,
-    _geomspace,
-    emit_report,
-    noise_figures,
-    optimize,
-    oracle_check,
-    run_scenario,
-    sweep,
-)
 
 CONFIG_DIR_ENV = "MEMSMAG_CONFIG_DIR"
 DEFAULT_CONFIG_NAME = "default.yaml"
@@ -41,16 +34,25 @@ class _Parser(argparse.ArgumentParser):
 
 def _load(args) -> Scenario:
     default = os.path.join(os.environ.get(CONFIG_DIR_ENV, "."), DEFAULT_CONFIG_NAME)
-    return load_scenario(args.config or default)
+    try:
+        return load_scenario(args.config or default)
+    except OSError as exc:
+        # A config that cannot be read (missing, a directory, no permission)
+        # is invalid input, unlike an output file that cannot be written.
+        raise ParseError(str(exc)) from exc
 
 
 def _cmd_simulate(args) -> int:
+    from .explorer import emit_report, run_scenario
+
     report = run_scenario(_load(args))
     emit_report(report, args.format, args.out)
     return 0
 
 
 def _cmd_sweep(args) -> int:
+    from .explorer import emit_report, sweep
+
     result = sweep(
         _load(args), args.path, args.start, args.stop, args.steps, args.scale
     )
@@ -78,6 +80,8 @@ def _parse_param(text: str):
 
 
 def _cmd_optimize(args) -> int:
+    from .explorer import emit_report, optimize
+
     params = [_parse_param(text) for text in args.param]
     constraints = {
         "max_stress_fraction": args.max_stress_fraction,
@@ -94,11 +98,15 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_noise(args) -> int:
+    from .explorer import noise_figures, run_scenario
+
     _print_figures(noise_figures(run_scenario(_load(args)).noise), args.out)
     return 0
 
 
 def _cmd_freq_response(args) -> int:
+    from .dynamics import frequency_response
+
     if not 2 <= args.points <= MAX_SWEEP_POINTS:
         raise ValueError(f"--points must be between 2 and {MAX_SWEEP_POINTS}, got {args.points}")
     scenario = _load(args)
@@ -126,6 +134,8 @@ def _transient_span(args, resonator, drive) -> tuple:
     frequencies; so is a default run over the cap, which names the flags
     that override it. A given flag is checked by simulate_transient.
     """
+    from .dynamics import MAX_TRANSIENT_STEPS, MIN_DRIVE_PERIODS, MIN_STEPS_PER_PERIOD
+
     f0 = resonator.natural_frequency
     period = 1.0 / f0
     source = f"the resonant frequency {f0!r} Hz"
@@ -153,6 +163,8 @@ def _transient_span(args, resonator, drive) -> tuple:
 
 
 def _cmd_transient(args) -> int:
+    from .dynamics import simulate_transient
+
     scenario = _load(args)
     resonator = scenario.sensor.resonator(scenario.quality_factor)
     series = simulate_transient(
@@ -167,6 +179,8 @@ def _cmd_transient(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .explorer import oracle_check
+
     checks = oracle_check(_load(args))
     passed = checks.pop("passed")
     _print_figures(checks)

@@ -43,6 +43,8 @@ CSV_CHUNK_ROWS = 1024
 
 @dataclass
 class FrequencyResponsePoint:
+    """Harmonic response of the resonator at one drive frequency."""
+
     frequency: float  # Hz
     amplitude: float  # m/N, displacement per unit force
     phase: float  # rad, in (-pi, 0]
@@ -75,6 +77,8 @@ class TimeSeries:
 
 @dataclass
 class SteadyState:
+    """Settled half peak-to-peak swing of a driven transient."""
+
     displacement: float  # m, half peak-to-peak
     voltage: float  # V, half peak-to-peak
 

@@ -17,6 +17,7 @@ import yaml
 
 from .beam_oracle import _fitted_order, _solve_nodes
 from .errors import InfeasibleError, MemsmagError, UnknownPathError, ValidationError
+from .grids import DEFAULT_CONSTRAINTS, MAX_SWEEP_POINTS, _geomspace, _linspace
 from .mechanics import (
     SLENDERNESS_WARN_LIMIT,
     composite_section,
@@ -35,8 +36,6 @@ HIGH_CURRENT_WARNING = (
     "drive amplitude exceeds 1 mA: self-heating is not negligible"
 )
 
-DEFAULT_CONSTRAINTS = {"max_stress_fraction": 0.5, "max_temperature_rise": 1.0}
-
 # Death penalty for constraint-violating optimizer points; grows with the
 # relative violation so the walk is still guided back toward feasibility.
 # The violation is capped so that every penalty stays finite.
@@ -45,12 +44,11 @@ _MAX_VIOLATION = 1e250
 
 MAX_FREE_PARAMETERS = 6
 
-# Most points one sweep or frequency table may hold; each keeps its row.
-MAX_SWEEP_POINTS = 10_000
-
 
 @dataclass
 class SimulationReport:
+    """Every figure of one scenario run, with its warnings and the resolved input."""
+
     sensitivity: float  # V/T
     offset: float  # V, field-independent
     output_at_field: float  # V at the scenario's ambient field
@@ -68,6 +66,8 @@ class SimulationReport:
 
 @dataclass
 class SweepResult:
+    """One report or one error per value of the swept parameter, in order."""
+
     parameter_path: str
     values: list
     reports: list  # SimulationReport, or None where the point failed
@@ -76,6 +76,8 @@ class SweepResult:
 
 @dataclass
 class OptimizeResult:
+    """The best feasible design found, its report, and every evaluation made."""
+
     best: Scenario
     report: SimulationReport
     evaluation: dict  # the trace record of the best point
@@ -277,44 +279,6 @@ def _run_point(scenario: Scenario, edits, figures: _SensorFigures):
         # left the float range (t**3 overflowing, a width underflowing to
         # zero). One line per failure so the error fits a single table cell.
         return None, None, f"{type(exc).__name__}: " + " ".join(str(exc).split())
-
-
-def _linspace(start: float, stop: float, steps: int) -> list:
-    """np.linspace(start, stop, steps).tolist(), bit for bit, in plain Python."""
-    div = steps - 1
-    delta = stop - start
-    step = delta / div
-    if step == 0:  # numpy's branch for a span whose step underflows
-        values = [i / div * delta + start for i in range(div)]
-    else:
-        values = [i * step + start for i in range(div)]
-    return values + [stop]
-
-
-def _geomspace(start: float, stop: float, steps: int) -> list:
-    """np.geomspace(start, stop, steps).tolist() for positive ends, in plain Python.
-
-    The ends are `start` and `stop` exactly; each point between is 10**e,
-    with the exponents spaced by _linspace between the correctly rounded
-    log10 of the ends. libm's pow and numpy's may round apart, so an
-    interior point can differ by 1 ulp from numpy's, where numpy's log10
-    rounds correctly too. A power past the float range reads as inf, as
-    numpy gives it.
-    """
-    # libm's log10 (math.log10) misrounds a few percent of inputs, and an
-    # exponent e one ulp off moves 10**e by about ln(10)·|e| ulp; decimal's
-    # log10 rounds correctly.
-    from decimal import Context, Decimal
-
-    context = Context(prec=40)
-    low, high = (float(context.log10(Decimal(end))) for end in (start, stop))
-    values = [start]
-    for exponent in _linspace(low, high, steps)[1:-1]:
-        try:
-            values.append(10.0 ** exponent)
-        except OverflowError:
-            values.append(math.inf)
-    return values + [stop]
 
 
 def sweep(

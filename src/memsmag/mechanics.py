@@ -48,6 +48,8 @@ class BeamGeometry:
 
 @dataclass
 class CompositeSection:
+    """Transformed-section properties of a layer stack, per unit length."""
+
     flexural_rigidity: float  # N*m^2, effective EI about the neutral axis
     neutral_axis_height: float  # m, from the bottom surface
     axial_stiffness: float  # N, effective EA
@@ -56,6 +58,8 @@ class CompositeSection:
 
 @dataclass
 class LumpedResonator:
+    """Single-degree-of-freedom model of the beam's first bending mode at the tip."""
+
     stiffness: float  # N/m, tip stiffness
     effective_mass: float  # kg
     natural_frequency: float  # Hz
@@ -74,6 +78,8 @@ class LumpedResonator:
 
 @dataclass
 class LiftProfile:
+    """Stress-driven curl of a released beam: curvature, tip angle and height."""
+
     curvature: float  # 1/m, positive curls toward the top layer
     tip_angle: float  # rad
     tip_height: float  # m

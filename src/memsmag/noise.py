@@ -19,6 +19,8 @@ BOLTZMANN = 1.380649e-23  # J/K
 
 @dataclass
 class NoiseBudget:
+    """Noise at the bridge output over the measurement band, and the field it hides."""
+
     thermal_electrical_psd: float  # V^2/Hz at the gauge
     thermal_mechanical_psd_referred: float  # V^2/Hz, force noise through the chain
     flicker_scale: float  # V^2, flicker PSD is this over f

@@ -60,6 +60,8 @@ class GaugeSpec:
 
 @dataclass
 class Drive:
+    """Excitation current through the loop: dc, or a square wave at `frequency`."""
+
     waveform: str = "dc"  # "dc" | "square"
     amplitude: float = 0.0  # A, half-loop current
     frequency: float = field(default=0.0, metadata={"ge": 0, "optional": True})  # Hz, unused for dc
@@ -67,6 +69,8 @@ class Drive:
 
 @dataclass
 class Environment:
+    """Ambient field, temperature and the SNR the detection limit is taken at."""
+
     field_magnitude: float = field(default=0.0, metadata={"ge": 0})  # T
     field_angle: float = math.pi / 2  # rad, between field and top-beam current
     temperature: float = field(default=300.0, metadata={"gt": 0})  # K

@@ -65,6 +65,20 @@ def test_missing_config(tmp_path):
     assert code == 1
 
 
+def test_config_that_cannot_be_read_is_invalid_input(tmp_path, capsys):
+    # A directory is no more a config than a missing file is; an output
+    # path that cannot be written stays a runtime failure.
+    with pytest.raises(OSError) as reading:
+        open(tmp_path)
+    out = tmp_path / "report.csv"
+    for command in (["simulate", "--out", str(out)], ["verify"]):
+        assert main([*command, "--config", str(tmp_path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {reading.value}\n")
+    assert not out.exists()
+    assert main(["simulate", "--config", _empty_config(tmp_path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
 def test_invalid_config(tmp_path):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text("drive:\n  amplitude: -1\n")
@@ -715,6 +729,59 @@ def test_cold_commands_load_no_numpy(tmp_path):
     lines = _fresh_lines(code)
     assert lines[:-1] == ["0 []"] * (len(runs) - 1)
     assert lines[-1].startswith("0 ['numpy'")
+
+
+# The memsmag submodules a fresh interpreter has loaded, as one printed line.
+_MEMSMAG_MODULES = "' '.join(sorted(m[8:] for m in sys.modules if m.startswith('memsmag.')))"
+_SETUP_MODULES = "errors materials mechanics scenario transduction"
+_CLI_MODULES = "cli errors grids materials mechanics scenario transduction"
+
+
+def test_cold_import_and_defaults_load_only_their_modules():
+    code = (
+        "import sys, memsmag\n"
+        f"print(repr({_MEMSMAG_MODULES}))\n"
+        "memsmag.default_scenario('lorentz')\n"
+        "memsmag.default_scenario('ferro')\n"
+        f"print({_MEMSMAG_MODULES})\n"
+    )
+    assert _fresh_lines(code) == ["''", _SETUP_MODULES]
+
+
+def test_cold_commands_load_only_their_modules(tmp_path):
+    # Each interpreter runs its commands in turn and lists the memsmag
+    # modules after each: the report commands never load dynamics, and the
+    # two time-domain commands load neither explorer nor noise.
+    out = str(tmp_path / "out")
+    sweep = ["sweep", "--path", "drive.amplitude", "--start", "1e-3", "--stop", "1e-2",
+             "--steps", "3", "--out", out]
+    sessions = [
+        [
+            ["simulate", "--out", out],
+            ["simulate", "--format", "structured-text", "--out", out],
+            ["noise"],
+            sweep,
+            ["optimize", "--param", "drive.amplitude:0.001:0.012"],
+            ["verify"],
+        ],
+        [["freq-response", "--points", "3", "--out", out], ["transient", "--out", out]],
+    ]
+    report = f"beam_oracle {_CLI_MODULES} explorer noise".split()
+    expected = [
+        [" ".join(sorted(report))] * 6,
+        [" ".join(sorted(f"{_CLI_MODULES} dynamics".split()))] * 2,
+    ]
+    for runs, want in zip(sessions, expected):
+        code = (
+            "import contextlib, io, sys\n"
+            "from memsmag.cli import main\n"
+            f"print({_MEMSMAG_MODULES})\n"
+            f"for argv in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"        assert main(argv + ['--config', {_empty_config(tmp_path)!r}]) == 0, argv\n"
+            f"    print({_MEMSMAG_MODULES})\n"
+        )
+        assert _fresh_lines(code) == [_CLI_MODULES, *want]
 
 
 def _numeric_leaves(node, path=()):
