@@ -9,6 +9,7 @@ import functools
 import io
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -25,9 +26,9 @@ from .mechanics import (
     stack_curvature,
     tip_deflection,
 )
-from .noise import NoiseBudget, noise_budget
+from .noise import NoiseBudget, _noise_floor, _with_signal
 from .scenario import Scenario, _parse
-from .transduction import joule_offset, joule_temperature_rise, sensitivity
+from .transduction import _sensitivity, joule_offset, joule_temperature_rise
 
 
 # Self-heating is negligible below this drive amplitude.
@@ -84,49 +85,35 @@ class OptimizeResult:
     trace: list  # one {params, objective, feasible} record per evaluation
 
 
-class _stage:
-    """Tag a failure propagating out of the block with the module that
-    produced it. A class, not a generator: run_scenario enters three per
-    point."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __enter__(self):
-        pass
-
-    def __exit__(self, kind, exc, traceback):
-        if isinstance(exc, MemsmagError) and exc.args and isinstance(exc.args[0], str):
-            exc.args = (f"{self.name}: {exc.args[0]}",) + exc.args[1:]
-
-
-def _stress_margin(beam, stress: float) -> float:
-    yields = [
-        layer.material.yield_stress
-        for layer in beam.layers
-        if layer.material.yield_stress is not None
-    ]
-    if not yields or stress == 0.0:
-        return math.inf
-    return min(yields) / abs(stress)
+def _weakest_yield(beam) -> float:
+    """The lowest yield stress of the beam's layers; inf where none sets one."""
+    return min(
+        (layer.material.yield_stress for layer in beam.layers
+         if layer.material.yield_stress is not None),
+        default=math.inf,
+    )
 
 
 class _SensorFigures:
-    """The figures of one sensor record that no drive or environment edit
-    moves: its resonator for each quality factor, and its beam warnings.
+    """What a report takes from one sensor record alone: its anchor stress
+    per newton of tip force, its weakest layer yield and its beam warnings;
+    its resonator for each quality factor; and its noise floor for each
+    quality factor, temperature and noise band. No drive or field edit
+    moves any of them.
 
     A sweep or search keeps one for its parent's sensor, so the points that
     keep that record (see scenario._parse) compute each figure once per
-    call. A figure is stored only once a point has computed it, so a point
-    that fails raises as run_scenario would.
+    call, and the floor once per key. A figure is stored only once a point
+    has computed it, so a point that fails raises as run_scenario would.
     """
 
-    __slots__ = ("resonators", "beam_warnings")
+    __slots__ = ("stress_per_newton", "weakest_yield", "resonators", "floors", "beam_warnings")
 
     def __init__(self):
+        self.stress_per_newton = None  # sensor.anchor_stress(1.0)
+        self.weakest_yield = None  # _weakest_yield(sensor.beam)
         self.resonators = {}  # quality factor -> the sensor's resonator
+        self.floors = {}  # (quality factor, temperature, noise band) -> noise._noise_floor
         self.beam_warnings = None
 
 
@@ -155,10 +142,23 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
 
 def _report(scenario: Scenario, figures: _SensorFigures) -> SimulationReport:
     """run_scenario's report. `figures` must belong to scenario.sensor: a
-    figure it holds is taken from it, one it lacks is computed and stored."""
+    figure it holds is taken from it, one it lacks is computed and stored.
+    So a point that keeps its sensor computes only the figures that read
+    its drive or environment, and a noise floor only for a new quality
+    factor, temperature or band.
+
+    A MemsmagError raised in the transduction, mechanics or noise stage
+    has the stage's name put before its message.
+    """
     sensor, drive, env = scenario.sensor, scenario.drive, scenario.environment
-    with _stage("transduction"):
-        signal_gain = sensitivity(sensor, drive, env)
+    quality_factor, band = scenario.quality_factor, scenario.noise_band
+    stage = "transduction"
+    try:
+        force_per_tesla = sensor.tip_force(drive, env, 1.0)
+        stress_per_newton = figures.stress_per_newton
+        if stress_per_newton is None:
+            stress_per_newton = figures.stress_per_newton = sensor.anchor_stress(1.0)
+        signal_gain = _sensitivity(sensor, force_per_tesla, stress_per_newton)
         force = sensor.tip_force(drive, env, env.field_magnitude)
         stress = sensor.anchor_stress(force)
         offset = joule_offset(drive.amplitude, scenario.offset_coefficient)
@@ -166,16 +166,31 @@ def _report(scenario: Scenario, figures: _SensorFigures) -> SimulationReport:
         temperature_rise = joule_temperature_rise(
             drive.amplitude, sensor.loop_resistance, scenario.thermal_resistance
         )
-    with _stage("mechanics"):
-        resonator = figures.resonators.get(scenario.quality_factor)
-        if resonator is None:
-            resonator = sensor.resonator(scenario.quality_factor)
-            figures.resonators[scenario.quality_factor] = resonator
-        deflection = force / (sensor.load_share_count * resonator.stiffness)
-        margin = _stress_margin(sensor.beam, stress)
 
-    with _stage("noise"):
-        budget = noise_budget(sensor, env, scenario.noise_band, resonator, signal_gain)
+        stage = "mechanics"
+        resonator = figures.resonators.get(quality_factor)
+        if resonator is None:
+            resonator = figures.resonators[quality_factor] = sensor.resonator(quality_factor)
+        deflection = force / (sensor.load_share_count * resonator.stiffness)
+        weakest_yield = figures.weakest_yield
+        if weakest_yield is None:
+            weakest_yield = figures.weakest_yield = _weakest_yield(sensor.beam)
+        # The weakest yield over the anchor stress. A stress that is not
+        # finite fails the finite check at anchor_stress_Pa, before the margin.
+        margin = math.inf if stress == 0.0 else weakest_yield / abs(stress)
+
+        stage = "noise"
+        key = quality_factor, env.temperature, band
+        floor = figures.floors.get(key)
+        if floor is None:
+            floor = figures.floors[key] = _noise_floor(
+                sensor, env.temperature, band, resonator, stress_per_newton
+            )
+        budget = _with_signal(floor, band, signal_gain, env)
+    except MemsmagError as exc:
+        if exc.args and isinstance(exc.args[0], str):
+            exc.args = (f"{stage}: {exc.args[0]}",) + exc.args[1:]
+        raise
 
     warnings_list = []
     if drive.amplitude > HIGH_CURRENT_THRESHOLD:
@@ -183,26 +198,27 @@ def _report(scenario: Scenario, figures: _SensorFigures) -> SimulationReport:
     if figures.beam_warnings is None:
         figures.beam_warnings = _beam_warnings(sensor.beam)
     warnings_list += figures.beam_warnings
-    report = SimulationReport(
-        sensitivity=signal_gain,
-        offset=offset,
-        output_at_field=output,
-        tip_deflection=deflection,
-        anchor_stress=stress,
-        stress_margin=margin,
-        resonant_frequency=resonator.natural_frequency,
-        quality_factor=scenario.quality_factor,
-        noise=budget,
-        min_detectable_field=budget.min_detectable_field,
-        temperature_rise=temperature_rise,
-        warnings=warnings_list,
-        scenario=scenario.tree,
+    report = SimulationReport(  # in field order
+        signal_gain,
+        offset,
+        output,
+        deflection,
+        stress,
+        margin,
+        resonator.natural_frequency,
+        quality_factor,
+        budget,
+        budget.min_detectable_field,
+        temperature_rise,
+        warnings_list,
+        scenario.tree,
     )
-    for name, get in REPORT_COLUMNS:
-        value = get(report)
-        # An unstressed beam's margin is infinite by design.
-        if not math.isfinite(value) and not (name == "stress_margin" and value == math.inf):
-            raise OverflowError(f"report figure {name} is not finite: {value}")
+    values = _report_figures(report)
+    if not math.isfinite(sum(values)):
+        for (name, _), value in zip(REPORT_COLUMNS, values):
+            # An unstressed beam's margin is infinite by design.
+            if not math.isfinite(value) and not (name == "stress_margin" and value == math.inf):
+                raise OverflowError(f"report figure {name} is not finite: {value}")
     return report
 
 
@@ -294,9 +310,11 @@ def sweep(
     Points that fail keep their slot: the report is None and the error
     column records what went wrong, so a sweep never dies half way.
     The points of a drive, environment or other non-sensor parameter keep
-    the scenario's sensor record, so they share one resonator (per quality
-    factor) and one set of beam warnings, computed by the first point that
-    gets that far.
+    the scenario's sensor record, so they share its figures (see
+    _SensorFigures), each computed by the first point that gets that far:
+    one anchor stress per newton, weakest layer yield and set of beam
+    warnings, one resonator per quality factor, and one noise floor per
+    quality factor, temperature and noise band.
     """
     # An int or a type that stands for one (numpy's), but not a bool.
     if isinstance(steps, bool) or not hasattr(steps, "__index__"):
@@ -508,8 +526,9 @@ def optimize(
     point is built and run once and a callable objective is called at most
     once per distinct point (only feasible points are scored). A vertex
     Nelder-Mead revisits costs one trace record, a copy of its first.
-    Points that keep the scenario's sensor record share its resonator and
-    beam warnings, as a sweep's points do.
+    Points that keep the scenario's sensor record share its figures, as a
+    sweep's points do: the anchor stress per newton, weakest layer yield,
+    beam warnings, resonators and noise floors.
     """
     params = [_normalize_parameter(p) for p in free_parameters]
     if not 1 <= len(params) <= MAX_FREE_PARAMETERS:
@@ -616,24 +635,28 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-REPORT_COLUMNS = (
-    ("sensitivity_V_per_T", lambda r: r.sensitivity),
-    ("offset_V", lambda r: r.offset),
-    ("output_at_field_V", lambda r: r.output_at_field),
-    ("tip_deflection_m", lambda r: r.tip_deflection),
-    ("anchor_stress_Pa", lambda r: r.anchor_stress),
-    ("stress_margin", lambda r: r.stress_margin),
-    ("resonant_frequency_Hz", lambda r: r.resonant_frequency),
-    ("quality_factor", lambda r: r.quality_factor),
-    ("temperature_rise_K", lambda r: r.temperature_rise),
-    ("noise_thermal_electrical_psd_V2_per_Hz", lambda r: r.noise.thermal_electrical_psd),
-    ("noise_mechanical_referred_psd_V2_per_Hz", lambda r: r.noise.thermal_mechanical_psd_referred),
-    ("noise_flicker_scale_V2", lambda r: r.noise.flicker_scale),
-    ("noise_corner_frequency_Hz", lambda r: r.noise.corner_frequency),
-    ("noise_rms_V", lambda r: r.noise.rms),
-    ("snr", lambda r: r.noise.snr),
-    ("min_detectable_field_T", lambda r: r.min_detectable_field),
+# Each report column's name and the report attribute it prints.
+_REPORT_FIELDS = (
+    ("sensitivity_V_per_T", "sensitivity"),
+    ("offset_V", "offset"),
+    ("output_at_field_V", "output_at_field"),
+    ("tip_deflection_m", "tip_deflection"),
+    ("anchor_stress_Pa", "anchor_stress"),
+    ("stress_margin", "stress_margin"),
+    ("resonant_frequency_Hz", "resonant_frequency"),
+    ("quality_factor", "quality_factor"),
+    ("temperature_rise_K", "temperature_rise"),
+    ("noise_thermal_electrical_psd_V2_per_Hz", "noise.thermal_electrical_psd"),
+    ("noise_mechanical_referred_psd_V2_per_Hz", "noise.thermal_mechanical_psd_referred"),
+    ("noise_flicker_scale_V2", "noise.flicker_scale"),
+    ("noise_corner_frequency_Hz", "noise.corner_frequency"),
+    ("noise_rms_V", "noise.rms"),
+    ("snr", "noise.snr"),
+    ("min_detectable_field_T", "min_detectable_field"),
 )
+REPORT_COLUMNS = tuple((name, operator.attrgetter(attr)) for name, attr in _REPORT_FIELDS)
+# Every column's figure at once, in column order.
+_report_figures = operator.attrgetter(*(attr for _, attr in _REPORT_FIELDS))
 
 
 def noise_figures(budget: NoiseBudget) -> dict:

@@ -113,20 +113,40 @@ def noise_budget(
     referred through the bridge volts per unit tip force. `sensitivity`
     (V/T) should be the design's own, transduction.sensitivity(design,
     drive, env); the SNR and the minimum detectable field scale with it.
+    The noise floor and the figures the signal adds are computed apart
+    (_noise_floor and _with_signal), so that a report can reuse the floor
+    of a sensor at a given quality factor, temperature and band.
+    """
+    floor = _noise_floor(design, env.temperature, band, resonator, design.anchor_stress(1.0))
+    return _with_signal(floor, band, sensitivity, env)
+
+
+def _noise_floor(
+    design: SensorDesign,
+    temperature: float,
+    band: tuple,
+    resonator: LumpedResonator,
+    stress_per_newton: float,
+) -> tuple:
+    """The budget's figures that no drive or field moves: (Johnson PSD,
+    referred mechanical PSD, flicker scale, corner frequency, band RMS).
+
+    `stress_per_newton` is design.anchor_stress(1.0), the anchor stress
+    per unit tip force that refers the force noise to the bridge.
     """
     gauge = design.gauge
     alpha = gauge.material.hooge_alpha
     # Each half bridge divides the bias, so the active gauge sees half.
     voltage = design.bridge_bias / 2.0
 
-    electrical = thermal_electrical_psd(gauge.resistance, env.temperature)
+    electrical = thermal_electrical_psd(gauge.resistance, temperature)
     if electrical == 0.0:  # the corner frequency divides by it
         raise DomainError(
             f"Johnson PSD 4 k_B T R underflows to 0 at environment.temperature "
-            f"{env.temperature!r} K and sensor.gauge.resistance {gauge.resistance!r} Ohm"
+            f"{temperature!r} K and sensor.gauge.resistance {gauge.resistance!r} Ohm"
         )
-    gain = design.bridge_voltage(design.anchor_stress(1.0))
-    mechanical = thermal_mechanical_psd(resonator.damping, env.temperature) * _squared(gain)
+    gain = design.bridge_voltage(stress_per_newton)
+    mechanical = thermal_mechanical_psd(resonator.damping, temperature) * _squared(gain)
 
     carriers = carrier_count(gauge)
     if carriers == 0.0:  # the flicker scale divides by it
@@ -142,22 +162,23 @@ def noise_budget(
     if rms == 0.0:  # the SNR divides by it
         raise DomainError(
             f"band RMS noise underflows to 0 over noise_band {band[0]!r} to {band[1]!r} Hz "
-            f"at environment.temperature {env.temperature!r} K"
+            f"at environment.temperature {temperature!r} K"
         )
+    return electrical, mechanical, flicker_scale, corner, rms
+
+
+def _with_signal(floor: tuple, band: tuple, sensitivity: float, env: Environment) -> NoiseBudget:
+    """The budget of a noise floor (see _noise_floor) for a signal of
+    `sensitivity` V/T at env's field, SNR and minimum detectable field added."""
+    electrical, mechanical, flicker_scale, corner, rms = floor
     signal = abs(sensitivity * env.field_magnitude)
     if math.isnan(rms) and abs(sensitivity) > 0:
-        # A NaN rms comes from a figure above that is not finite. It carries
+        # A NaN rms comes from a floor figure that is not finite. It carries
         # through, so the report's finite check names that figure.
         min_field = rms
     else:
         min_field = min_detectable_field(sensitivity, rms, env.snr_target)
-    return NoiseBudget(
-        thermal_electrical_psd=electrical,
-        thermal_mechanical_psd_referred=mechanical,
-        flicker_scale=flicker_scale,
-        band=(band[0], band[1]),
-        rms=rms,
-        corner_frequency=corner,
-        snr=signal / rms,
-        min_detectable_field=min_field,
+    return NoiseBudget(  # in field order
+        electrical, mechanical, flicker_scale, (band[0], band[1]), rms, corner,
+        signal / rms, min_field,
     )

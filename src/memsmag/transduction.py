@@ -236,8 +236,12 @@ def sensitivity(design: SensorDesign, drive: Drive, env: Environment) -> float:
     (V_bias/4); zero drive on the current loop gives a zero sensitivity
     rather than an error.
     """
-    per_field = design.tip_force(drive, env, 1.0) * design.anchor_stress(1.0)
-    return design.bridge_voltage(per_field)
+    return _sensitivity(design, design.tip_force(drive, env, 1.0), design.anchor_stress(1.0))
+
+
+def _sensitivity(design: SensorDesign, force_per_tesla: float, stress_per_newton: float) -> float:
+    """sensitivity from the tip force per tesla and design.anchor_stress(1.0)."""
+    return design.bridge_voltage(force_per_tesla * stress_per_newton)
 
 
 def _current_squared(current: float, figure: str) -> float:

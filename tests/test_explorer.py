@@ -102,8 +102,8 @@ def test_low_current_has_no_warning():
 @pytest.mark.parametrize("kind", ["lorentz", "ferro"])
 def test_one_pass_through_the_chain_per_report(monkeypatch, kind):
     # The sensitivity walks the chain at 1 T and the static response at the
-    # ambient field; the noise budget adds one anchor stress for its
-    # mechanical gain.
+    # ambient field; the noise budget refers its force noise through the
+    # sensitivity's anchor stress per newton.
     scenario = default_scenario(kind)
     design = type(scenario.sensor)
     calls = {"tip_force": 0, "anchor_stress": 0}
@@ -116,7 +116,7 @@ def test_one_pass_through_the_chain_per_report(monkeypatch, kind):
 
         monkeypatch.setattr(design, name, counted)
     run_scenario(scenario)
-    assert calls == {"tip_force": 2, "anchor_stress": 3}
+    assert calls == {"tip_force": 2, "anchor_stress": 2}
 
 
 def test_zero_field_output_equals_offset():
@@ -951,6 +951,95 @@ def test_points_keeping_the_parent_sensor_compute_its_resonator_once(monkeypatch
     result = sweep(scenario, "quality_factor", 0.5, 60.0, 20)
     assert result.reports[0] is None and None not in result.reports[1:]
     assert calls == result.values[1:]
+
+
+def test_points_keeping_the_parent_sensor_compute_its_noise_floor_once(monkeypatch):
+    real_stress, real_floor = SensorDesign.anchor_stress, explorer._noise_floor
+    stresses, floors = [], []  # the tip force of each call; the temperature of each floor
+
+    def counted_stress(design, tip_force):
+        stresses.append(tip_force)
+        return real_stress(design, tip_force)
+
+    def counted_floor(design, temperature, *args):
+        floors.append(temperature)
+        return real_floor(design, temperature, *args)
+
+    monkeypatch.setattr(SensorDesign, "anchor_stress", counted_stress)
+    monkeypatch.setattr(explorer, "_noise_floor", counted_floor)
+    scenario = default_scenario("lorentz")
+    temperature = scenario.environment.temperature
+    # A field sweep: one anchor stress per newton, one per point, one floor.
+    result = sweep(scenario, "environment.field_magnitude", 0.0, 10e-4, 50)
+    assert None not in result.reports
+    assert len(stresses) == 51 and stresses[0] == 1.0
+    assert floors == [temperature]
+    # A temperature sweep keeps the sensor, but each point moves the floor.
+    stresses.clear()
+    floors.clear()
+    result = sweep(scenario, "environment.temperature", 250.0, 350.0, 50)
+    assert None not in result.reports
+    assert len(stresses) == 51
+    assert floors == result.values
+    # A quality-factor sweep: one floor per distinct Q.
+    floors.clear()
+    sweep(scenario, "quality_factor", 20.0, 20.0, 5)
+    assert floors == [temperature]
+    floors.clear()
+    result = optimize(scenario, [("quality_factor", 10.0, 60.0)], "sensitivity")
+    distinct = {record["params"]["quality_factor"] for record in result.trace}
+    assert len(floors) == len(distinct) > 10
+
+
+def _five_points(scenario, path, steps, start, stop, scale, override=None):
+    """sweep's (values, reports, errors) over `path` from `start` to `stop`.
+
+    A field the tree does not set (a residual stress, a material override)
+    has no path to sweep; its points run as a sweep's do, with one store of
+    figures. An override's edit is the mapping {override: value}.
+    """
+    try:
+        explorer._resolve_path(scenario.tree, path)
+    except UnknownPathError:
+        figures = explorer._SensorFigures()
+        spaced = explorer._linspace if scale == "linear" else explorer._geomspace
+        values = spaced(start, stop, 5)
+        if override is not None:
+            values = [{override: value} for value in values]
+        points = [explorer._run_point(scenario, [(steps, v)], figures) for v in values]
+        return values, [report for _, report, _ in points], [error for _, _, error in points]
+    result = sweep(scenario, path, start, stop, 5, scale)
+    return result.values, result.reports, result.errors
+
+
+@pytest.mark.parametrize("kind", ["lorentz", "ferro"])
+def test_points_reusing_sensor_figures_match_fresh_runs(kind):
+    # Five points each way over each probed input, then five across the
+    # float range, valid and failing values alike: each point's report or
+    # error is what a fresh build and run of its tree gives.
+    scenario = default_scenario(kind)
+    outcomes = []  # (steps, value, report, error) of every point
+    for path, (steps, edit) in _probe_inputs(kind, scenario):
+        (override, nudged), = edit.items() if isinstance(edit, dict) else [(None, edit)]
+        for start, stop, scale in ((-nudged, nudged, "linear"), (2 * nudged, -nudged, "linear"),
+                                   (1e-320, 1e300, "log")):
+            values, reports, errors = _five_points(
+                scenario, path, steps, start, stop, scale, override)
+            outcomes += [(steps, *point) for point in zip(values, reports, errors)]
+    # The Johnson PSD underflows at the first point; the valid points after
+    # it still get their floor.
+    path = "environment.temperature"
+    result = sweep(scenario, path, 1e-320, 400.0, 5)
+    assert result.errors[0].startswith("DomainError: noise: Johnson PSD 4 k_B T R underflows")
+    assert None not in result.reports[1:]
+    steps = explorer._resolve_path(scenario.tree, path)
+    outcomes += [(steps, *point) for point in zip(result.values, result.reports, result.errors)]
+
+    for steps, value, report, error in outcomes:
+        _, fresh, fresh_error = _fresh_point(explorer._with_values(scenario.tree, [(steps, value)]))
+        assert (report, error) == (fresh, fresh_error), (steps, value)
+    failed = sum(error is not None for _, _, _, error in outcomes)
+    assert 100 < failed < len(outcomes) - 100
 
 
 @pytest.mark.parametrize("parent, path, start, stop, scale", [
