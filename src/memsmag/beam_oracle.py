@@ -1,9 +1,10 @@
 """Finite-difference check on the closed-form beam mechanics.
 
 Solves EI w'''' = 0 for a clamped-free uniform beam under a tip force or a
-tip moment on an N-node grid, entirely independent of the analytic formulas
-in mechanics. Second-order central differences in the interior, one-sided
-second-order stencils for the boundary conditions.
+tip moment on an N-node grid. Only the finite-difference solve is independent
+of mechanics: it reads the section's EI, and the anchor stress is mechanics'
+per-layer fiber stress at the clamp moment. Second-order central differences
+in the interior, one-sided second-order stencils for the boundary conditions.
 
 The discrete system is solved exactly rather than by elimination: its
 interior rows make the deflection a cubic in the node index, and the
@@ -19,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, SingularSystemError
-from .mechanics import BeamGeometry, composite_section
+from .mechanics import BeamGeometry, _layer_fiber_stress, composite_section
 
 MIN_GRID_SIZE = 50
 
@@ -70,11 +71,12 @@ def solve_static(
     deflection, moments = _solve_nodes(
         geom.length, section.flexural_rigidity, grid_size, force, moment, range(grid_size)
     )
+    clamp = _layer_fiber_stress(geom, section, moments[0])
     return BeamSolution(
         node_positions=np.linspace(0.0, geom.length, grid_size),
         deflection=np.array(deflection),
         bending_moment=np.array(moments),
-        anchor_stress=_extreme_fiber_stress(geom, section, moments[0]),
+        anchor_stress=max(abs(face) for faces in clamp for face in faces),
         grid_size=grid_size,
     )
 
@@ -140,24 +142,6 @@ def _solve_nodes(
     except OverflowError:
         raise SingularSystemError("beam system solve produced non-finite values") from None
     return deflection, moments
-
-
-def _extreme_fiber_stress(geom, section, anchor_moment: float) -> float:
-    """Largest bending-stress magnitude over the section at the clamp.
-
-    Per-layer fiber stress is E_i * M * (z - z_n) / EI, which collapses to
-    the familiar M c / I for a single-material stack.
-    """
-    ei = section.flexural_rigidity
-    zn = section.neutral_axis_height
-    worst = 0.0
-    z = 0.0
-    for layer in geom.layers:
-        e = layer.material.youngs_modulus
-        for fiber in (z, z + layer.thickness):
-            worst = max(worst, abs(e * anchor_moment * (fiber - zn) / ei))
-        z += layer.thickness
-    return worst
 
 
 def convergence_order(geom: BeamGeometry, grids: list[int], tip_force: float) -> float:

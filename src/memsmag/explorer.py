@@ -524,7 +524,7 @@ def optimize(
     The trace keeps one record per evaluation. A point this call has
     already evaluated is scored from its first evaluation, so each distinct
     point is built and run once and a callable objective is called at most
-    once per distinct point (only feasible points are scored). A vertex
+    once per distinct point (only feasible points are scored). A point
     Nelder-Mead revisits costs one trace record, a copy of its first.
     Points that keep the scenario's sensor record share its figures, as a
     sweep's points do: the anchor stress per newton, weakest layer yield,
@@ -547,37 +547,26 @@ def optimize(
     spans = [hi - lo for _, lo, hi in params]
     trace = []
     best = None  # (scenario, report, trace record) of the best feasible point
-    by_vertex = {}  # vertex -> the trace record of its first evaluation
-    seen = {}  # physical point -> (value, feasible) of its first evaluation
+    seen = {}  # physical point -> the trace record of its first evaluation
     figures = _SensorFigures()  # of the scenario's sensor, for points that keep it
 
     def evaluate(z):
         nonlocal best
-        first = by_vertex.get(z)
-        if first is not None:
-            # A repeated vertex: the record again, sharing no dict with it.
-            trace.append({**first, "params": dict(first["params"])})
-            return first["objective"]
         # Nelder-Mead with bounds clips every vertex into the unit box.
         physical = tuple([lo + zi * span for zi, lo, span in zip(z, lows, spans)])
-        new = physical not in seen
-        if new:
-            built, report, _ = _run_point(scenario, zip(fields, physical), figures)
-            violation = 1.0 if report is None else _constraint_violation(report, limits)
-            feasible = violation == 0.0
-            value = score(report) if feasible else _PENALTY * (1.0 + violation)
-            seen[physical] = value, feasible
-        else:
-            value, feasible = seen[physical]
-        record = {
-            "params": dict(zip(names, physical)),
-            "objective": value,
-            "feasible": feasible,
-        }
+        first = seen.get(physical)
+        if first is not None:
+            # A repeated point: the record again, sharing no dict with it.
+            trace.append({**first, "params": dict(first["params"])})
+            return first["objective"]
+        built, report, _ = _run_point(scenario, zip(fields, physical), figures)
+        violation = 1.0 if report is None else _constraint_violation(report, limits)
+        feasible = violation == 0.0
+        value = score(report) if feasible else _PENALTY * (1.0 + violation)
+        record = {"params": dict(zip(names, physical)), "objective": value, "feasible": feasible}
         trace.append(record)
-        by_vertex[z] = record
-        # A repeat scored no better than its first visit, so it cannot become best.
-        if new and feasible and (best is None or value < best[2]["objective"]):
+        seen[physical] = record
+        if feasible and (best is None or value < best[2]["objective"]):
             best = built, report, record
         return value
 

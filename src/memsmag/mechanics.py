@@ -7,6 +7,7 @@ of residually stressed layers, which drives the post-release lift-up.
 """
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 from .errors import DomainError, UnsupportedStackError
@@ -218,6 +219,11 @@ def lumped_resonator(
             f" and length {geom.length!r} m"
         )
     m_eff = EFFECTIVE_MASS_FRACTION * section.mass_per_length * geom.length + tip_mass
+    if m_eff == 0.0:  # the resonance sqrt(k / m_eff) divides by it
+        raise DomainError(
+            f"effective mass (33/140) m' l underflows to 0 at beam width {geom.width!r} m"
+            f" and length {geom.length!r} m"
+        )
     f0 = math.sqrt(k / m_eff) / (2.0 * math.pi)
     damping = math.sqrt(k * m_eff) / quality_factor
     return LumpedResonator(
@@ -243,6 +249,40 @@ def anneal_stress(anneal_temperature: float) -> float:
     return (s1 - s0) / (t1 - t0) * (anneal_temperature - t0) + s0
 
 
+def _layer_arms(geom: BeamGeometry) -> Iterator[float]:
+    """Each layer's mid-height above the neutral axis, z_i - z_n, in m, bottom to top.
+
+    Formed as sum_j E_j t_j (z_i - z_j) / sum_j E_j t_j, with every z_i - z_j
+    summed from thicknesses, so a thin layer beside a thick one does not
+    lose its arm to cancellation.
+    """
+    t = [layer.thickness for layer in geom.layers]
+    weights = [layer.material.youngs_modulus * layer.thickness for layer in geom.layers]
+    total = sum(weights)
+    for i in range(len(t)):
+        # sum_j E_j t_j |z_i - z_j| over the layers below and above i
+        below = above = 0.0
+        for j in range(i):
+            below += weights[j] * ((t[j] + t[i]) / 2 + sum(t[j + 1:i]))
+        for j in range(i + 1, len(t)):
+            above += weights[j] * ((t[i] + t[j]) / 2 + sum(t[i + 1:j]))
+        yield (below - above) / total
+
+
+def _layer_fiber_stress(geom: BeamGeometry, section: CompositeSection, moment: float) -> list:
+    """Each layer's (bottom, top) face stress E_i M (z - z_n) / EI under moment M, in Pa.
+
+    The faces sit half a thickness either side of the layer's arm. For one
+    material the extreme faces give the familiar M c / I.
+    """
+    ei = section.flexural_rigidity
+    stresses = []
+    for layer, arm in zip(geom.layers, _layer_arms(geom)):
+        e, half = layer.material.youngs_modulus, layer.thickness / 2
+        stresses.append((e * moment * (arm - half) / ei, e * moment * (arm + half) / ei))
+    return stresses
+
+
 def stack_curvature(geom: BeamGeometry) -> float:
     """Curvature of the released stack from its layers' residual stresses.
 
@@ -253,34 +293,16 @@ def stack_curvature(geom: BeamGeometry) -> float:
     are taken over a unit-width section, and a subnormal width loses
     nothing. Positive curls toward the top layer, as a tensile top layer
     does. For two layers this is Timoshenko's bimetal curvature; it holds
-    for any number of layers.
-
-    Each arm z_i - z_n is formed as sum_j E_j t_j (z_i - z_j) / sum_j E_j t_j,
-    with every z_i - z_j summed from thicknesses, so a thin layer beside a
-    thick one does not lose its arm to cancellation.
+    for any number of layers. The arms z_i - z_n come from _layer_arms.
     """
     section = composite_section(replace(geom, width=1.0))
-    layers = geom.layers
-    weights = [layer.material.youngs_modulus * layer.thickness for layer in layers]
-    total = sum(weights)
     moment = 0.0
-    for i, layer in enumerate(layers):
-        if not layer.residual_stress:
-            continue
-        above = below = 0.0  # sum_j E_j t_j |z_i - z_j| over the layers above and below i
-        for j, weight in enumerate(weights):
-            low, high = min(i, j), max(i, j)
-            gap = (layers[low].thickness + layers[high].thickness) / 2
-            gap += sum(between.thickness for between in layers[low + 1:high])
-            if j < i:
-                below += weight * gap
-            elif j > i:
-                above += weight * gap
-        arm = (below - above) / total
-        moment += layer.residual_stress * layer.thickness * arm
+    for layer, arm in zip(geom.layers, _layer_arms(geom)):
+        if layer.residual_stress:
+            moment += layer.residual_stress * layer.thickness * arm
     curvature = moment / section.flexural_rigidity
     if not math.isfinite(curvature):
-        index, worst = max(enumerate(layers), key=lambda item: abs(item[1].residual_stress))
+        index, worst = max(enumerate(geom.layers), key=lambda item: abs(item[1].residual_stress))
         raise OverflowError(
             f"stack curvature sum sigma w t (z - z_n) / EI leaves the float range: layer"
             f" {index} ({worst.material.name}) residual stress {worst.residual_stress!r} Pa"

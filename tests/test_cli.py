@@ -608,6 +608,12 @@ _JOULE_OVERFLOW = (
        " thicknesses 1e-07, 2.8e-07, 1e-06 m")
       for command, stage in (("simulate", "mechanics: "), ("noise", "mechanics: "),
                              ("verify", ""))),
+    # (33/140) m' l underflows to 0 while 3 EI / l^3 does not.
+    *((command, "sensor: {support_beam: {length: 1.0e-30, width: 1.0e-300}}",
+       f"{stage}effective mass (33/140) m' l underflows to 0 at beam width 1e-300 m"
+       " and length 1e-30 m")
+      for command, stage in (("simulate", "mechanics: "), ("noise", "mechanics: "),
+                             ("transient", ""))),
     # E w t overflows, so the neutral axis is inf / inf and EI is not finite.
     *((command, "sensor: {support_beam: {width: 1.7e+308}}",
        "OverflowError: flexural rigidity EI leaves the float range at beam width 1.7e+308 m"
@@ -634,7 +640,8 @@ _JOULE_OVERFLOW = (
 ], ids=["simulate-thickness", "verify-thickness", "verify-top-layer", "verify-length",
         "simulate-current", "noise-current", "noise-gauge-width", "simulate-gauge-thickness",
         "noise-beam-width", "transient-suspension-width", "simulate-beam-rigidity",
-        "noise-beam-rigidity", "verify-beam-rigidity", "simulate-beam-width-overflow",
+        "noise-beam-rigidity", "verify-beam-rigidity", "simulate-effective-mass",
+        "noise-effective-mass", "transient-effective-mass", "simulate-beam-width-overflow",
         "verify-beam-width-overflow", "transient-beam-width-overflow",
         "simulate-zero-resonance", "noise-zero-resonance",
         "transient-zero-resonance", "transient-zero-resonance-given-span",

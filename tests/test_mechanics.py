@@ -22,6 +22,7 @@ from memsmag import (
     stack_curvature,
     tip_deflection,
 )
+from memsmag.mechanics import _layer_fiber_stress
 
 SILICON = builtin_material("silicon")
 NITRIDE = builtin_material("silicon_nitride")
@@ -189,6 +190,17 @@ def test_underflowing_stiffness_is_a_named_domain_error():
         lumped_resonator(geom, 30.0)
 
 
+def test_underflowing_effective_mass_is_a_named_domain_error():
+    # (33/140) m' l underflows to 0 while 3 EI / l^3 does not, so the
+    # resonance would divide by 0.
+    geom = _beam(1e-30, 1e-300, LayerSpec(SILICON, 1e-6))
+    with pytest.raises(DomainError, match=r"^effective mass \(33/140\) m' l underflows to 0"
+                       r" at beam width 1e-300 m and length 1e-30 m$"):
+        lumped_resonator(geom, 30.0)
+    # A tip mass keeps it above 0.
+    assert lumped_resonator(geom, 30.0, tip_mass=1e-12).effective_mass == 1e-12
+
+
 def test_beam_geometry_checks():
     layer = LayerSpec(SILICON, 2e-6)
     with pytest.raises(ValueError):
@@ -352,8 +364,8 @@ def test_bimorph_matches_the_timoshenko_closed_form():
         assert bimorph_lift(geom, ds).curvature == pytest.approx(expected, rel=1e-13)
 
 
-def _exact_curvature(geom) -> Fraction:
-    """sum sigma_i w t_i (z_i - z_n) / EI in rational arithmetic."""
+def _exact_section(geom):
+    """Layer mid-heights, neutral axis and EI in rational arithmetic."""
     w = Fraction(geom.width)
     ea = ea_z = z = Fraction(0)
     mids = []
@@ -364,35 +376,85 @@ def _exact_curvature(geom) -> Fraction:
         ea_z += e * w * t * mids[-1]
         z += t
     neutral = ea_z / ea
-    ei = moment = Fraction(0)
+    ei = Fraction(0)
     for layer, mid in zip(geom.layers, mids):
         e, t = Fraction(layer.material.youngs_modulus), Fraction(layer.thickness)
         ei += e * (w * t**3 / 12 + w * t * (mid - neutral) ** 2)
-        moment += Fraction(layer.residual_stress) * w * t * (mid - neutral)
+    return mids, neutral, ei
+
+
+def _exact_curvature(geom) -> Fraction:
+    """sum sigma_i w t_i (z_i - z_n) / EI in rational arithmetic."""
+    mids, neutral, ei = _exact_section(geom)
+    w = Fraction(geom.width)
+    moment = sum(
+        Fraction(layer.residual_stress) * w * Fraction(layer.thickness) * (mid - neutral)
+        for layer, mid in zip(geom.layers, mids)
+    )
     return moment / ei
 
 
-def test_stack_curvature_matches_exact_arithmetic_on_thin_and_thick_layers():
+def _thin_and_thick_stacks(count):
     # One stressed layer of two, thicknesses log-uniform over 1 nm - 10 um.
-    # Arms taken as differences of cumulative heights lost up to 3.6e-12 of
-    # the curvature when a thick layer sat on a thin one.
     rng = np.random.default_rng(18)
     films = [builtin_material(name) for name in BUILTIN_NAMES]
-    worst = 0.0
-    for _ in range(2000):
+    for _ in range(count):
         i, j = rng.choice(len(films), 2, replace=False)
         t1, t2 = (float(t) for t in 10.0 ** rng.uniform(-9, -5, 2))
         stresses = [0.0, 0.0]
         stresses[int(rng.integers(2))] = float(rng.uniform(-1e9, 1e9))
-        geom = _beam(
+        yield _beam(
             200e-6,
             10e-6,
             LayerSpec(films[i], t1, stresses[0]),
             LayerSpec(films[j], t2, stresses[1]),
         )
+
+
+def test_stack_curvature_matches_exact_arithmetic_on_thin_and_thick_layers():
+    # Arms taken as differences of cumulative heights lost up to 3.6e-12 of
+    # the curvature when a thick layer sat on a thin one.
+    worst = 0.0
+    for geom in _thin_and_thick_stacks(2000):
         exact = _exact_curvature(geom)
         worst = max(worst, float(abs(Fraction(stack_curvature(geom)) - exact) / abs(exact)))
     assert worst <= 1e-14
+
+
+def test_layer_fiber_stress_matches_exact_arithmetic_on_thin_and_thick_layers():
+    # Errors are measured against each layer's larger face: an interface
+    # 0.3 % of a thickness off the neutral axis carries almost no stress, and
+    # its own relative error reaches 3.5e-14 (6.8e-14 with z - z_n taken from
+    # the float neutral axis).
+    moment = 3e-9  # N*m
+    worst = 0.0
+    for geom in _thin_and_thick_stacks(2000):
+        mids, neutral, ei = _exact_section(geom)
+        faces = _layer_fiber_stress(geom, composite_section(geom), moment)
+        for layer, mid, pair in zip(geom.layers, mids, faces):
+            e, half = Fraction(layer.material.youngs_modulus), Fraction(layer.thickness) / 2
+            exact = [e * Fraction(moment) * (z - neutral) / ei for z in (mid - half, mid + half)]
+            scale = max(map(abs, exact))
+            for got, want in zip(pair, exact):
+                worst = max(worst, float(abs(Fraction(got) - want) / scale))
+    assert worst <= 1e-14
+
+
+def test_one_material_fiber_stress_is_the_homogeneous_anchor_stress():
+    # The composite section's extreme face at the clamp moment F l is
+    # 6 l F / (w t^2), however the one material is split into layers.
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for _ in range(200):
+        thicknesses = rng.uniform(0.1e-6, 3e-6, int(rng.integers(1, 4)))
+        layers = [LayerSpec(SILICON, float(t)) for t in thicknesses]
+        geom = _beam(float(rng.uniform(50e-6, 1e-3)), float(rng.uniform(2e-6, 1e-4)), *layers)
+        force = float(rng.uniform(1e-9, 1e-5))
+        faces = _layer_fiber_stress(geom, composite_section(geom), force * geom.length)
+        extreme = max(abs(face) for pair in faces for face in pair)
+        homogeneous = max_anchor_stress(force, geom.length, geom.width, geom.total_thickness, 1)
+        worst = max(worst, abs(extreme - homogeneous) / homogeneous)
+    assert worst <= 1e-12
 
 
 def test_stack_curvature_does_not_depend_on_the_width():
