@@ -17,7 +17,7 @@ from typing import Callable, Optional, Union
 import yaml
 
 from .beam_oracle import _fitted_order, _solve_nodes
-from .errors import InfeasibleError, MemsmagError, UnknownPathError, ValidationError
+from .errors import DomainError, InfeasibleError, MemsmagError, UnknownPathError, ValidationError
 from .grids import DEFAULT_CONSTRAINTS, MAX_SWEEP_POINTS, _geomspace, _linspace
 from .mechanics import (
     SLENDERNESS_WARN_LIMIT,
@@ -27,8 +27,8 @@ from .mechanics import (
     tip_deflection,
 )
 from .noise import NoiseBudget, _noise_floor, _with_signal
-from .scenario import Scenario, _parse
-from .transduction import _sensitivity, joule_offset, joule_temperature_rise
+from .scenario import Scenario, _edited
+from .transduction import _sensitivity, _zero_sensitivity, joule_offset, joule_temperature_rise
 
 
 # Self-heating is negligible below this drive amplitude.
@@ -102,7 +102,7 @@ class _SensorFigures:
     moves any of them.
 
     A sweep or search keeps one for its parent's sensor, so the points that
-    keep that record (see scenario._parse) compute each figure once per
+    keep that record (see scenario._edited) compute each figure once per
     call, and the floor once per key. A figure is stored only once a point
     has computed it, so a point that fails raises as run_scenario would.
     """
@@ -186,6 +186,8 @@ def _report(scenario: Scenario, figures: _SensorFigures) -> SimulationReport:
             floor = figures.floors[key] = _noise_floor(
                 sensor, env.temperature, band, resonator, stress_per_newton
             )
+        if not abs(signal_gain) > 0:  # min_detectable_field's guard, the factors named
+            raise DomainError(_zero_sensitivity(sensor, env, force_per_tesla, stress_per_newton))
         budget = _with_signal(floor, band, signal_gain, env)
     except MemsmagError as exc:
         if exc.args and isinstance(exc.args[0], str):
@@ -248,43 +250,18 @@ def _resolve_path(tree, path: str) -> list:
     return steps
 
 
-def _with_values(tree, edits):
-    """A new tree with each (steps, value) edit's field set to its value.
-
-    Only the containers along the edited paths are copied, each once; the
-    rest is shared with `tree`, which is left unchanged.
-    """
-    root = tree.copy()
-    copied = {id(root)}
-    for steps, value in edits:
-        node = root
-        for step in steps[:-1]:
-            child = node[step]
-            if id(child) not in copied:
-                child = child.copy()
-                node[step] = child
-                copied.add(id(child))
-            node = child
-        node[steps[-1]] = value
-    return root
-
-
 def _run_point(scenario: Scenario, edits, figures: _SensorFigures):
     """Build and run `scenario` with each (steps, value) edit applied.
 
-    The edited tree is already resolved, so it is parsed as it stands.
-    _with_values copies only the containers on the edited paths, so only
-    the records on those paths are read again; every other record and
-    value is `scenario`'s own (see scenario._parse for the specs that a
-    kept record depends on). A point that keeps `scenario.sensor` takes
-    that sensor's figures from `figures`, which the calling sweep or search
+    The point keeps every record of `scenario` off its edited paths (see
+    scenario._edited). A point that keeps `scenario.sensor` takes that
+    sensor's figures from `figures`, which the calling sweep or search
     keeps for it; a point with a sensor of its own computes them afresh.
     Returns (scenario, report, None), or (None, None, error) where the
     point fails and error is one line naming the exception type.
     """
-    tree = _with_values(scenario.tree, edits)
     try:
-        built, violations = _parse(tree, scenario)
+        built, violations = _edited(scenario, edits)
         if violations:
             raise ValidationError(violations)
         if built.sensor is not scenario.sensor:
@@ -309,8 +286,8 @@ def sweep(
 
     Points that fail keep their slot: the report is None and the error
     column records what went wrong, so a sweep never dies half way.
-    The points of a drive, environment or other non-sensor parameter keep
-    the scenario's sensor record, so they share its figures (see
+    The points of a parameter outside the sensor and material_overrides
+    keep the scenario's sensor record, so they share its figures (see
     _SensorFigures), each computed by the first point that gets that far:
     one anchor stress per newton, weakest layer yield and set of beam
     warnings, one resonator per quality factor, and one noise floor per

@@ -7,6 +7,9 @@ field's bound is declared in the field's metadata (see _record). User files
 are merged over the packaged default for the chosen sensor kind, every
 invariant is checked with all violations collected, and the fully resolved
 tree rides along in the built Scenario so reports can echo the exact inputs.
+A sweep or search point is its parent Scenario plus a few numeric leaf
+edits, and _edited builds it from the parent's records, reading again only
+the records on the edited paths.
 
 Configs parse with libyaml's C parser (`yaml.CSafeLoader`) when PyYAML has
 it, and with PyYAML's own parser otherwise. PyYAML's parser also reads any
@@ -22,7 +25,7 @@ import copy
 import itertools
 import re
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache, partial
 from importlib import resources
 
@@ -225,22 +228,16 @@ def _num(node, key, path, violations, ge=None, gt=None, integer=False):
     return None
 
 
-def _record(record, sections, node, path, violations, materials, base=None, specs=None, extra=()):
+def _record(record, sections, node, path, violations, materials, specs=None, extra=()):
     """The `record` that mapping `node` at dotted `path` describes, or None
     after violations.
 
     Keys must be fields of `record` or in `extra`. Fields are read in
     declaration order, so violations come in that order. A field named in
-    `sections` is read by reader(value, path, violations, materials, base),
-    a partial of _record for a nested record. Any other field is a number
+    `sections` is read by reader(value, path, violations, materials), a
+    partial of _record for a nested record. Any other field is a number
     held to the bounds its metadata declares ("gt" or "ge", "integer", and
     "optional" for a key that may be absent), or to `specs` when given.
-
-    `base` is None or the (node, record) pair a valid parent read at the
-    same path against the same specs. A field whose node is (by identity)
-    the base node's keeps the base record's value, which that node gave
-    without violations; a section whose node is not is read with the base
-    pair for that field.
     """
     if not isinstance(node, dict):
         violations.append(f"{path}: expected a mapping")
@@ -252,19 +249,9 @@ def _record(record, sections, node, path, violations, materials, base=None, spec
         if key not in keys and key not in extra:
             violations.append(f"{prefix}{key}: unknown field")
     values = {}
-    old_node, old_record = base or (None, None)
     for name, ge, gt, integer, optional in specs or declared:
-        sub = None
-        if base:
-            old_value = old_node.get(name)
-            # A valid parent's node holds no None, so None is an absent key.
-            if old_value is not None:
-                if node.get(name) is old_value:
-                    values[name] = getattr(old_record, name)
-                    continue
-                sub = old_value, getattr(old_record, name)
         if name in sections:
-            values[name] = sections[name](node.get(name), prefix + name, violations, materials, sub)
+            values[name] = sections[name](node.get(name), prefix + name, violations, materials)
         elif not optional or name in node:
             values[name] = _num(node, name, prefix, violations, ge, gt, integer)
     return None if len(violations) > start else record(**values)
@@ -310,21 +297,7 @@ def _materials(node, violations) -> dict:
     return materials
 
 
-class _OnRequest(dict):
-    """The dict `build()` returns, built on the first membership test."""
-
-    def __init__(self, build):
-        super().__init__()
-        self.build = build
-
-    def __contains__(self, name):
-        if self.build is not None:
-            self.update(self.build())
-            self.build = None
-        return super().__contains__(name)
-
-
-def _material(name, path, violations, materials, base):
+def _material(name, path, violations, materials):
     """The material `name` names, overrides applied, or None after a violation."""
     if not isinstance(name, str):
         violations.append(f"{path}: expected a material name, got {name!r}")
@@ -338,9 +311,9 @@ def _material(name, path, violations, materials, base):
         return None
 
 
-def _film(name, path, violations, materials, base):
+def _film(name, path, violations, materials):
     """The gauge film: a material that GaugeSpec.check_film accepts."""
-    film = _material(name, path, violations, materials, base)
+    film = _material(name, path, violations, materials)
     if film is not None:
         try:
             GaugeSpec.check_film(film)
@@ -352,26 +325,18 @@ def _film(name, path, violations, materials, base):
 _layer = partial(_record, LayerSpec, {"material": _material})
 
 
-def _layers(node, path, violations, materials, base):
+def _layers(node, path, violations, materials):
     if not isinstance(node, list) or not node:
         violations.append(f"{path}: need at least one layer")
         return None
-    olds = list(zip(*base)) if base else []
-    layers = []
-    for i, layer in enumerate(node):
-        sub = olds[i] if i < len(olds) else None
-        if sub and layer is sub[0]:
-            layers.append(sub[1])
-        else:
-            layers.append(_layer(layer, f"{path}[{i}]", violations, materials, sub))
-    return layers
+    return [_layer(layer, f"{path}[{i}]", violations, materials) for i, layer in enumerate(node)]
 
 
 _beam = partial(_record, BeamGeometry, {"layers": _layers})
 _gauge = partial(_record, GaugeSpec, {"material": _film})
 
 
-def _sensor(node, path, violations, materials, base):
+def _sensor(node, path, violations, materials):
     if not isinstance(node, dict):
         violations.append(f"{path}: expected a mapping")
         return None
@@ -380,13 +345,11 @@ def _sensor(node, path, violations, materials, base):
         violations.append(f"{path}.kind: must be one of {SENSOR_KINDS}, got {kind!r}")
         return None
     design, beam_key, _ = _SENSORS[kind]
-    if base and type(base[1]) is not design:
-        base = None  # another kind's fields may have other bounds
     sections = {"gauge": _gauge, beam_key: _beam}
-    return _record(design, sections, node, path, violations, materials, base, extra=("kind",))
+    return _record(design, sections, node, path, violations, materials, extra=("kind",))
 
 
-def _waveform(waveform, path, violations, materials, base):
+def _waveform(waveform, path, violations, materials):
     if waveform not in ("dc", "square"):
         violations.append(f"{path}: must be 'dc' or 'square', got {waveform!r}")
     return waveform
@@ -396,7 +359,7 @@ def _waveform(waveform, path, violations, materials, base):
 def _drive_bounds(kind, square: bool) -> tuple:
     """Drive's (name, *bounds) specs: the amplitude takes the bound of sensor
     `kind` (>= 0 for an invalid kind, already reported), and a square drive
-    needs a frequency > 0."""
+    needs a frequency > 0. Built once per (kind, square)."""
     bounds = {"amplitude": _SENSORS[kind][2] if kind in _SENSORS else {"ge": 0}}
     if square:
         bounds["frequency"] = {"gt": 0}
@@ -404,18 +367,14 @@ def _drive_bounds(kind, square: bool) -> tuple:
 
 
 def _drive_specs(tree) -> tuple:
-    """The drive specs of resolved `tree`, one shared tuple per (kind, square)."""
+    """The drive specs of resolved `tree`: its sensor kind and waveform set them."""
     sensor, drive = tree.get("sensor"), tree.get("drive")
     kind = sensor.get("kind") if isinstance(sensor, dict) else None
     square = isinstance(drive, dict) and drive.get("waveform") == "square"
     return _drive_bounds(kind if kind in SENSOR_KINDS else None, square)
 
 
-def _drive(node, path, violations, materials, base, specs):
-    return _record(Drive, {"waveform": _waveform}, node, path, violations, materials, base, specs)
-
-
-def _noise_band(band, path, violations, materials, base):
+def _noise_band(band, path, violations, materials=None):
     if (
         not isinstance(band, (list, tuple))
         or len(band) != 2
@@ -432,51 +391,93 @@ def _noise_band(band, path, violations, materials, base):
 _environment = partial(_record, Environment, {})
 
 
-def _parse(tree: dict, parent: Scenario | None = None):
-    """(Scenario, []) for a valid resolved tree, else (None, violations).
-
-    With a `parent` built from its own tree, any node that is (by identity)
-    the parent's node at the same path keeps the parent's record or value,
-    which that node gave without violations, so only the records on an
-    edited path are read again. A subtree the parent read against other
-    specs is read as if there were no parent: `sensor` when
-    `material_overrides` is not the parent's, `drive` when `sensor.kind`
-    (its amplitude bound) or `drive.waveform` (its frequency bound)
-    differs, and a sensor of another kind.
-    """
+def _parse(tree: dict):
+    """(Scenario, []) for a valid resolved tree, else (None, violations)."""
     # Layers and the gauge need the overridden materials, but override
     # violations are reported last.
     late = []
-    overrides = tree.get("material_overrides")
-    if overrides and parent is not None and overrides is parent.tree.get("material_overrides"):
-        # The parent read these overrides without violations. A reader asks
-        # for a material only where a name is not the parent's node, which
-        # no numeric edit does, so they are built only on request.
-        materials = _OnRequest(partial(_materials, overrides, late))
-    else:
-        materials = _materials(overrides, late)
-    specs = _drive_specs(tree)
-    base = None
-    if parent is not None:
-        old = dict(parent.tree)
-        if overrides is not old.get("material_overrides"):
-            del old["sensor"]
-        if specs is not _drive_specs(parent.tree):
-            del old["drive"]
-        base = old, parent
+    materials = _materials(tree.get("material_overrides"), late)
     sections = {
         "sensor": _sensor,
-        "drive": partial(_drive, specs=specs),
+        "drive": partial(_record, Drive, {"waveform": _waveform}, specs=_drive_specs(tree)),
         "environment": _environment,
         "noise_band": _noise_band,
         "tree": lambda *_: tree,
     }
     violations = []
     scenario = _record(
-        Scenario, sections, tree, "", violations, materials, base, extra=("material_overrides",)
+        Scenario, sections, tree, "", violations, materials, extra=("material_overrides",)
     )
     violations += late
     return (None, violations) if violations else (scenario, [])
+
+
+def _with_values(tree, edits):
+    """A new tree with each (steps, value) edit's field set to its value.
+
+    Only the containers along the edited paths are copied, each once; the
+    rest is shared with `tree`, which is left unchanged.
+    """
+    root = tree.copy()
+    copied = {id(root)}
+    for steps, value in edits:
+        node = root
+        for step in steps[:-1]:
+            child = node[step]
+            if id(child) not in copied:
+                child = child.copy()
+                node[step] = child
+                copied.add(id(child))
+            node = child
+        node[steps[-1]] = value
+    return root
+
+
+def _edited(parent: Scenario, edits):
+    """What _parse gives for `parent`'s tree with each (steps, value) edit
+    applied, where each path reaches a numeric field of the parent's records.
+
+    Only the records on the edited paths are built again; every other
+    record is the parent's own. An edit under material_overrides, which
+    every layer and the gauge read, parses the whole edited tree instead.
+    """
+    edits = list(edits)
+    tree = _with_values(parent.tree, edits)
+    paths = {}  # the edited paths as a tree of steps, each leaf {}
+    for steps, _ in edits:
+        node = paths
+        for step in steps:
+            node = node.setdefault(step, {})
+    if "material_overrides" in paths:
+        return _parse(tree)
+    violations = []
+    scenario = _rebuilt(parent, paths, tree, "", violations, _drive_specs(tree), tree=tree)
+    return (None, violations) if violations else (scenario, [])
+
+
+def _rebuilt(record, paths, node, path, violations, drive_specs, **changes):
+    """`record` with `changes` and the fields on `paths` read again from
+    `node`, the edited tree's mapping at dotted `path`, or None after
+    violations: _parse's, in declaration order (drive bounds `drive_specs`)."""
+    start = len(violations)
+    prefix = f"{path}." if path else ""
+    specs = drive_specs if type(record) is Drive else _schema(type(record))[1]
+    for name, ge, gt, integer, _ in specs:
+        if name not in paths:
+            continue
+        sub, old = paths[name], getattr(record, name)
+        if name == "noise_band":
+            changes[name] = _noise_band(node[name], name, violations)
+        elif name == "layers":
+            layers = changes[name] = list(old)
+            for i in sorted(sub):
+                at = f"{prefix}{name}[{i}]"
+                layers[i] = _rebuilt(old[i], sub[i], node[name][i], at, violations, drive_specs)
+        elif sub:
+            changes[name] = _rebuilt(old, sub, node[name], prefix + name, violations, drive_specs)
+        else:
+            changes[name] = _num(node, name, prefix, violations, ge, gt, integer)
+    return None if len(violations) > start else replace(record, **changes)
 
 
 def validate_tree(tree: dict) -> list:

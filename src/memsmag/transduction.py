@@ -91,6 +91,8 @@ class SensorDesign:
 
     # Anchor moment per unit tip force, as a fraction of the beam length.
     anchor_moment_ratio = 1.0
+    # The sensor fields tip_force adds to environment.field_angle.
+    _angle_fields = ()
 
     def resonator(self, quality_factor: float) -> LumpedResonator:
         """One beam reduced to a spring/mass/damper, tip mass included."""
@@ -164,6 +166,7 @@ class FerroDesign(SensorDesign):
     suspension: BeamGeometry
 
     anchor_moment_ratio = 1.0 / END_MOMENT_TIP_FORCE
+    _angle_fields = ("misalignment",)
     loop_resistance = 0.0  # Ohm, no drive loop, so no resistive self-heating
 
     @property
@@ -242,6 +245,20 @@ def sensitivity(design: SensorDesign, drive: Drive, env: Environment) -> float:
 def _sensitivity(design: SensorDesign, force_per_tesla: float, stress_per_newton: float) -> float:
     """sensitivity from the tip force per tesla and design.anchor_stress(1.0)."""
     return design.bridge_voltage(force_per_tesla * stress_per_newton)
+
+
+def _zero_sensitivity(design, env, force_per_tesla: float, stress_per_newton: float) -> str:
+    """The error for a zero sensitivity: _sensitivity's four factors with
+    their values, named by the scenario fields they come from."""
+    angle = "".join(f" + sensor.{n} {getattr(design, n)!r} rad" for n in design._angle_fields)
+    film = design.gauge.material
+    return (
+        "sensitivity must be nonzero to resolve a field; its factors are tip force per tesla"
+        f" {force_per_tesla!r} N/T at environment.field_angle {env.field_angle!r} rad{angle},"
+        f" anchor stress per newton {stress_per_newton!r} Pa/N, gauge film {film.name}"
+        f" pi_longitudinal {film.pi_longitudinal!r} 1/Pa, sensor.bridge_bias"
+        f" {design.bridge_bias!r} V"
+    )
 
 
 def _current_squared(current: float, figure: str) -> float:

@@ -197,6 +197,29 @@ def test_noise_fails_like_simulate(tmp_path, capsys):
     assert noise_err.startswith("error: noise: sensitivity must be nonzero")
 
 
+@pytest.mark.parametrize("config, named", [
+    ("environment: {field_angle: 0.0}", "at environment.field_angle 0.0 rad,"),
+    ("sensor: {kind: ferro, misalignment: -0.5}\nenvironment: {field_angle: 0.5}",
+     "at environment.field_angle 0.5 rad + sensor.misalignment -0.5 rad,"),
+    ("material_overrides: {silicon: {pi_longitudinal: 0.0}}",
+     "gauge film silicon pi_longitudinal 0.0 1/Pa,"),
+], ids=["lorentz-angle", "ferro-angle", "gauge-pi"])
+def test_zero_sensitivity_names_its_factors(tmp_path, capsys, config, named):
+    # A zero sensitivity stays an error: one line that gives each factor
+    # of the sensitivity and names the field that zeroed it.
+    path = tmp_path / "scenario.yaml"
+    path.write_text(config)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "error: noise: sensitivity must be nonzero to resolve a field; its factors are"
+        " tip force per tesla "
+    )
+    assert named in err
+    assert " anchor stress per newton " in err and " sensor.bridge_bias 2.0 V" in err
+    assert err.count("\n") == 1
+
+
 def test_underflowing_temperature_fails_simulate_and_noise_alike(tmp_path, capsys):
     path = tmp_path / "scenario.yaml"
     path.write_text("environment: {temperature: 1.0e-320}")

@@ -36,7 +36,7 @@ from memsmag import (
     sweep,
 )
 from memsmag import scenario as scenario_module
-from memsmag.scenario import _parse
+from memsmag.scenario import _with_values
 from memsmag.transduction import SensorDesign
 
 
@@ -481,16 +481,15 @@ def test_point_reusing_parent_sections_matches_a_fresh_build(parent):
         for step in steps:
             value = value[step]
         section = steps[0]
-        # Which of the parent's records the point may keep, by the edited section.
+        # Which of the parent's records the point may keep, by the edited
+        # section. An override edit builds the whole point afresh.
         kept = {
-            "environment": section != "environment",
-            "sensor": section not in ("sensor", "material_overrides"),
-            "drive": section != "drive",
+            name: section not in (name, "material_overrides")
+            for name in ("environment", "sensor", "drive")
         }
         for new in _edit_values(scenario.tree, steps, value):
             got = explorer._run_point(scenario, [(steps, new)], sensor_figures)
-            assert got == _fresh_point(explorer._with_values(scenario.tree, [(steps, new)])), (
-                path, new)
+            assert got == _fresh_point(_with_values(scenario.tree, [(steps, new)])), (path, new)
             if got[0] is None:
                 continue
             for name, keep in kept.items():
@@ -521,47 +520,8 @@ def test_point_on_an_overrides_parent_builds_no_materials(monkeypatch):
     for path, edit in _probe_inputs("lorentz", scenario):
         if not path.startswith("material_overrides."):
             assert explorer._run_point(scenario, [edit], explorer._SensorFigures())[2] is None, path
-    # A numeric edit keeps every material name, so no reader asks for one.
+    # A point that edits no override keeps every record that reads one.
     assert calls == []
-    tree = scenario.tree
-    # A renamed layer material does ask: the overrides are built once, as
-    # a build without the parent builds them.
-    sensor = tree["sensor"]
-    beam = sensor["support_beam"]
-    layers = [{**beam["layers"][0], "material": "aluminum"}, *beam["layers"][1:]]
-    renamed = {**tree, "sensor": {**sensor, "support_beam": {**beam, "layers": layers}}}
-    built, violations = _parse(renamed, scenario)
-    assert calls == [tree["material_overrides"]]
-    assert (built, violations) == _parse(renamed)
-    assert built.sensor.beam.layers[0].material.youngs_modulus == 69.0e9
-
-
-def test_with_values_copies_only_the_edited_paths():
-    tree = default_scenario("lorentz").tree
-    before = copy.deepcopy(tree)
-    paths = ["drive.amplitude", "sensor.support_beam.length", "sensor.support_beam.width",
-             "sensor.support_beam.layers[1].thickness", "noise_band[1]"]
-    edits = [(explorer._resolve_path(tree, path), 0.25 * i) for i, path in enumerate(paths)]
-    new = explorer._with_values(tree, edits)
-    assert tree == before
-    expected = copy.deepcopy(tree)
-    for steps, value in edits:
-        node = expected
-        for step in steps[:-1]:
-            node = node[step]
-        node[steps[-1]] = value
-    assert new == expected
-    beam, old_beam = new["sensor"]["support_beam"], tree["sensor"]["support_beam"]
-    for ours, theirs in [(new, tree), (new["sensor"], tree["sensor"]), (beam, old_beam),
-                         (new["drive"], tree["drive"]), (new["noise_band"], tree["noise_band"]),
-                         (beam["layers"], old_beam["layers"]),
-                         (beam["layers"][1], old_beam["layers"][1])]:
-        assert ours is not theirs
-    for ours, theirs in [(new["environment"], tree["environment"]),
-                         (new["sensor"]["gauge"], tree["sensor"]["gauge"]),
-                         (beam["layers"][0], old_beam["layers"][0]),
-                         (beam["layers"][2], old_beam["layers"][2])]:
-        assert ours is theirs
 
 
 # Multi-leaf points: the alw and flw boxes, and pairs across sections.
@@ -601,47 +561,9 @@ def test_multi_leaf_point_matches_a_fresh_build(kind):
         ]
         for point in points:
             edits = list(zip(steps, point))
-            expected = explorer._with_values(tree, edits)
+            expected = _with_values(tree, edits)
             got = explorer._run_point(scenario, edits, sensor_figures)
             assert got == _fresh_point(expected), (paths, point)
-
-
-def _parse_cases():
-    """(parent, tree) pairs whose tree the parent read against other specs.
-
-    Each tree shares every node it can with the parent's tree and is set
-    directly, not through a sweep path.
-    """
-    lorentz, ferro = default_scenario("lorentz"), default_scenario("ferro")
-
-    def edited(parent, **sections):
-        return {**parent.tree, **sections}
-
-    sensor = lorentz.tree["sensor"]
-    drive = lorentz.tree["drive"]
-    yield "overrides", lorentz, edited(lorentz, material_overrides={
-        "silicon": {"pi_longitudinal": None}, "aluminum": {"yield_stress": -1.0}})
-    yield "same-overrides-new-object", lorentz, edited(lorentz, material_overrides={})
-    yield "kind-ferro", lorentz, edited(lorentz, sensor={**sensor, "kind": "ferro"})
-    yield "kind-lorentz-dc", ferro, edited(
-        ferro, sensor={**ferro.tree["sensor"], "kind": "lorentz"})
-    yield "kind-bad", lorentz, edited(lorentz, sensor={**sensor, "kind": "piezo"})
-    yield "waveform-dc", lorentz, edited(lorentz, drive={**drive, "waveform": "dc"})
-    yield "waveform-bad", lorentz, edited(lorentz, drive={**drive, "waveform": "sine"})
-    # A dc drive at 0 Hz is valid; the same 0.0 is not once it is square.
-    yield "dc-to-square", ferro, edited(
-        ferro, drive={**ferro.tree["drive"], "waveform": "square"})
-
-
-_PARSE_CASES = list(_parse_cases())
-
-
-@pytest.mark.parametrize("name, parent, tree", _PARSE_CASES, ids=[c[0] for c in _PARSE_CASES])
-def test_parse_with_parent_of_other_specs_matches_no_parent(name, parent, tree):
-    fresh = _parse(tree)
-    assert _parse(tree, parent) == fresh
-    if name == "dc-to-square":
-        assert fresh[1] == ["drive.frequency: must be > 0, got 0.0"]
 
 
 def test_optimize_pushes_to_bound():
@@ -684,13 +606,13 @@ def test_optimize_keeps_the_scenario_it_built(monkeypatch):
     import memsmag.explorer as explorer
 
     builds = []
-    parse = explorer._parse
+    edited = explorer._edited
 
-    def counted(tree, parent):
-        builds.append(tree)
-        return parse(tree, parent)
+    def counted(parent, edits):
+        builds.append(edits)
+        return edited(parent, edits)
 
-    monkeypatch.setattr(explorer, "_parse", counted)
+    monkeypatch.setattr(explorer, "_edited", counted)
     result = optimize(
         default_scenario("lorentz"),
         [("drive.amplitude", 1e-3, 12e-3)],
@@ -1036,7 +958,7 @@ def test_points_reusing_sensor_figures_match_fresh_runs(kind):
     outcomes += [(steps, *point) for point in zip(result.values, result.reports, result.errors)]
 
     for steps, value, report, error in outcomes:
-        _, fresh, fresh_error = _fresh_point(explorer._with_values(scenario.tree, [(steps, value)]))
+        _, fresh, fresh_error = _fresh_point(_with_values(scenario.tree, [(steps, value)]))
         assert (report, error) == (fresh, fresh_error), (steps, value)
     failed = sum(error is not None for _, _, _, error in outcomes)
     assert 100 < failed < len(outcomes) - 100
@@ -1057,7 +979,7 @@ def test_sweep_reports_reusing_the_parent_sensor_match_fresh_runs(parent, path, 
     result = sweep(scenario, path, start, stop, 40, scale)
     steps = explorer._resolve_path(scenario.tree, path)
     for value, report, error in zip(result.values, result.reports, result.errors):
-        _, fresh, fresh_error = _fresh_point(explorer._with_values(scenario.tree, [(steps, value)]))
+        _, fresh, fresh_error = _fresh_point(_with_values(scenario.tree, [(steps, value)]))
         assert (report, error) == (fresh, fresh_error), value
         if report is not None:
             assert report == run_scenario(build_scenario(report.scenario)), value

@@ -711,3 +711,32 @@ def test_override_violations_come_unknown_keys_first_then_in_field_order():
     with pytest.raises(ValueError) as excinfo:
         Material(name="junk", youngs_modulus=1e9, density=-1.0, yield_stress=0.0)
     assert str(excinfo.value) == "junk: density must be > 0; yield_stress must be > 0"
+
+
+def test_with_values_copies_only_the_edited_paths():
+    tree = default_scenario("lorentz").tree
+    before = copy.deepcopy(tree)
+    paths = [["drive", "amplitude"], ["sensor", "support_beam", "length"],
+             ["sensor", "support_beam", "width"],
+             ["sensor", "support_beam", "layers", 1, "thickness"], ["noise_band", 1]]
+    edits = [(steps, 0.25 * i) for i, steps in enumerate(paths)]
+    new = scenario._with_values(tree, edits)
+    assert tree == before
+    expected = copy.deepcopy(tree)
+    for steps, value in edits:
+        node = expected
+        for step in steps[:-1]:
+            node = node[step]
+        node[steps[-1]] = value
+    assert new == expected
+    beam, old_beam = new["sensor"]["support_beam"], tree["sensor"]["support_beam"]
+    for ours, theirs in [(new, tree), (new["sensor"], tree["sensor"]), (beam, old_beam),
+                         (new["drive"], tree["drive"]), (new["noise_band"], tree["noise_band"]),
+                         (beam["layers"], old_beam["layers"]),
+                         (beam["layers"][1], old_beam["layers"][1])]:
+        assert ours is not theirs
+    for ours, theirs in [(new["environment"], tree["environment"]),
+                         (new["sensor"]["gauge"], tree["sensor"]["gauge"]),
+                         (beam["layers"][0], old_beam["layers"][0]),
+                         (beam["layers"][2], old_beam["layers"][2])]:
+        assert ours is theirs
