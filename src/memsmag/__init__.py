@@ -99,7 +99,9 @@ _EXPORTS = {
         ),
         "dynamics",
     ),
-    **dict.fromkeys(("BeamSolution", "convergence_order", "solve_static"), "beam_oracle"),
+    **dict.fromkeys(
+        ("BeamSolution", "convergence_order", "oracle_check", "solve_static"), "beam_oracle"
+    ),
     **dict.fromkeys(
         (
             "Scenario",
@@ -120,7 +122,6 @@ _EXPORTS = {
             "SweepResult",
             "emit_report",
             "optimize",
-            "oracle_check",
             "run_scenario",
             "sweep",
         ),

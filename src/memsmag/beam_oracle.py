@@ -12,6 +12,9 @@ boundary rows fix that cubic's coefficients as ratios of integers. Each
 node's value is then one correctly rounded division, so refining the grid
 shrinks the truncation error with no roundoff growing behind it. Only
 `solve_static`, which returns arrays, imports numpy.
+
+`oracle_check` is the check that `memsmag verify` prints: the closed-form
+tip deflection and clamp moment of a scenario's beam against this solve.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, SingularSystemError
-from .mechanics import BeamGeometry, _layer_fiber_stress, composite_section
+from .mechanics import BeamGeometry, _layer_fiber_stress, composite_section, tip_deflection
 
 MIN_GRID_SIZE = 50
 
@@ -168,8 +171,47 @@ def convergence_order(geom: BeamGeometry, grids: list[int], tip_force: float) ->
         raise ValueError("grids must be strictly increasing")
 
     ei = composite_section(geom).flexural_rigidity
-    tips = [_solve_nodes(geom.length, ei, g, force, 0.0, (0, g - 1))[0][1] for g in grid_list]
+    tips = [deflection[1] for deflection, _ in _grid_solves(geom.length, ei, grid_list, force)]
     return _fitted_order(geom.length, grid_list, tips)
+
+
+def oracle_check(scenario) -> dict:
+    """Cross-check the closed-form beam model against the brute-force solver.
+
+    Takes a `Scenario` and solves its suspension beam on 100, 200 and 400
+    nodes at the clamp and tip nodes only, where the deflection and the
+    moment peak. Compares the finest solution's tip deflection and anchor
+    (clamp) moment with the analytic values, and fits the solver's
+    convergence order to the three tip deflections.
+    """
+    beam = scenario.sensor.beam
+    force = 1e-9
+    section = composite_section(beam)
+    analytic_tip = tip_deflection(section, beam.length, force)
+    analytic_moment = force * beam.length
+
+    grids = (100, 200, 400)
+    solutions = _grid_solves(beam.length, section.flexural_rigidity, grids, force)
+    tips = [deflection[1] for deflection, _ in solutions]
+    anchor_moment = solutions[-1][1][0]
+    tip_error = abs(tips[-1] - analytic_tip) / abs(analytic_tip)
+    moment_error = abs(anchor_moment - analytic_moment) / analytic_moment
+    order = _fitted_order(beam.length, grids, tips)
+    return {
+        "tip_deflection_analytic_m": analytic_tip,
+        "tip_deflection_fd_m": tips[-1],
+        "tip_deflection_rel_error": tip_error,
+        "anchor_moment_analytic_N_m": analytic_moment,
+        "anchor_moment_fd_N_m": anchor_moment,
+        "anchor_moment_rel_error": moment_error,
+        "convergence_order": order,
+        "passed": bool(tip_error < 0.01 and moment_error < 0.02 and 1.8 <= order <= 2.2),
+    }
+
+
+def _grid_solves(length: float, ei: float, grids, force: float) -> list:
+    """`_solve_nodes`' (deflections, moments) at the clamp and tip of each grid."""
+    return [_solve_nodes(length, ei, g, force, 0.0, (0, g - 1)) for g in grids]
 
 
 def _fitted_order(length: float, grids: list[int], tips: list[float]) -> float:

@@ -6,8 +6,8 @@ runtime failures and failed verification.
 
 Start-up loads only the parser's needs: errors, grids (its limits and
 defaults) and scenario. Each command imports the rest itself: simulate,
-noise, sweep, optimize and verify import explorer (with noise and
-beam_oracle), and freq-response and transient import dynamics.
+noise, sweep and optimize import explorer (with noise), verify imports
+beam_oracle, and freq-response and transient import dynamics.
 """
 
 import argparse
@@ -179,7 +179,7 @@ def _cmd_transient(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .explorer import oracle_check
+    from .beam_oracle import oracle_check
 
     checks = oracle_check(_load(args))
     passed = checks.pop("passed")
@@ -287,7 +287,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.handler(args)
-    except (ValidationError, ParseError, UnknownPathError, FileNotFoundError, ValueError) as exc:
+    except (ValidationError, ParseError, UnknownPathError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (MemsmagError, OSError) as exc:

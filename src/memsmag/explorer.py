@@ -16,16 +16,9 @@ from typing import Callable, Optional, Union
 
 import yaml
 
-from .beam_oracle import _fitted_order, _solve_nodes
 from .errors import DomainError, InfeasibleError, MemsmagError, UnknownPathError, ValidationError
 from .grids import DEFAULT_CONSTRAINTS, MAX_SWEEP_POINTS, _geomspace, _linspace
-from .mechanics import (
-    SLENDERNESS_WARN_LIMIT,
-    composite_section,
-    curl_tip_height,
-    stack_curvature,
-    tip_deflection,
-)
+from .mechanics import SLENDERNESS_WARN_LIMIT, curl_tip_height, stack_curvature
 from .noise import NoiseBudget, _noise_floor, _with_signal
 from .scenario import Scenario, _edited
 from .transduction import _sensitivity, _zero_sensitivity, joule_offset, joule_temperature_rise
@@ -558,43 +551,6 @@ def optimize(
     if best is None:
         raise InfeasibleError("no evaluated point satisfied the constraints")
     return OptimizeResult(*best, trace=trace)
-
-
-def oracle_check(scenario: Scenario) -> dict:
-    """Cross-check the closed-form beam model against the brute-force solver.
-
-    Solves the scenario's suspension beam on 100, 200 and 400 nodes at the
-    clamp and tip nodes only, where the deflection and the moment peak.
-    Compares the finest solution's tip deflection and anchor (clamp) moment
-    with the analytic values, and fits the solver's convergence order to
-    the three tip deflections.
-    """
-    beam = scenario.sensor.beam
-    force = 1e-9
-    section = composite_section(beam)
-    analytic_tip = tip_deflection(section, beam.length, force)
-    analytic_moment = force * beam.length
-
-    grids = (100, 200, 400)
-    solutions = [
-        _solve_nodes(beam.length, section.flexural_rigidity, n, force, 0.0, (0, n - 1))
-        for n in grids
-    ]
-    tips = [deflection[1] for deflection, _ in solutions]
-    anchor_moment = solutions[-1][1][0]
-    tip_error = abs(tips[-1] - analytic_tip) / abs(analytic_tip)
-    moment_error = abs(anchor_moment - analytic_moment) / analytic_moment
-    order = _fitted_order(beam.length, grids, tips)
-    return {
-        "tip_deflection_analytic_m": analytic_tip,
-        "tip_deflection_fd_m": tips[-1],
-        "tip_deflection_rel_error": tip_error,
-        "anchor_moment_analytic_N_m": analytic_moment,
-        "anchor_moment_fd_N_m": anchor_moment,
-        "anchor_moment_rel_error": moment_error,
-        "convergence_order": order,
-        "passed": bool(tip_error < 0.01 and moment_error < 0.02 and 1.8 <= order <= 2.2),
-    }
 
 
 def _fmt(value) -> str:

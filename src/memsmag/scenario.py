@@ -210,17 +210,15 @@ def _num(node, key, path, violations, ge=None, gt=None, integer=False):
     An integer field comes back as an int.
     """
     value = node.get(key)
-    # _is_number, _finite and within written out: this runs for each numeric
-    # field of each build, sweep point and optimizer evaluation.
     if key not in node:
         problem = "missing"
-    elif not isinstance(value, (int, float)) or isinstance(value, bool):
+    elif not _is_number(value):
         problem = f"expected a number, got {value!r}"
-    elif not abs(value) <= sys.float_info.max:
+    elif not _finite(value):
         problem = f"must be a finite number, got {value}"
     elif integer and int(value) != value:
         problem = f"expected an integer, got {value!r}"
-    elif not ((gt is None or value > gt) and (ge is None or value >= ge)):
+    elif not within(value, ge, gt):
         problem = f"{requirement(ge, gt)}, got {value}"
     else:
         return int(value) if integer else value

@@ -79,6 +79,22 @@ def test_config_that_cannot_be_read_is_invalid_input(tmp_path, capsys):
     assert capsys.readouterr().err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate"],
+    ["sweep", "--path", "drive.amplitude", "--start", "1e-3", "--stop", "1e-2", "--steps", "3"],
+    ["optimize", "--param", "drive.amplitude:0.001:0.012"],
+    ["noise"],
+    ["freq-response", "--points", "3"],
+    ["transient"],
+], ids=lambda command: command[0])
+def test_output_in_a_missing_directory_is_a_runtime_failure(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "x"
+    assert main([*command, "--config", _empty_config(tmp_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.parent.exists()
+
+
 def test_invalid_config(tmp_path):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text("drive:\n  amplitude: -1\n")
@@ -780,8 +796,9 @@ def test_cold_import_and_defaults_load_only_their_modules():
 
 def test_cold_commands_load_only_their_modules(tmp_path):
     # Each interpreter runs its commands in turn and lists the memsmag
-    # modules after each: the report commands never load dynamics, and the
-    # two time-domain commands load neither explorer nor noise.
+    # modules after each: the report commands never load dynamics or
+    # beam_oracle, verify loads beam_oracle alone, and the two time-domain
+    # commands load neither explorer nor noise.
     out = str(tmp_path / "out")
     sweep = ["sweep", "--path", "drive.amplitude", "--start", "1e-3", "--stop", "1e-2",
              "--steps", "3", "--out", out]
@@ -792,13 +809,13 @@ def test_cold_commands_load_only_their_modules(tmp_path):
             ["noise"],
             sweep,
             ["optimize", "--param", "drive.amplitude:0.001:0.012"],
-            ["verify"],
         ],
+        [["verify"]],
         [["freq-response", "--points", "3", "--out", out], ["transient", "--out", out]],
     ]
-    report = f"beam_oracle {_CLI_MODULES} explorer noise".split()
     expected = [
-        [" ".join(sorted(report))] * 6,
+        [" ".join(sorted(f"{_CLI_MODULES} explorer noise".split()))] * 5,
+        [" ".join(sorted(f"{_CLI_MODULES} beam_oracle".split()))],
         [" ".join(sorted(f"{_CLI_MODULES} dynamics".split()))] * 2,
     ]
     for runs, want in zip(sessions, expected):

@@ -1449,7 +1449,6 @@ def test_oracle_check_fd_figures_are_the_full_solves(kind):
 
 def test_oracle_check_solves_each_grid_once(monkeypatch):
     import memsmag.beam_oracle as beam_oracle
-    import memsmag.explorer as explorer
 
     grids = []
     real = beam_oracle._solve_nodes
@@ -1458,7 +1457,6 @@ def test_oracle_check_solves_each_grid_once(monkeypatch):
         grids.append(grid_size)
         return real(length, ei, grid_size, force, moment, nodes)
 
-    monkeypatch.setattr(explorer, "_solve_nodes", counted)
     monkeypatch.setattr(beam_oracle, "_solve_nodes", counted)
     oracle_check(default_scenario("lorentz"))
     assert grids == [100, 200, 400]

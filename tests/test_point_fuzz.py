@@ -6,7 +6,10 @@ Each case edits one to three numeric leaves of a parent scenario's tree,
 0, +-1 or 1e-300. The point that `explorer._run_point` builds from its
 parent's records must equal a full build of the edited tree, and every
 outcome must be a finite report, a `ValidationError`, another
-`MemsmagError` or an `OverflowError`: nothing else may come out.
+`MemsmagError` or an `OverflowError`: nothing else may come out. Each
+error must also say what it is about: every violation names one of the
+edited leaves, every other `MemsmagError` the stage that raised it, and
+every `OverflowError` a report figure or a range that a figure left.
 
 Run it at a larger size, deterministically, with
 
@@ -59,13 +62,38 @@ def _fuzzed(rng, value):
     return sign * value * 10.0**exponent
 
 
-def _outcome(tree):
-    """What a full build and run of `tree` gives, in _run_point's result
-    shape, and the outcome's class. Any other exception propagates."""
+def _dotted(steps):
+    """The path a violation names for a leaf; noise_band's items name the band."""
+    if steps[0] == "noise_band":
+        return "noise_band"
+    return "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in steps)[1:]
+
+
+def _check_text(exc, edits):
+    """Assert that `exc` says what it is about, for a case making `edits`."""
+    if isinstance(exc, ValidationError):
+        paths = tuple(f"{_dotted(steps)}:" for steps, _ in edits)
+        for violation in exc.violations:
+            assert violation.startswith(paths), (violation, paths)
+    elif isinstance(exc, OverflowError):
+        text = str(exc)
+        assert "leaves the float range" in text or any(
+            text.startswith(f"report figure {name} is not finite")
+            for name, _ in explorer.REPORT_COLUMNS
+        ), text
+    else:
+        assert str(exc).startswith(("transduction: ", "mechanics: ", "noise: ")), str(exc)
+
+
+def _outcome(tree, edits):
+    """What a full build and run of `tree`, the parent's tree with `edits`
+    made, gives in _run_point's result shape, and the outcome's class. Any
+    other exception propagates."""
     try:
         built = build_scenario(tree)
         report = run_scenario(built)
     except (MemsmagError, OverflowError) as exc:
+        _check_text(exc, edits)
         kind = type(exc) if isinstance(exc, (ValidationError, OverflowError)) else MemsmagError
         return (None, None, f"{type(exc).__name__}: " + " ".join(str(exc).split())), kind
     for name, get in explorer.REPORT_COLUMNS:
@@ -86,7 +114,7 @@ def fuzz(name, cases):
     for case in range(cases):
         chosen = rng.sample(leaves, rng.randint(1, 3))
         edits = [(steps, _fuzzed(rng, value)) for steps, value in chosen]
-        expected, kind = _outcome(_with_values(parent.tree, edits))
+        expected, kind = _outcome(_with_values(parent.tree, edits), edits)
         got = explorer._run_point(parent, edits, figures)
         assert got == expected, (name, case, edits)
         tally[kind] += 1
