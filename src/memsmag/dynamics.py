@@ -87,13 +87,20 @@ def frequency_response(resonator: LumpedResonator, frequency: float) -> Frequenc
     """Displacement-per-force amplitude and phase at one drive frequency.
 
     amplitude = (1/k) / sqrt((1 - r^2)^2 + (r/Q)^2) with r = f/f0; the
-    phase lags from 0 at dc toward -pi far above resonance.
+    phase lags from 0 at dc toward -pi far above resonance. Raises
+    OverflowError naming the stiffness and the frequency where the
+    amplitude is not finite.
     """
     if not 0 < frequency < math.inf:
         raise ValueError("frequency must be > 0 and finite")
     r = frequency / resonator.natural_frequency
     q = resonator.quality_factor
     amplitude = (1.0 / resonator.stiffness) / math.hypot(1.0 - r * r, r / q)
+    if not math.isfinite(amplitude):
+        raise OverflowError(
+            f"frequency response amplitude (1/k) / sqrt((1 - r^2)^2 + (r/Q)^2) is {amplitude}"
+            f" at frequency {frequency!r} Hz: stiffness {resonator.stiffness!r} N/m"
+        )
     phase = -math.atan2(r / q, 1.0 - r * r)
     return FrequencyResponsePoint(frequency=frequency, amplitude=amplitude, phase=phase)
 

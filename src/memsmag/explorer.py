@@ -87,29 +87,6 @@ def _weakest_yield(beam) -> float:
     )
 
 
-class _SensorFigures:
-    """What a report takes from one sensor record alone: its anchor stress
-    per newton of tip force, its weakest layer yield and its beam warnings;
-    its resonator for each quality factor; and its noise floor for each
-    quality factor, temperature and noise band. No drive or field edit
-    moves any of them.
-
-    A sweep or search keeps one for its parent's sensor, so the points that
-    keep that record (see scenario._edited) compute each figure once per
-    call, and the floor once per key. A figure is stored only once a point
-    has computed it, so a point that fails raises as run_scenario would.
-    """
-
-    __slots__ = ("stress_per_newton", "weakest_yield", "resonators", "floors", "beam_warnings")
-
-    def __init__(self):
-        self.stress_per_newton = None  # sensor.anchor_stress(1.0)
-        self.weakest_yield = None  # _weakest_yield(sensor.beam)
-        self.resonators = {}  # quality factor -> the sensor's resonator
-        self.floors = {}  # (quality factor, temperature, noise band) -> noise._noise_floor
-        self.beam_warnings = None
-
-
 def _beam_warnings(beam) -> list:
     """The report warnings that the suspension beam alone decides."""
     warnings_list = []
@@ -130,15 +107,23 @@ def _beam_warnings(beam) -> list:
 
 def run_scenario(scenario: Scenario) -> SimulationReport:
     """Populate every report field for one operating point."""
-    return _report(scenario, _SensorFigures())
+    return _report(scenario, {})
 
 
-def _report(scenario: Scenario, figures: _SensorFigures) -> SimulationReport:
-    """run_scenario's report. `figures` must belong to scenario.sensor: a
-    figure it holds is taken from it, one it lacks is computed and stored.
-    So a point that keeps its sensor computes only the figures that read
-    its drive or environment, and a noise floor only for a new quality
-    factor, temperature or band.
+def _report(scenario: Scenario, figures: dict) -> SimulationReport:
+    """run_scenario's report, reusing the figures of scenario.sensor that
+    `figures` holds.
+
+    `figures` keeps what a report takes from the sensor record alone, which
+    no drive or field edit moves: "stress_per_newton" (its anchor stress
+    per newton of tip force), "weakest_yield", "beam_warnings", ("resonator",
+    Q) per quality factor and ("floor", Q, T, band) per quality factor,
+    temperature and noise band. A figure it holds is taken from it; one it
+    lacks is computed and stored only once computed, so a point that fails
+    raises as run_scenario would. A sweep or search keeps one dict for its
+    parent's sensor, so the points that keep that record (see
+    scenario._edited) compute each figure once per call; a point with a
+    sensor of its own starts from an empty one.
 
     A MemsmagError raised in the transduction, mechanics or noise stage
     has the stage's name put before its message.
@@ -148,9 +133,9 @@ def _report(scenario: Scenario, figures: _SensorFigures) -> SimulationReport:
     stage = "transduction"
     try:
         force_per_tesla = sensor.tip_force(drive, env, 1.0)
-        stress_per_newton = figures.stress_per_newton
+        stress_per_newton = figures.get("stress_per_newton")
         if stress_per_newton is None:
-            stress_per_newton = figures.stress_per_newton = sensor.anchor_stress(1.0)
+            stress_per_newton = figures["stress_per_newton"] = sensor.anchor_stress(1.0)
         signal_gain = _sensitivity(sensor, force_per_tesla, stress_per_newton)
         force = sensor.tip_force(drive, env, env.field_magnitude)
         stress = sensor.anchor_stress(force)
@@ -161,22 +146,23 @@ def _report(scenario: Scenario, figures: _SensorFigures) -> SimulationReport:
         )
 
         stage = "mechanics"
-        resonator = figures.resonators.get(quality_factor)
+        key = "resonator", quality_factor
+        resonator = figures.get(key)
         if resonator is None:
-            resonator = figures.resonators[quality_factor] = sensor.resonator(quality_factor)
+            resonator = figures[key] = sensor.resonator(quality_factor)
         deflection = force / (sensor.load_share_count * resonator.stiffness)
-        weakest_yield = figures.weakest_yield
+        weakest_yield = figures.get("weakest_yield")
         if weakest_yield is None:
-            weakest_yield = figures.weakest_yield = _weakest_yield(sensor.beam)
+            weakest_yield = figures["weakest_yield"] = _weakest_yield(sensor.beam)
         # The weakest yield over the anchor stress. A stress that is not
         # finite fails the finite check at anchor_stress_Pa, before the margin.
         margin = math.inf if stress == 0.0 else weakest_yield / abs(stress)
 
         stage = "noise"
-        key = quality_factor, env.temperature, band
-        floor = figures.floors.get(key)
+        key = "floor", quality_factor, env.temperature, band
+        floor = figures.get(key)
         if floor is None:
-            floor = figures.floors[key] = _noise_floor(
+            floor = figures[key] = _noise_floor(
                 sensor, env.temperature, band, resonator, stress_per_newton
             )
         if not abs(signal_gain) > 0:  # min_detectable_field's guard, the factors named
@@ -190,9 +176,10 @@ def _report(scenario: Scenario, figures: _SensorFigures) -> SimulationReport:
     warnings_list = []
     if drive.amplitude > HIGH_CURRENT_THRESHOLD:
         warnings_list.append(HIGH_CURRENT_WARNING)
-    if figures.beam_warnings is None:
-        figures.beam_warnings = _beam_warnings(sensor.beam)
-    warnings_list += figures.beam_warnings
+    beam_warnings = figures.get("beam_warnings")
+    if beam_warnings is None:
+        beam_warnings = figures["beam_warnings"] = _beam_warnings(sensor.beam)
+    warnings_list += beam_warnings
     report = SimulationReport(  # in field order
         signal_gain,
         offset,
@@ -243,13 +230,13 @@ def _resolve_path(tree, path: str) -> list:
     return steps
 
 
-def _run_point(scenario: Scenario, edits, figures: _SensorFigures):
+def _run_point(scenario: Scenario, edits, figures: dict):
     """Build and run `scenario` with each (steps, value) edit applied.
 
     The point keeps every record of `scenario` off its edited paths (see
-    scenario._edited). A point that keeps `scenario.sensor` takes that
-    sensor's figures from `figures`, which the calling sweep or search
-    keeps for it; a point with a sensor of its own computes them afresh.
+    scenario._edited). A point that keeps `scenario.sensor` reuses that
+    sensor's `figures`, which the calling sweep or search keeps for it (see
+    _report); a point with a sensor of its own computes them afresh.
     Returns (scenario, report, None), or (None, None, error) where the
     point fails and error is one line naming the exception type.
     """
@@ -258,7 +245,7 @@ def _run_point(scenario: Scenario, edits, figures: _SensorFigures):
         if violations:
             raise ValidationError(violations)
         if built.sensor is not scenario.sensor:
-            figures = _SensorFigures()
+            figures = {}
         return built, _report(built, figures), None
     except (MemsmagError, ValueError, ArithmeticError) as exc:
         # The scenario is invalid or cannot be evaluated, or its arithmetic
@@ -281,10 +268,7 @@ def sweep(
     column records what went wrong, so a sweep never dies half way.
     The points of a parameter outside the sensor and material_overrides
     keep the scenario's sensor record, so they share its figures (see
-    _SensorFigures), each computed by the first point that gets that far:
-    one anchor stress per newton, weakest layer yield and set of beam
-    warnings, one resonator per quality factor, and one noise floor per
-    quality factor, temperature and noise band.
+    _report).
     """
     # An int or a type that stands for one (numpy's), but not a bool.
     if isinstance(steps, bool) or not hasattr(steps, "__index__"):
@@ -302,7 +286,7 @@ def sweep(
     else:
         raise ValueError(f"scale must be 'linear' or 'log', got {scale!r}")
     field = _resolve_path(scenario.tree, parameter_path)
-    figures = _SensorFigures()
+    figures = {}
     points = [_run_point(scenario, [(field, value)], figures) for value in values]
     return SweepResult(
         parameter_path=parameter_path,
@@ -497,8 +481,7 @@ def optimize(
     once per distinct point (only feasible points are scored). A point
     Nelder-Mead revisits costs one trace record, a copy of its first.
     Points that keep the scenario's sensor record share its figures, as a
-    sweep's points do: the anchor stress per newton, weakest layer yield,
-    beam warnings, resonators and noise floors.
+    sweep's points do (see _report).
     """
     params = [_normalize_parameter(p) for p in free_parameters]
     if not 1 <= len(params) <= MAX_FREE_PARAMETERS:
@@ -518,7 +501,7 @@ def optimize(
     trace = []
     best = None  # (scenario, report, trace record) of the best feasible point
     seen = {}  # physical point -> the trace record of its first evaluation
-    figures = _SensorFigures()  # of the scenario's sensor, for points that keep it
+    figures = {}  # of the scenario's sensor, for points that keep it
 
     def evaluate(z):
         nonlocal best

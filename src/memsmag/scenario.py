@@ -50,14 +50,8 @@ from .transduction import (
     SensorDesign,
 )
 
-# One row per sensor kind: the design record it builds, the key of its
-# beam and the bound on its drive amplitude. Every other sensor key is
-# shared by both kinds. The loop needs current to feel a field; the plate
-# does not.
-_SENSORS = {
-    "lorentz": (LorentzDesign, "support_beam", {"gt": 0}),
-    "ferro": (FerroDesign, "suspension", {"ge": 0}),
-}
+# Each sensor kind's design record, by its kind name.
+_SENSORS = {design.kind: design for design in (LorentzDesign, FerroDesign)}
 SENSOR_KINDS = tuple(_SENSORS)
 
 
@@ -342,8 +336,8 @@ def _sensor(node, path, violations, materials):
     if kind not in SENSOR_KINDS:
         violations.append(f"{path}.kind: must be one of {SENSOR_KINDS}, got {kind!r}")
         return None
-    design, beam_key, _ = _SENSORS[kind]
-    sections = {"gauge": _gauge, beam_key: _beam}
+    design = _SENSORS[kind]
+    sections = {"gauge": _gauge, design.beam_field: _beam}
     return _record(design, sections, node, path, violations, materials, extra=("kind",))
 
 
@@ -358,7 +352,7 @@ def _drive_bounds(kind, square: bool) -> tuple:
     """Drive's (name, *bounds) specs: the amplitude takes the bound of sensor
     `kind` (>= 0 for an invalid kind, already reported), and a square drive
     needs a frequency > 0. Built once per (kind, square)."""
-    bounds = {"amplitude": _SENSORS[kind][2] if kind in _SENSORS else {"ge": 0}}
+    bounds = {"amplitude": _SENSORS[kind].amplitude_bound if kind in _SENSORS else {"ge": 0}}
     if square:
         bounds["frequency"] = {"gt": 0}
     return tuple((f.name, *_bounds(bounds.get(f.name, f.metadata))) for f in fields(Drive))

@@ -80,19 +80,26 @@ class Environment:
 class SensorDesign:
     """A sensor kind's front end, as the shared chain sees it.
 
-    Each kind supplies its `beam`, the number of beams that share the load
-    (`load_share_count`), the rigid `tip_mass` on each beam, the equivalent
-    tip force its field load puts on those beams (`tip_force`), and the
-    anchor moment that tip force stands for (`anchor_moment_ratio`). The
-    resonator, anchor stress and bridge voltage follow from these the same
-    way for every kind. A kind's scenario fields are its record's fields;
-    their declaration order is the order their violations are reported in.
+    Each kind states its scenario `kind` name, the field that holds its
+    beam (`beam_field`) and the bound on its drive amplitude
+    (`amplitude_bound`). It supplies the number of beams that share the
+    load (`load_share_count`), the rigid `tip_mass` on each beam, the
+    equivalent tip force its field load puts on those beams (`tip_force`),
+    and the anchor moment that tip force stands for (`anchor_moment_ratio`).
+    The resonator, anchor stress and bridge voltage follow from these the
+    same way for every kind. A kind's scenario fields are its record's
+    fields; their declaration order is the order their violations are
+    reported in.
     """
 
     # Anchor moment per unit tip force, as a fraction of the beam length.
     anchor_moment_ratio = 1.0
     # The sensor fields tip_force adds to environment.field_angle.
     _angle_fields = ()
+
+    @property
+    def beam(self) -> BeamGeometry:
+        return getattr(self, self.beam_field)
 
     def resonator(self, quality_factor: float) -> LumpedResonator:
         """One beam reduced to a spring/mass/damper, tip mass included."""
@@ -132,11 +139,10 @@ class LorentzDesign(SensorDesign):
     load_share_count: int = field(metadata={"ge": 1, "integer": True})  # legs plus gauge beam
     support_beam: BeamGeometry
 
+    kind = "lorentz"
+    beam_field = "support_beam"
+    amplitude_bound = {"gt": 0}  # A, the loop needs current to feel a field
     tip_mass = 0.0  # kg, the loop's top beam is not modeled as a rigid mass
-
-    @property
-    def beam(self) -> BeamGeometry:
-        return self.support_beam
 
     def tip_force(self, drive: Drive, env: Environment, field: float) -> float:
         """Force on the top beam at `field` tesla."""
@@ -165,6 +171,9 @@ class FerroDesign(SensorDesign):
     misalignment: float  # rad, post-release tilt added to the field angle
     suspension: BeamGeometry
 
+    kind = "ferro"
+    beam_field = "suspension"
+    amplitude_bound = {"ge": 0}  # A, the plate feels a field undriven
     anchor_moment_ratio = 1.0 / END_MOMENT_TIP_FORCE
     _angle_fields = ("misalignment",)
     loop_resistance = 0.0  # Ohm, no drive loop, so no resistive self-heating
@@ -183,10 +192,6 @@ class FerroDesign(SensorDesign):
     @property
     def plate_mass(self) -> float:
         return self.plate_volume * self.plate_density
-
-    @property
-    def beam(self) -> BeamGeometry:
-        return self.suspension
 
     @property
     def load_share_count(self) -> int:

@@ -666,6 +666,13 @@ _JOULE_OVERFLOW = (
       for command, stage in (("simulate", "mechanics: "), ("noise", "mechanics: "),
                              ("transient", ""), ("transient --duration 1e-3 --dt 1e-6", ""),
                              ("freq-response", ""), ("freq-response --f-min 1 --f-max 10", ""))),
+    # The response amplitude 1/k overflows below k = 1/max float, about 5.6e-309 N/m,
+    # with or without the flags that set a range.
+    *((command, "sensor: {support_beam: {length: 1.0e+3, width: 1.0e-293}}",
+       "OverflowError: frequency response amplitude (1/k) / sqrt((1 - r^2)^2 + (r/Q)^2) is inf"
+       f" at frequency {frequency} Hz: stiffness 7.3688915391763e-310 N/m")
+      for command, frequency in (("freq-response", "1.4433944792660564e-10"),
+                                 ("freq-response --f-min 1 --f-max 10", "1.0"))),
     # A stressed layer's lift: the curvature, then the tip angle kappa l.
     ("simulate", "material_overrides: {aluminum: {youngs_modulus: 1.0}}\n"
      "sensor: {support_beam: {layers: [{material: silicon, thickness: 1.0e-15},"
@@ -685,6 +692,7 @@ _JOULE_OVERFLOW = (
         "simulate-zero-resonance", "noise-zero-resonance",
         "transient-zero-resonance", "transient-zero-resonance-given-span",
         "freq-response-zero-resonance", "freq-response-zero-resonance-given-range",
+        "freq-response-soft-beam", "freq-response-soft-beam-given-range",
         "simulate-stack-curvature", "simulate-stack-tip-angle"])
 def test_power_overflow_names_the_dimension(tmp_path, capsys, command, config, error):
     path = tmp_path / "scenario.yaml"

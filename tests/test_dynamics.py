@@ -59,6 +59,18 @@ def test_response_static_limit():
             frequency_response(res, bad)
 
 
+@pytest.mark.parametrize("frequency, amplitude", [(1.0, "inf"), (1e300, "nan")])
+def test_response_amplitude_out_of_range_names_stiffness_and_frequency(frequency, amplitude):
+    # 1/k overflows; far above resonance the denominator overflows too.
+    res = dataclasses.replace(_default_parts()[1], stiffness=1e-310)
+    with pytest.raises(OverflowError) as excinfo:
+        frequency_response(res, frequency)
+    assert str(excinfo.value) == (
+        f"frequency response amplitude (1/k) / sqrt((1 - r^2)^2 + (r/Q)^2) is {amplitude}"
+        f" at frequency {frequency!r} Hz: stiffness 1e-310 N/m"
+    )
+
+
 def _golden_max(fn, lo, hi):
     # Golden-section argmax, independent of the library's search.
     phi = (math.sqrt(5.0) - 1.0) / 2.0

@@ -354,7 +354,6 @@ def _numeric_paths(node, path=""):
         yield path
 
 
-_BEAM_KEY = {"lorentz": "support_beam", "ferro": "suspension"}
 _PROBE_FIELDS = [f.name for f in dataclasses.fields(Material) if f.name != "name"]
 
 # Inputs that change no report figure, and why. Every other input must.
@@ -379,7 +378,7 @@ def _nudged(value):
     return value * 1.1 if value else 0.1
 
 
-def _probe_inputs(kind, scenario):
+def _probe_inputs(scenario):
     """(path, edit) for every numeric leaf of the tree, a residual stress on
     every layer and each set Material field of each film in use."""
     tree = scenario.tree
@@ -389,7 +388,7 @@ def _probe_inputs(kind, scenario):
         for step in steps:
             value = value[step]
         yield path, (steps, _nudged(value))
-    beam = _BEAM_KEY[kind]
+    beam = scenario.sensor.beam_field
     for i in range(len(tree["sensor"][beam]["layers"])):
         steps = ["sensor", beam, "layers", i, "residual_stress"]
         yield f"sensor.{beam}.layers[{i}].residual_stress", (steps, _nudged(0.0))
@@ -419,8 +418,8 @@ def test_every_input_acts_on_a_report_figure(kind):
 
     base = figures(run_scenario(scenario))
     acted, inert = [], []
-    sensor_figures = explorer._SensorFigures()
-    for path, edit in _probe_inputs(kind, scenario):
+    sensor_figures = {}
+    for path, edit in _probe_inputs(scenario):
         _, report, error = explorer._run_point(scenario, [edit], sensor_figures)
         assert error is None, (path, error)
         (acted if figures(report) != base else inert).append(path)
@@ -471,7 +470,7 @@ _OVERRIDES = {
 def test_point_reusing_parent_sections_matches_a_fresh_build(parent):
     scenario = build_scenario(parent)
     # One call's figures for every point, as one sweep or search keeps them.
-    sensor_figures = explorer._SensorFigures()
+    sensor_figures = {}
     paths = list(_numeric_paths(scenario.tree))
     overridden = any(path.startswith("material_overrides.") for path in paths)
     assert overridden == ("material_overrides" in parent)
@@ -499,8 +498,7 @@ def test_point_reusing_parent_sections_matches_a_fresh_build(parent):
                 # Within the sensor, only the records on the edited path are new.
                 sensor, old = got[0].sensor, scenario.sensor
                 assert (sensor.gauge is old.gauge) == (steps[1] != "gauge"), (path, new)
-                beam_key = _BEAM_KEY[scenario.tree["sensor"]["kind"]]
-                layer_edit = steps[1] == beam_key and steps[2] == "layers"
+                layer_edit = steps[1] == old.beam_field and steps[2] == "layers"
                 assert (sensor.beam.layers is old.beam.layers) == (not layer_edit), (path, new)
                 if layer_edit:
                     for i, layer in enumerate(sensor.beam.layers):
@@ -517,9 +515,9 @@ def test_point_on_an_overrides_parent_builds_no_materials(monkeypatch):
         return materials(node, violations)
 
     monkeypatch.setattr(scenario_module, "_materials", counted)
-    for path, edit in _probe_inputs("lorentz", scenario):
+    for path, edit in _probe_inputs(scenario):
         if not path.startswith("material_overrides."):
-            assert explorer._run_point(scenario, [edit], explorer._SensorFigures())[2] is None, path
+            assert explorer._run_point(scenario, [edit], {})[2] is None, path
     # A point that edits no override keeps every record that reads one.
     assert calls == []
 
@@ -543,7 +541,7 @@ _MULTI_EDITS = {
 def test_multi_leaf_point_matches_a_fresh_build(kind):
     scenario = default_scenario(kind)
     tree = scenario.tree
-    sensor_figures = explorer._SensorFigures()
+    sensor_figures = {}
     scales = [1.0, 1.5, 0.25, 0.0, -1.0]
     for paths in _MULTI_EDITS[kind]:
         steps = [explorer._resolve_path(tree, path) for path in paths]
@@ -651,7 +649,7 @@ def test_optimize_runs_each_distinct_point_once(monkeypatch):
     assert len(scores) == len({p for p, e in zip(points, result.trace) if e["feasible"]})
 
     for point, entry in zip(points, result.trace):
-        _, report, _ = run_point(scenario, zip(fields, point), explorer._SensorFigures())
+        _, report, _ = run_point(scenario, zip(fields, point), {})
         violation = 1.0 if report is None else explorer._constraint_violation(report, limits)
         feasible = violation == 0.0
         value = -report.sensitivity if feasible else explorer._PENALTY * (1.0 + violation)
@@ -923,7 +921,7 @@ def _five_points(scenario, path, steps, start, stop, scale, override=None):
     try:
         explorer._resolve_path(scenario.tree, path)
     except UnknownPathError:
-        figures = explorer._SensorFigures()
+        figures = {}
         spaced = explorer._linspace if scale == "linear" else explorer._geomspace
         values = spaced(start, stop, 5)
         if override is not None:
@@ -941,7 +939,7 @@ def test_points_reusing_sensor_figures_match_fresh_runs(kind):
     # error is what a fresh build and run of its tree gives.
     scenario = default_scenario(kind)
     outcomes = []  # (steps, value, report, error) of every point
-    for path, (steps, edit) in _probe_inputs(kind, scenario):
+    for path, (steps, edit) in _probe_inputs(scenario):
         (override, nudged), = edit.items() if isinstance(edit, dict) else [(None, edit)]
         for start, stop, scale in ((-nudged, nudged, "linear"), (2 * nudged, -nudged, "linear"),
                                    (1e-320, 1e300, "log")):

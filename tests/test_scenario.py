@@ -386,8 +386,6 @@ def test_non_finite_and_out_of_range_named(tree, path):
     assert any(v.startswith(f"{path}:") for v in excinfo.value.violations)
 
 
-_BEAM_KEY = {"lorentz": "support_beam", "ferro": "suspension"}
-
 # One tree per kind that breaks a field in every section: top level,
 # sensor, gauge, beam, layers, drive, environment, noise band, overrides.
 _BROKEN = {
@@ -548,7 +546,7 @@ def test_built_tree_is_a_private_copy(kind):
     packaged = default_tree(kind)
     built = build_scenario(tree).tree
     built["sensor"]["gauge"]["resistance"] = -1.0
-    built["sensor"][_BEAM_KEY[kind]]["layers"][0]["thickness"] = -1.0
+    built["sensor"][scenario._SENSORS[kind].beam_field]["layers"][0]["thickness"] = -1.0
     built["noise_band"].append(99.0)
     built["drive"]["amplitude"] = -1.0
     built["material_overrides"]["silicon"] = {}
