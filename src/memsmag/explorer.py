@@ -21,7 +21,7 @@ from .grids import DEFAULT_CONSTRAINTS, MAX_SWEEP_POINTS, _geomspace, _linspace
 from .mechanics import SLENDERNESS_WARN_LIMIT, curl_tip_height, stack_curvature
 from .noise import NoiseBudget, _noise_floor, _with_signal
 from .scenario import Scenario, _edited
-from .transduction import _sensitivity, _zero_sensitivity, joule_offset, joule_temperature_rise
+from .transduction import _zero_sensitivity, joule_offset, joule_temperature_rise
 
 
 # Self-heating is negligible below this drive amplitude.
@@ -136,7 +136,7 @@ def _report(scenario: Scenario, figures: dict) -> SimulationReport:
         stress_per_newton = figures.get("stress_per_newton")
         if stress_per_newton is None:
             stress_per_newton = figures["stress_per_newton"] = sensor.anchor_stress(1.0)
-        signal_gain = _sensitivity(sensor, force_per_tesla, stress_per_newton)
+        signal_gain = sensor.bridge_voltage(force_per_tesla * stress_per_newton)
         force = sensor.tip_force(drive, env, env.field_magnitude)
         stress = sensor.anchor_stress(force)
         offset = joule_offset(drive.amplitude, scenario.offset_coefficient)
@@ -471,9 +471,10 @@ def optimize(
     restarted from every corner of the box plus its center so the
     deterministic restart set covers 2^d + 1 basins. Constraint violations
     and failed evaluations get a death penalty scaled by the relative
-    violation. The best returned is always the best feasible point actually
-    evaluated; Infeasible is raised when there is none. Each free parameter
-    must name a different field.
+    violation, and a NaN score counts as a failed evaluation. The best
+    returned is always the best feasible point actually evaluated;
+    Infeasible is raised when there is none. Each free parameter must name
+    a different field.
 
     The trace keeps one record per evaluation. A point this call has
     already evaluated is scored from its first evaluation, so each distinct
@@ -516,6 +517,8 @@ def optimize(
         violation = 1.0 if report is None else _constraint_violation(report, limits)
         feasible = violation == 0.0
         value = score(report) if feasible else _PENALTY * (1.0 + violation)
+        if math.isnan(value):  # scored as a failed evaluation, never the best
+            feasible, value = False, _PENALTY * 2.0
         record = {"params": dict(zip(names, physical)), "objective": value, "feasible": feasible}
         trace.append(record)
         seen[physical] = record

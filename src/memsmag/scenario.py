@@ -7,9 +7,10 @@ field's bound is declared in the field's metadata (see _record). User files
 are merged over the packaged default for the chosen sensor kind, every
 invariant is checked with all violations collected, and the fully resolved
 tree rides along in the built Scenario so reports can echo the exact inputs.
-A sweep or search point is its parent Scenario plus a few numeric leaf
-edits, and _edited builds it from the parent's records, reading again only
-the records on the edited paths.
+One reader, _record, builds every record: those of a fresh scenario and
+those of a sweep or search point, which is its parent Scenario plus a few
+numeric leaf edits (see _edited). A point reads again only the fields on
+the edited paths and keeps the parent's record everywhere else.
 
 Configs parse with libyaml's C parser (`yaml.CSafeLoader`) when PyYAML has
 it, and with PyYAML's own parser otherwise. PyYAML's parser also reads any
@@ -25,7 +26,7 @@ import copy
 import itertools
 import re
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import lru_cache, partial
 from importlib import resources
 
@@ -220,9 +221,12 @@ def _num(node, key, path, violations, ge=None, gt=None, integer=False):
     return None
 
 
-def _record(record, sections, node, path, violations, materials, specs=None, extra=()):
+def _record(
+    record, sections, node, path, violations, materials, parent=None, edited=None,
+    specs=None, extra=(),
+):
     """The `record` that mapping `node` at dotted `path` describes, or None
-    after violations.
+    after violations: the one reader of fresh scenarios and of points.
 
     Keys must be fields of `record` or in `extra`. Fields are read in
     declaration order, so violations come in that order. A field named in
@@ -230,6 +234,11 @@ def _record(record, sections, node, path, violations, materials, specs=None, ext
     partial of _record for a nested record. Any other field is a number
     held to the bounds its metadata declares ("gt" or "ge", "integer", and
     "optional" for a key that may be absent), or to `specs` when given.
+
+    A point passes the `parent` record that `node` edits and the tree of
+    `edited` steps below it (see _edited): a field off those steps is the
+    parent's, one on them is read as above (a reader also gets the field's
+    parent and edited steps), and the keys, the parent's, go unchecked.
     """
     if not isinstance(node, dict):
         violations.append(f"{path}: expected a mapping")
@@ -237,13 +246,18 @@ def _record(record, sections, node, path, violations, materials, specs=None, ext
     start = len(violations)
     prefix = f"{path}." if path else ""
     keys, declared = _schema(record)
-    for key in node:
-        if key not in keys and key not in extra:
-            violations.append(f"{prefix}{key}: unknown field")
+    if parent is None:
+        for key in node:
+            if key not in keys and key not in extra:
+                violations.append(f"{prefix}{key}: unknown field")
     values = {}
     for name, ge, gt, integer, optional in specs or declared:
-        if name in sections:
-            values[name] = sections[name](node.get(name), prefix + name, violations, materials)
+        if parent is not None and name not in edited:
+            values[name] = getattr(parent, name)
+        elif name in sections:
+            read = sections[name]
+            more = () if parent is None else (getattr(parent, name), edited[name])
+            values[name] = read(node.get(name), prefix + name, violations, materials, *more)
         elif not optional or name in node:
             values[name] = _num(node, name, prefix, violations, ge, gt, integer)
     return None if len(violations) > start else record(**values)
@@ -317,18 +331,24 @@ def _film(name, path, violations, materials):
 _layer = partial(_record, LayerSpec, {"material": _material})
 
 
-def _layers(node, path, violations, materials):
+def _layers(node, path, violations, materials, parent=None, edited=None):
+    """The beam's layers; a point reads only its edited ones again."""
     if not isinstance(node, list) or not node:
         violations.append(f"{path}: need at least one layer")
         return None
-    return [_layer(layer, f"{path}[{i}]", violations, materials) for i, layer in enumerate(node)]
+    if parent is None:
+        return [_layer(node[i], f"{path}[{i}]", violations, materials) for i in range(len(node))]
+    layers = list(parent)
+    for i in sorted(edited):
+        layers[i] = _layer(node[i], f"{path}[{i}]", violations, materials, parent[i], edited[i])
+    return layers
 
 
 _beam = partial(_record, BeamGeometry, {"layers": _layers})
 _gauge = partial(_record, GaugeSpec, {"material": _film})
 
 
-def _sensor(node, path, violations, materials):
+def _sensor(node, path, violations, materials, parent=None, edited=None):
     if not isinstance(node, dict):
         violations.append(f"{path}: expected a mapping")
         return None
@@ -338,7 +358,9 @@ def _sensor(node, path, violations, materials):
         return None
     design = _SENSORS[kind]
     sections = {"gauge": _gauge, design.beam_field: _beam}
-    return _record(design, sections, node, path, violations, materials, extra=("kind",))
+    return _record(
+        design, sections, node, path, violations, materials, parent, edited, extra=("kind",)
+    )
 
 
 def _waveform(waveform, path, violations, materials):
@@ -366,7 +388,8 @@ def _drive_specs(tree) -> tuple:
     return _drive_bounds(kind if kind in SENSOR_KINDS else None, square)
 
 
-def _noise_band(band, path, violations, materials=None):
+def _noise_band(band, path, violations, materials, parent=None, edited=None):
+    # A band is checked whole, so a point reads all of it again.
     if (
         not isinstance(band, (list, tuple))
         or len(band) != 2
@@ -383,12 +406,13 @@ def _noise_band(band, path, violations, materials=None):
 _environment = partial(_record, Environment, {})
 
 
-def _parse(tree: dict):
-    """(Scenario, []) for a valid resolved tree, else (None, violations)."""
+def _parse(tree: dict, parent=None, edited=None):
+    """(Scenario, []) for a valid resolved tree, else (None, violations): a
+    fresh build, or a point's from its `parent` and `edited` steps (_edited)."""
     # Layers and the gauge need the overridden materials, but override
-    # violations are reported last.
+    # violations are reported last. A point keeps every record that reads one.
     late = []
-    materials = _materials(tree.get("material_overrides"), late)
+    materials = _materials(tree.get("material_overrides"), late) if parent is None else None
     sections = {
         "sensor": _sensor,
         "drive": partial(_record, Drive, {"waveform": _waveform}, specs=_drive_specs(tree)),
@@ -398,7 +422,8 @@ def _parse(tree: dict):
     }
     violations = []
     scenario = _record(
-        Scenario, sections, tree, "", violations, materials, extra=("material_overrides",)
+        Scenario, sections, tree, "", violations, materials, parent, edited,
+        extra=("material_overrides",),
     )
     violations += late
     return (None, violations) if violations else (scenario, [])
@@ -429,47 +454,21 @@ def _edited(parent: Scenario, edits):
     """What _parse gives for `parent`'s tree with each (steps, value) edit
     applied, where each path reaches a numeric field of the parent's records.
 
-    Only the records on the edited paths are built again; every other
-    record is the parent's own. An edit under material_overrides, which
-    every layer and the gauge read, parses the whole edited tree instead.
+    _parse reads the edited tree as for a fresh build, but only the fields on
+    the edited paths; every record off them is the parent's own. An edit under
+    material_overrides, which every layer and the gauge read, parses the whole
+    edited tree instead.
     """
     edits = list(edits)
     tree = _with_values(parent.tree, edits)
-    paths = {}  # the edited paths as a tree of steps, each leaf {}
+    paths = {"tree": {}}  # the edited steps as a tree, each leaf {}; the tree is new
     for steps, _ in edits:
         node = paths
         for step in steps:
             node = node.setdefault(step, {})
     if "material_overrides" in paths:
         return _parse(tree)
-    violations = []
-    scenario = _rebuilt(parent, paths, tree, "", violations, _drive_specs(tree), tree=tree)
-    return (None, violations) if violations else (scenario, [])
-
-
-def _rebuilt(record, paths, node, path, violations, drive_specs, **changes):
-    """`record` with `changes` and the fields on `paths` read again from
-    `node`, the edited tree's mapping at dotted `path`, or None after
-    violations: _parse's, in declaration order (drive bounds `drive_specs`)."""
-    start = len(violations)
-    prefix = f"{path}." if path else ""
-    specs = drive_specs if type(record) is Drive else _schema(type(record))[1]
-    for name, ge, gt, integer, _ in specs:
-        if name not in paths:
-            continue
-        sub, old = paths[name], getattr(record, name)
-        if name == "noise_band":
-            changes[name] = _noise_band(node[name], name, violations)
-        elif name == "layers":
-            layers = changes[name] = list(old)
-            for i in sorted(sub):
-                at = f"{prefix}{name}[{i}]"
-                layers[i] = _rebuilt(old[i], sub[i], node[name][i], at, violations, drive_specs)
-        elif sub:
-            changes[name] = _rebuilt(old, sub, node[name], prefix + name, violations, drive_specs)
-        else:
-            changes[name] = _num(node, name, prefix, violations, ge, gt, integer)
-    return None if len(violations) > start else replace(record, **changes)
+    return _parse(tree, parent, paths)
 
 
 def validate_tree(tree: dict) -> list:

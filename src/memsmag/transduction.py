@@ -244,16 +244,11 @@ def sensitivity(design: SensorDesign, drive: Drive, env: Environment) -> float:
     (V_bias/4); zero drive on the current loop gives a zero sensitivity
     rather than an error.
     """
-    return _sensitivity(design, design.tip_force(drive, env, 1.0), design.anchor_stress(1.0))
-
-
-def _sensitivity(design: SensorDesign, force_per_tesla: float, stress_per_newton: float) -> float:
-    """sensitivity from the tip force per tesla and design.anchor_stress(1.0)."""
-    return design.bridge_voltage(force_per_tesla * stress_per_newton)
+    return design.bridge_voltage(design.tip_force(drive, env, 1.0) * design.anchor_stress(1.0))
 
 
 def _zero_sensitivity(design, env, force_per_tesla: float, stress_per_newton: float) -> str:
-    """The error for a zero sensitivity: _sensitivity's four factors with
+    """The error for a zero sensitivity: sensitivity's four factors with
     their values, named by the scenario fields they come from."""
     angle = "".join(f" + sensor.{n} {getattr(design, n)!r} rad" for n in design._angle_fields)
     film = design.gauge.material

@@ -528,13 +528,34 @@ _MULTI_EDITS = {
         ("drive.amplitude", "sensor.support_beam.length", "sensor.support_beam.width"),
         ("sensor.gauge.resistance", "drive.frequency"),
         ("sensor.support_beam.layers[2].thickness", "environment.temperature", "quality_factor"),
+        ("sensor.support_beam.layers[0].thickness", "sensor.support_beam.layers[2].thickness",
+         "sensor.gauge.length"),
     ],
     "ferro": [
         ("sensor.suspension.length", "sensor.suspension.width"),
         ("sensor.plate_length", "drive.amplitude"),
         ("sensor.suspension.layers[0].thickness", "noise_band[1]"),
+        ("sensor.suspension.layers[0].thickness", "sensor.plate_width", "noise_band[0]"),
     ],
 }
+
+
+def _assert_keeps_parent_records(point, parent, edited, where=""):
+    """Every field of record `point` off the `edited` steps (a tree of steps,
+    each leaf {}) is `parent`'s own object; the key tree is the point's."""
+    for f in dataclasses.fields(parent):
+        name, new, old = f.name, getattr(point, f.name), getattr(parent, f.name)
+        if name == "tree" or name not in edited:
+            assert (new is old) == (name != "tree"), where + name
+        elif isinstance(old, list):  # the layers: each one off the steps is kept
+            for i, (layer, kept) in enumerate(zip(new, old)):
+                at = f"{where}{name}[{i}]"
+                if i in edited[name]:
+                    _assert_keeps_parent_records(layer, kept, edited[name][i], at + ".")
+                else:
+                    assert layer is kept, at
+        elif dataclasses.is_dataclass(old):
+            _assert_keeps_parent_records(new, old, edited[name], f"{where}{name}.")
 
 
 @pytest.mark.parametrize("kind", ["lorentz", "ferro"])
@@ -557,11 +578,18 @@ def test_multi_leaf_point_matches_a_fresh_build(kind):
             [v * (scale if i == j else 1.1) for i, v in enumerate(values)]
             for j in range(len(values)) for scale in (0.0, -1.0)
         ]
+        edited = {}
+        for leaf in steps:
+            node = edited
+            for step in leaf:
+                node = node.setdefault(step, {})
         for point in points:
             edits = list(zip(steps, point))
             expected = _with_values(tree, edits)
             got = explorer._run_point(scenario, edits, sensor_figures)
             assert got == _fresh_point(expected), (paths, point)
+            if got[0] is not None:
+                _assert_keeps_parent_records(got[0], scenario, edited)
 
 
 def test_optimize_pushes_to_bound():
@@ -793,6 +821,25 @@ def test_optimize_evaluation_is_the_first_best_trace_record(kind, params, object
         for step in explorer._resolve_path(result.best.tree, path):
             node = node[step]
         assert result.evaluation["params"][path] == node
+
+
+def test_optimize_never_keeps_a_nan_score_as_its_best():
+    scenario = default_scenario("lorentz")
+    params = [("drive.amplitude", 1e-3, 12e-3)]
+    calls = []
+
+    def nan_first(report):
+        calls.append(report)
+        return math.nan if len(calls) == 1 else -report.sensitivity
+
+    result = optimize(scenario, params, nan_first)
+    # The NaN point scores as a failed evaluation: infeasible, at its penalty.
+    assert result.trace[0] == {
+        "params": {"drive.amplitude": 0.0065}, "objective": explorer._PENALTY * 2.0,
+        "feasible": False,
+    }
+    assert result.evaluation == optimize(scenario, params, "sensitivity").evaluation
+    assert all(math.isfinite(entry["objective"]) for entry in result.trace)
 
 
 @pytest.mark.parametrize("yield_stress", [5.0e-324, 1.0e-300])
