@@ -8,9 +8,12 @@ Start-up loads only the parser's needs: errors, grids (its limits and
 defaults) and scenario. Each command imports the rest itself: simulate,
 noise, sweep and optimize import explorer (with noise), verify imports
 beam_oracle, and freq-response and transient import dynamics.
+
+The parser is built once per process and shared by every `main` call.
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -208,8 +211,19 @@ def _add_output(parser, required: bool = True) -> None:
     )
 
 
+# `memsmag --help` shows the docstring up to its last paragraph, which is
+# about this module rather than the commands.
+_DESCRIPTION = __doc__ and __doc__.rsplit("\n\n", 1)[0]
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="memsmag", description=__doc__)
+    """The one parser of this process, built on the first call and shared.
+
+    Callers must not mutate it. `parse_args` leaves it as it was: each call
+    fills a new namespace, and `--param`'s list is copied before appending.
+    """
+    parser = _Parser(prog="memsmag", description=_DESCRIPTION)
     commands = parser.add_subparsers(dest="command", required=True)
 
     sub = commands.add_parser("simulate", help="run one scenario into a report")

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memsmag import BUILTIN_NAMES, DEFAULT_CONSTRAINTS, Material, default_scenario
+from memsmag import cli
 from memsmag.cli import CONFIG_DIR_ENV, build_parser, main
 from memsmag.explorer import MAX_SWEEP_POINTS
 
@@ -530,6 +531,52 @@ def test_optimize_flag_defaults_are_the_library_defaults():
     args = build_parser().parse_args(["optimize", "--param", "drive.amplitude:0.001:0.012"])
     assert args.max_stress_fraction == DEFAULT_CONSTRAINTS["max_stress_fraction"]
     assert args.max_temperature_rise == DEFAULT_CONSTRAINTS["max_temperature_rise"]
+
+
+def _printed_names(text: str) -> list:
+    return [line.split(" = ")[0] for line in text.splitlines()]
+
+
+def test_shared_parser_carries_no_state_between_calls(tmp_path, capsys):
+    config = _empty_config(tmp_path)
+    optimize = ["optimize", "--config", config, "--param", "drive.amplitude:0.001:0.012"]
+    assert main([*optimize, "--param", "sensor.support_beam.length:2e-4:8e-4"]) == 0
+    assert _printed_names(capsys.readouterr().out) == [
+        "drive.amplitude", "sensor.support_beam.length", "objective", "evaluations"
+    ]
+    assert main(optimize) == 0
+    assert _printed_names(capsys.readouterr().out) == ["drive.amplitude", "objective", "evaluations"]
+
+    verify = ["verify", "--config", config]
+    assert main(verify) == 0
+    first = capsys.readouterr().out
+    assert main(["sweep"]) == 1
+    assert capsys.readouterr().err.startswith("usage: memsmag sweep")
+    assert main(verify) == 0
+    assert capsys.readouterr().out == first
+
+    for argv in (["--help"], ["optimize", "--help"]):
+        assert main(argv) == 0
+        help_text = capsys.readouterr().out
+        assert help_text.startswith("usage: memsmag")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == help_text
+
+
+def test_main_reuses_the_parser(tmp_path, monkeypatch, capsys):
+    argv = ["noise", "--config", _empty_config(tmp_path)]
+    assert main(argv) == 0
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    assert main(argv) == 0
+    assert main(argv) == 0
+    assert built == []
 
 
 def test_optimize_bad_param_spec(tmp_path):

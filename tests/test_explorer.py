@@ -1530,3 +1530,49 @@ def test_field_sign_keeps_min_detectable_field():
     )
     assert ferro.sensitivity < 0
     assert 0 < ferro.min_detectable_field < math.inf
+
+
+def _thicknesses_scaled(tree, beam, scale):
+    """`tree` with every layer of the sensor's `beam` `scale` times as thick."""
+    tree = copy.deepcopy(tree)
+    for layer in tree["sensor"][beam]["layers"]:
+        layer["thickness"] *= scale
+    return tree
+
+
+_STRESSED_STACK = {
+    "sensor": {
+        "support_beam": {
+            "layers": [
+                {"material": "silicon", "thickness": 100.0e-9, "residual_stress": 40.0e6},
+                {"material": "silicon_nitride", "thickness": 280.0e-9, "residual_stress": -60.0e6},
+                {"material": "aluminum", "thickness": 1.0e-6, "residual_stress": 150.0e6},
+            ]
+        }
+    }
+}
+
+
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+@pytest.mark.parametrize("tree, beam", [
+    (default_scenario("lorentz").tree, "support_beam"),
+    (default_scenario("ferro").tree, "suspension"),
+    (_STRESSED_STACK, "support_beam"),
+], ids=["lorentz", "ferro", "stressed-lorentz"])
+def test_anchor_stress_scales_as_inverse_square_of_thickness(tree, beam, scale):
+    # 6 l F / (w t^2 n): the tip force reads no layer thickness, so scaling
+    # every layer scales t and the stress by scale^-2, residual stresses or not.
+    base = run_scenario(build_scenario(tree))
+    scaled = run_scenario(build_scenario(_thicknesses_scaled(tree, beam, scale)))
+    assert scaled.anchor_stress == pytest.approx(base.anchor_stress * scale**-2, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+def test_lorentz_resonance_scales_with_thickness(scale):
+    # k goes as t^3 and the beam's mass as t, so f0 = sqrt(k/m)/(2 pi) goes
+    # as t. Ferro is left out: its plate is a tip mass no layer thickness
+    # moves, so its f0 slope against the thicknesses is about 1.39, not 1.
+    tree = default_scenario("lorentz").tree
+    base = run_scenario(build_scenario(tree))
+    scaled = run_scenario(build_scenario(_thicknesses_scaled(tree, "support_beam", scale)))
+    assert scaled.resonant_frequency == pytest.approx(base.resonant_frequency * scale, rel=1e-12)
