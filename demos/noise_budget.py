@@ -7,18 +7,11 @@ appears at the output through the same gain as the signal.
 
 import numpy as np
 
-from memsmag import default_scenario, noise_budget, sensitivity
+from memsmag import default_scenario, run_scenario
 
 
 def main():
-    scenario = default_scenario("lorentz")
-    budget = noise_budget(
-        scenario.sensor,
-        scenario.environment,
-        scenario.noise_band,
-        scenario.sensor.resonator(scenario.quality_factor),
-        sensitivity(scenario.sensor, scenario.drive, scenario.environment),
-    )
+    budget = run_scenario(default_scenario("lorentz")).noise
 
     print(f"johnson floor      {budget.thermal_electrical_psd:.3e} V^2/Hz")
     print(f"mechanical (ref.)  {budget.thermal_mechanical_psd_referred:.3e} V^2/Hz")

@@ -80,7 +80,6 @@ _EXPORTS = {
             "NoiseBudget",
             "carrier_count",
             "min_detectable_field",
-            "noise_budget",
             "rms_noise",
             "thermal_electrical_psd",
             "thermal_mechanical_psd",

@@ -211,11 +211,6 @@ def _add_output(parser, required: bool = True) -> None:
     )
 
 
-# `memsmag --help` shows the docstring up to its last paragraph, which is
-# about this module rather than the commands.
-_DESCRIPTION = __doc__ and __doc__.rsplit("\n\n", 1)[0]
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on the first call and shared.
@@ -223,7 +218,14 @@ def build_parser() -> argparse.ArgumentParser:
     Callers must not mutate it. `parse_args` leaves it as it was: each call
     fills a new namespace, and `--param`'s list is copied before appending.
     """
-    parser = _Parser(prog="memsmag", description=_DESCRIPTION)
+    parser = _Parser(
+        prog="memsmag",
+        description="Simulate, sweep, optimize and verify out-of-plane MEMS magnetometer "
+        "designs: Lorentz-force and ferromagnetic-torque cantilevers with piezoresistive "
+        "readout. Exit codes: 0 on success, 1 for invalid input (bad flags, unreadable or "
+        "invalid config, a parameter path that names no numeric field), 2 for runtime "
+        "failures and failed verification.",
+    )
     commands = parser.add_subparsers(dest="command", required=True)
 
     sub = commands.add_parser("simulate", help="run one scenario into a report")

@@ -4,7 +4,7 @@ Johnson noise of the active gauge, Hooge flicker noise, and the suspension's
 thermomechanical force noise referred to output volts through the same
 static force-to-voltage gain as the signal. The closed-form band integral
 and the derived figures: corner frequency, RMS, SNR, minimum detectable
-field.
+field. The budget itself is a report's, `run_scenario(scenario).noise`.
 """
 
 import math
@@ -98,29 +98,6 @@ def _squared(value: float) -> float:
         return math.inf
 
 
-def noise_budget(
-    design: SensorDesign,
-    env: Environment,
-    band: tuple,
-    resonator: LumpedResonator,
-    sensitivity: float,
-) -> NoiseBudget:
-    """Full budget at the bridge output for one operating point.
-
-    Flicker reads the gauge film's Hooge alpha and carrier density, which
-    GaugeSpec requires of its film; the mechanical term uses the damping of
-    `resonator`, which should be the design's own, design.resonator(Q),
-    referred through the bridge volts per unit tip force. `sensitivity`
-    (V/T) should be the design's own, transduction.sensitivity(design,
-    drive, env); the SNR and the minimum detectable field scale with it.
-    The noise floor and the figures the signal adds are computed apart
-    (_noise_floor and _with_signal), so that a report can reuse the floor
-    of a sensor at a given quality factor, temperature and band.
-    """
-    floor = _noise_floor(design, env.temperature, band, resonator, design.anchor_stress(1.0))
-    return _with_signal(floor, band, sensitivity, env)
-
-
 def _noise_floor(
     design: SensorDesign,
     temperature: float,
@@ -131,8 +108,12 @@ def _noise_floor(
     """The budget's figures that no drive or field moves: (Johnson PSD,
     referred mechanical PSD, flicker scale, corner frequency, band RMS).
 
-    `stress_per_newton` is design.anchor_stress(1.0), the anchor stress
-    per unit tip force that refers the force noise to the bridge.
+    Flicker reads the gauge film's Hooge alpha and carrier density. The
+    mechanical term takes the damping of `resonator`, the report's own
+    design.resonator(Q), and `stress_per_newton`, design.anchor_stress(1.0),
+    refers that force noise to the bridge. A report's budget is this floor
+    with _with_signal's figures added, so a sweep or search can reuse the
+    floor of a sensor at a given quality factor, temperature and band.
     """
     gauge = design.gauge
     alpha = gauge.material.hooge_alpha

@@ -563,6 +563,15 @@ def test_shared_parser_carries_no_state_between_calls(tmp_path, capsys):
         assert capsys.readouterr().out == help_text
 
 
+def test_help_states_the_exit_codes_and_no_import_notes(capsys):
+    assert main(["--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "Exit codes: 0 on success, 1 for invalid input" in text
+    assert "2 for runtime failures and failed verification." in text
+    for note in ("Start-up", "import", "explorer", "beam_oracle", "dynamics", "parser"):
+        assert note not in text, note
+
+
 def test_main_reuses_the_parser(tmp_path, monkeypatch, capsys):
     argv = ["noise", "--config", _empty_config(tmp_path)]
     assert main(argv) == 0

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from hypothesis import strategies as st
 from memsmag import (
     Drive,
     Environment,
+    MemsmagError,
     NoPeakError,
     StepTooLargeError,
     TimeSeries,
     UnsettledError,
+    build_scenario,
     default_scenario,
     find_resonance,
     frequency_response,
@@ -32,6 +35,8 @@ from memsmag.dynamics import (
     _block_tables,
     _forcing,
 )
+from memsmag.scenario import _with_values
+from test_point_fuzz import PARENTS, _cases
 
 
 def _default_parts():
@@ -419,6 +424,54 @@ def test_settled_dc_voltage_is_the_static_output(kind):
     report = run_scenario(scenario)
     signal = report.output_at_field - report.offset
     assert series.output_voltage[-1] == pytest.approx(signal, rel=1e-9)
+
+
+def _finite_points(name, count):
+    """The point fuzz's parent `name`, then the first `count` of its fuzzed
+    scenarios whose report is finite."""
+    yield build_scenario(PARENTS[name][1])
+    found = 0
+    for parent, edits in _cases(name, 100 * count):
+        try:
+            scenario = build_scenario(_with_values(parent.tree, edits))
+            run_scenario(scenario)
+        except (MemsmagError, OverflowError):
+            continue
+        yield scenario
+        found += 1
+        if found == count:
+            return
+
+
+def test_dc_transient_from_the_static_deflection_stays_on_the_report():
+    # Started at the report's tip deflection at rest under a dc drive, the
+    # beam sits on its static solution, and 400 RK4 steps must keep it and
+    # the voltage column on the report's figures. The report's
+    # output_at_field is the signal plus the offset, so the offset is added
+    # to the voltage: where a fuzzed offset dwarfs the signal, the
+    # difference output_at_field - offset would cancel to 0.
+    compared, failed = 0, Counter()
+    for name in sorted(PARENTS):
+        for scenario in _finite_points(name, 50):
+            report = run_scenario(scenario)
+            resonator = scenario.sensor.resonator(scenario.quality_factor)
+            dt = 1.0 / (200 * resonator.natural_frequency)
+            drive = Drive("dc", scenario.drive.amplitude)
+            try:
+                series = simulate_transient(
+                    resonator, scenario.sensor, drive, scenario.environment,
+                    duration=400 * dt, dt=dt, x0=report.tip_deflection, v0=0.0,
+                )
+            except (MemsmagError, OverflowError) as exc:
+                failed[type(exc).__name__] += 1
+                continue
+            assert len(series.time) == 401
+            assert series.displacement[-1] == pytest.approx(
+                report.tip_deflection, rel=1e-12, abs=0), (name, scenario.tree)
+            assert series.output_voltage[-1] + report.offset == pytest.approx(
+                report.output_at_field, rel=1e-12, abs=0), (name, scenario.tree)
+            compared += 1
+    assert compared >= 100, (compared, failed)
 
 
 def _analytic_free_decay(resonator, x0, t):

@@ -35,8 +35,8 @@ ALLOWED = {
     ("piezo_fractional_resistance", "pi_longitudinal"): "pi_l stress, a product",
     ("power_law_offset", "coefficient"): "a |I|^p of a finite current",
     ("power_law_offset", "exponent"): "a |I|^p of a finite current",
-    # noise_budget's NaN carry: a NaN band RMS reaches the report, whose
-    # finite check names the figure that is not finite.
+    # The report's NaN carry: a NaN band RMS reaches its finite check, which
+    # names the figure that is not finite.
     ("rms_noise", "white_psd"): "the band RMS carries NaN to the report's finite check",
     ("rms_noise", "flicker_scale"): "the band RMS carries NaN to the report's finite check",
     ("sweep", "start"): "each point that is not finite fails in its own row",
@@ -88,8 +88,6 @@ def _base_calls() -> dict:
         "max_anchor_stress": [
             dict(tip_force=1e-6, length=3e-4, width=1e-5, thickness=2e-6, load_share_count=3)],
         "min_detectable_field": [dict(sensitivity=0.08, rms=1e-6, snr_target=1.0)],
-        "noise_budget": [dict(design=sensor, env=env, band=scenario.noise_band,
-                              resonator=resonator, sensitivity=0.08)],
         "piezo_fractional_resistance": [dict(stress=1e6, pi_longitudinal=1e-9)],
         "power_law_offset": [dict(current=1e-2, coefficient=1e-3, exponent=0.75)],
         "rms_noise": [dict(white_psd=1e-16, flicker_scale=1e-12, band=(1.0, 1e4))],

@@ -17,11 +17,9 @@ from memsmag import (
     default_scenario,
     lumped_resonator,
     min_detectable_field,
-    noise_budget,
     override_material,
     rms_noise,
     run_scenario,
-    sensitivity,
     thermal_electrical_psd,
     thermal_mechanical_psd,
 )
@@ -62,13 +60,7 @@ def _unit_budget(resistance=1000.0, **overrides):
     scenario = default_scenario("lorentz")
     gauge = dataclasses.replace(_unit_gauge(**overrides), resistance=resistance)
     sensor = dataclasses.replace(scenario.sensor, gauge=gauge, bridge_bias=2.0)
-    return noise_budget(
-        sensor,
-        scenario.environment,
-        scenario.noise_band,
-        sensor.resonator(scenario.quality_factor),
-        sensitivity(sensor, scenario.drive, scenario.environment),
-    )
+    return run_scenario(dataclasses.replace(scenario, sensor=sensor)).noise
 
 
 def test_flicker_example():
@@ -163,14 +155,7 @@ def test_nan_rms_leaves_the_report_check_to_name_its_figure():
 
 
 def test_default_budget():
-    scenario = default_scenario("lorentz")
-    budget = noise_budget(
-        scenario.sensor,
-        scenario.environment,
-        scenario.noise_band,
-        scenario.sensor.resonator(scenario.quality_factor),
-        sensitivity(scenario.sensor, scenario.drive, scenario.environment),
-    )
+    budget = run_scenario(default_scenario("lorentz")).noise
     assert 50.0 <= budget.corner_frequency <= 200.0
     assert budget.corner_frequency == pytest.approx(128.764, rel=1e-5)
     assert budget.thermal_mechanical_psd_referred < 0.01 * budget.thermal_electrical_psd
@@ -206,25 +191,23 @@ def test_underflowing_johnson_psd_is_a_named_domain_error(kind):
 
 def test_snr_scaling():
     scenario = default_scenario("lorentz")
-    sensor, drive, band = scenario.sensor, scenario.drive, scenario.noise_band
-    resonator = sensor.resonator(scenario.quality_factor)
 
     def at(field, temperature=300.0):
         env = Environment(field_magnitude=field, temperature=temperature)
-        return noise_budget(sensor, env, band, resonator, sensitivity(sensor, drive, env)).snr
+        return run_scenario(dataclasses.replace(scenario, environment=env)).noise.snr
 
     assert at(0.0) == 0.0
     assert at(2e-3) == pytest.approx(2 * at(1e-3), rel=1e-9)
     assert at(1e-3, temperature=400.0) < at(1e-3, temperature=300.0)
 
 
-def test_budget_scales_with_the_given_sensitivity():
+def test_budget_scales_with_the_drive_amplitude():
+    # The Lorentz force is linear in the current: twice the drive doubles
+    # the sensitivity and leaves the noise floor as it was.
     scenario = default_scenario("lorentz")
-    sensor, env = scenario.sensor, scenario.environment
-    resonator = sensor.resonator(scenario.quality_factor)
-    gain = sensitivity(sensor, scenario.drive, env)
-    once = noise_budget(sensor, env, scenario.noise_band, resonator, gain)
-    twice = noise_budget(sensor, env, scenario.noise_band, resonator, 2.0 * gain)
+    drive = dataclasses.replace(scenario.drive, amplitude=2.0 * scenario.drive.amplitude)
+    once = run_scenario(scenario).noise
+    twice = run_scenario(dataclasses.replace(scenario, drive=drive)).noise
     assert twice.rms == once.rms
     assert twice.snr == pytest.approx(2.0 * once.snr, rel=1e-12)
     assert twice.min_detectable_field == pytest.approx(once.min_detectable_field / 2.0, rel=1e-12)

@@ -23,7 +23,7 @@ EXPORTED = [
     "default_tree", "emit_report", "ferro_torque", "find_resonance",
     "fit_power_law_offset", "frequency_response", "joule_offset", "joule_temperature_rise",
     "load_scenario", "lorentz_force", "lumped_resonator", "max_anchor_stress",
-    "min_detectable_field", "noise_budget", "optimize", "oracle_check", "override_material",
+    "min_detectable_field", "optimize", "oracle_check", "override_material",
     "piezo_fractional_resistance", "power_law_offset", "rms_noise", "run_scenario",
     "sensitivity", "simulate_transient", "solve_static", "stack_curvature",
     "steady_state_amplitude", "sweep", "thermal_electrical_psd", "thermal_mechanical_psd",
@@ -32,7 +32,7 @@ EXPORTED = [
 
 
 def test_all_lists_the_exported_names():
-    assert len(EXPORTED) == 80
+    assert len(EXPORTED) == 79
     assert sorted(memsmag.__all__) == EXPORTED
 
 
