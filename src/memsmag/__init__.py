@@ -70,7 +70,6 @@ _EXPORTS = {
             "lorentz_force",
             "piezo_fractional_resistance",
             "power_law_offset",
-            "sensitivity",
         ),
         "transduction",
     ),
@@ -108,7 +107,6 @@ _EXPORTS = {
             "default_scenario",
             "default_tree",
             "load_scenario",
-            "validate_tree",
         ),
         "scenario",
     ),

@@ -23,7 +23,13 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, SingularSystemError
-from .mechanics import BeamGeometry, _layer_fiber_stress, composite_section, tip_deflection
+from .mechanics import (
+    BeamGeometry,
+    _layer_fiber_stress,
+    _left_sum,
+    composite_section,
+    tip_deflection,
+)
 
 MIN_GRID_SIZE = 50
 
@@ -225,7 +231,7 @@ def _fitted_order(length: float, grids: list[int], tips: list[float]) -> float:
                 f" the {finer}-node grid: no convergence order to fit"
             )
         ys.append(math.log(abs(coarse - fine)))
-    x_mean = sum(xs) / len(xs)
-    y_mean = sum(ys) / len(ys)
-    num = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
-    return num / sum((x - x_mean) ** 2 for x in xs)
+    x_mean = _left_sum(xs) / len(xs)
+    y_mean = _left_sum(ys) / len(ys)
+    num = _left_sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+    return num / _left_sum((x - x_mean) ** 2 for x in xs)

@@ -44,7 +44,10 @@ class BeamGeometry:
 
     @property
     def total_thickness(self) -> float:
-        return sum(layer.thickness for layer in self.layers)
+        total = 0.0  # a left fold, as _left_sum adds, inlined for speed
+        for layer in self.layers:
+            total += layer.thickness
+        return total
 
 
 @dataclass
@@ -249,6 +252,18 @@ def anneal_stress(anneal_temperature: float) -> float:
     return (s1 - s0) / (t1 - t0) * (anneal_temperature - t0) + s0
 
 
+def _left_sum(values) -> float:
+    """The values added one at a time, left to right.
+
+    The builtin sum() adds floats with compensated summation from Python
+    3.12 on, so its last digit would depend on the Python version.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def _layer_arms(geom: BeamGeometry) -> Iterator[float]:
     """Each layer's mid-height above the neutral axis, z_i - z_n, in m, bottom to top.
 
@@ -258,14 +273,14 @@ def _layer_arms(geom: BeamGeometry) -> Iterator[float]:
     """
     t = [layer.thickness for layer in geom.layers]
     weights = [layer.material.youngs_modulus * layer.thickness for layer in geom.layers]
-    total = sum(weights)
+    total = _left_sum(weights)
     for i in range(len(t)):
         # sum_j E_j t_j |z_i - z_j| over the layers below and above i
         below = above = 0.0
         for j in range(i):
-            below += weights[j] * ((t[j] + t[i]) / 2 + sum(t[j + 1:i]))
+            below += weights[j] * ((t[j] + t[i]) / 2 + _left_sum(t[j + 1:i]))
         for j in range(i + 1, len(t)):
-            above += weights[j] * ((t[i] + t[j]) / 2 + sum(t[i + 1:j]))
+            above += weights[j] * ((t[i] + t[j]) / 2 + _left_sum(t[i + 1:j]))
         yield (below - above) / total
 
 

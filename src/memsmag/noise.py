@@ -150,10 +150,12 @@ def _noise_floor(
 
 def _with_signal(floor: tuple, band: tuple, sensitivity: float, env: Environment) -> NoiseBudget:
     """The budget of a noise floor (see _noise_floor) for a signal of
-    `sensitivity` V/T at env's field, SNR and minimum detectable field added."""
+    `sensitivity` V/T at env's field, SNR and minimum detectable field added.
+    The sensitivity is nonzero: its one caller, explorer._report, raises the
+    named zero-sensitivity error first."""
     electrical, mechanical, flicker_scale, corner, rms = floor
     signal = abs(sensitivity * env.field_magnitude)
-    if math.isnan(rms) and abs(sensitivity) > 0:
+    if math.isnan(rms):
         # A NaN rms comes from a floor figure that is not finite. It carries
         # through, so the report's finite check names that figure.
         min_field = rms

@@ -471,11 +471,6 @@ def _edited(parent: Scenario, edits):
     return _parse(tree, parent, paths)
 
 
-def validate_tree(tree: dict) -> list:
-    """Every invariant violation in the resolved tree, dotted-path labeled."""
-    return _parse(tree)[1]
-
-
 def build_scenario(tree: dict) -> Scenario:
     """Merge a partial tree over the packaged defaults and build it.
 

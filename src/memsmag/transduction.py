@@ -237,19 +237,9 @@ def bridge_output(fractional_resistance: float, bias: float) -> float:
     return bias * fractional_resistance / 4.0
 
 
-def sensitivity(design: SensorDesign, drive: Drive, env: Environment) -> float:
-    """Small-signal dV_out/dB as the product of the three stage gains.
-
-    (tip force per tesla) * (anchor stress per unit tip force) * pi_l *
-    (V_bias/4); zero drive on the current loop gives a zero sensitivity
-    rather than an error.
-    """
-    return design.bridge_voltage(design.tip_force(drive, env, 1.0) * design.anchor_stress(1.0))
-
-
 def _zero_sensitivity(design, env, force_per_tesla: float, stress_per_newton: float) -> str:
-    """The error for a zero sensitivity: sensitivity's four factors with
-    their values, named by the scenario fields they come from."""
+    """The error for a zero sensitivity: its four factors with their
+    values, named by the scenario fields they come from."""
     angle = "".join(f" + sensor.{n} {getattr(design, n)!r} rad" for n in design._angle_fields)
     film = design.gauge.material
     return (

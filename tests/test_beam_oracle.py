@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -14,10 +15,12 @@ from memsmag import (
     composite_section,
     convergence_order,
     max_anchor_stress,
+    run_scenario,
     solve_static,
     tip_deflection,
 )
 from memsmag.beam_oracle import _fitted_order, _solve_nodes
+from test_point_fuzz import PARENTS, _finite_points
 
 SILICON = builtin_material("silicon")
 
@@ -152,6 +155,56 @@ def test_convergence_order_fits_the_full_solves_tips():
     grids = [100, 200, 400]
     tips = [solve_static(geom, grid_size=g, tip_force=1e-6).tip_deflection for g in grids]
     assert convergence_order(geom, grids, 1e-6) == _fitted_order(geom.length, grids, tips)
+
+
+@pytest.mark.parametrize("grids", [[50, 100, 200, 400, 800], [50, 60, 72, 86, 104, 124, 149]])
+def test_convergence_order_fit_is_a_left_fold_on_every_python(grids):
+    # From Python 3.12 on, sum() adds floats with compensated summation; on
+    # these grids that moves the fitted order's last digit.
+    geom = _beam()
+    ei = composite_section(geom).flexural_rigidity
+    tips = [_solve_nodes(geom.length, ei, g, 1e-6, 0.0, (0, g - 1))[0][1] for g in grids]
+    xs = [math.log(geom.length / (g - 1)) for g in grids[:-1]]
+    ys = [math.log(abs(coarse - fine)) for coarse, fine in zip(tips, tips[1:])]
+    x_mean = y_mean = num = den = 0.0
+    for x, y in zip(xs, ys):
+        x_mean += x
+        y_mean += y
+    x_mean /= len(xs)
+    y_mean /= len(ys)
+    for x, y in zip(xs, ys):
+        num += (x - x_mean) * (y - y_mean)
+        den += (x - x_mean) ** 2
+    assert convergence_order(geom, grids, 1e-6) == num / den
+
+
+def test_solver_tip_is_the_reports_deflection_over_fuzzed_points():
+    # Under a tip force the 400-node central-difference tip deflection is
+    # the closed form times 1 - 1/399^2 exactly, up to rounding, on the
+    # fuzz's three parents and the first 50 finite fuzzed points of each.
+    # The solver forms 2 h^3 F / EI left to right, so where 2 h^3 |F/n| is
+    # subnormal the load loses its bits before EI scales it back up: those
+    # points are counted and skipped.
+    compared, subnormal = 0, []
+    for name in sorted(PARENTS):
+        for scenario in _finite_points(name, 50):
+            report = run_scenario(scenario)
+            sensor, env = scenario.sensor, scenario.environment
+            beam = sensor.beam
+            force = (
+                sensor.tip_force(scenario.drive, env, env.field_magnitude)
+                / sensor.load_share_count
+            )
+            h = beam.length / 399
+            if 2.0 * h**3 * abs(force) < sys.float_info.min:
+                subnormal.append((name, force))
+                continue
+            tip = solve_static(beam, 400, tip_force=force).tip_deflection
+            assert tip == pytest.approx(
+                report.tip_deflection * (1 - 1 / 399**2), rel=1e-12, abs=0
+            ), (name, scenario.tree)
+            compared += 1
+    assert compared >= 100, (compared, subnormal)
 
 
 def test_anchor_stress_single_layer():

@@ -16,7 +16,6 @@ from memsmag import (
     StepTooLargeError,
     TimeSeries,
     UnsettledError,
-    build_scenario,
     default_scenario,
     find_resonance,
     frequency_response,
@@ -35,8 +34,7 @@ from memsmag.dynamics import (
     _block_tables,
     _forcing,
 )
-from memsmag.scenario import _with_values
-from test_point_fuzz import PARENTS, _cases
+from test_point_fuzz import PARENTS, _finite_points
 
 
 def _default_parts():
@@ -424,23 +422,6 @@ def test_settled_dc_voltage_is_the_static_output(kind):
     report = run_scenario(scenario)
     signal = report.output_at_field - report.offset
     assert series.output_voltage[-1] == pytest.approx(signal, rel=1e-9)
-
-
-def _finite_points(name, count):
-    """The point fuzz's parent `name`, then the first `count` of its fuzzed
-    scenarios whose report is finite."""
-    yield build_scenario(PARENTS[name][1])
-    found = 0
-    for parent, edits in _cases(name, 100 * count):
-        try:
-            scenario = build_scenario(_with_values(parent.tree, edits))
-            run_scenario(scenario)
-        except (MemsmagError, OverflowError):
-            continue
-        yield scenario
-        found += 1
-        if found == count:
-            return
 
 
 def test_dc_transient_from_the_static_deflection_stays_on_the_report():

@@ -38,6 +38,7 @@ from memsmag import (
 from memsmag import scenario as scenario_module
 from memsmag.scenario import _with_values
 from memsmag.transduction import SensorDesign
+from test_point_fuzz import PARENTS, _finite_points
 
 
 def test_lorentz_report_fields():
@@ -1576,3 +1577,32 @@ def test_lorentz_resonance_scales_with_thickness(scale):
     base = run_scenario(build_scenario(tree))
     scaled = run_scenario(build_scenario(_thicknesses_scaled(tree, "support_beam", scale)))
     assert scaled.resonant_frequency == pytest.approx(base.resonant_frequency * scale, rel=1e-12)
+
+
+def test_doubled_thickness_scaling_is_exact_over_fuzzed_points():
+    # Doubling every layer of the beam scales the section's figures by
+    # powers of two, which rounding leaves exact: the anchor stress falls
+    # to a quarter, and with no tip mass k/m rises fourfold, so f0 doubles.
+    # On the fuzz's three parents and the first 50 finite fuzzed points of
+    # each; a doubled tree that fails to build or run is counted and skipped.
+    compared, failed = 0, []
+    for name in sorted(PARENTS):
+        for parent in _finite_points(name, 50):
+            beam = parent.sensor.beam_field
+            layers = parent.tree["sensor"][beam]["layers"]
+            edits = [
+                (["sensor", beam, "layers", i, "thickness"], 2 * layer["thickness"])
+                for i, layer in enumerate(layers)
+            ]
+            try:
+                doubled = run_scenario(build_scenario(_with_values(parent.tree, edits)))
+            except (MemsmagError, OverflowError) as exc:
+                failed.append((name, type(exc).__name__))
+                continue
+            base = run_scenario(parent)
+            assert doubled.anchor_stress == base.anchor_stress / 4, (name, parent.tree)
+            if parent.sensor.tip_mass == 0:
+                assert doubled.resonant_frequency == 2 * base.resonant_frequency, (
+                    name, parent.tree)
+            compared += 1
+    assert compared >= 100, (compared, failed)

@@ -23,7 +23,7 @@ from memsmag import (
     stack_curvature,
     tip_deflection,
 )
-from memsmag.mechanics import _layer_fiber_stress
+from memsmag.mechanics import _layer_arms, _layer_fiber_stress
 
 SILICON = builtin_material("silicon")
 NITRIDE = builtin_material("silicon_nitride")
@@ -506,6 +506,42 @@ def test_one_material_fiber_stress_is_the_homogeneous_anchor_stress():
         homogeneous = max_anchor_stress(force, geom.length, geom.width, geom.total_thickness, 1)
         worst = max(worst, abs(extreme - homogeneous) / homogeneous)
     assert worst <= 1e-12
+
+
+def _left_fold(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _left_folded_arms(geom):
+    """_layer_arms' sums, each written out as a left fold."""
+    t = [layer.thickness for layer in geom.layers]
+    weights = [layer.material.youngs_modulus * layer.thickness for layer in geom.layers]
+    arms = []
+    for i in range(len(t)):
+        below = _left_fold(
+            weights[j] * ((t[j] + t[i]) / 2 + _left_fold(t[j + 1:i])) for j in range(i)
+        )
+        above = _left_fold(
+            weights[j] * ((t[i] + t[j]) / 2 + _left_fold(t[i + 1:j]))
+            for j in range(i + 1, len(t))
+        )
+        arms.append((below - above) / _left_fold(weights))
+    return arms
+
+
+@pytest.mark.parametrize("thicknesses", [(1e-6, 6e-23, 6e-23), (6e-23, 1e-6, 6e-23, 6e-23, 1e-6)])
+def test_thickness_sums_are_left_folds_on_every_python(thicknesses):
+    # From Python 3.12 on, sum() adds floats with compensated summation. On
+    # these stacks that moves the last digit of the total thickness or of
+    # the arms, so a report's bytes would depend on the Python version.
+    geom = _beam(200e-6, 10e-6, *(LayerSpec(SILICON, t) for t in thicknesses))
+    assert geom.total_thickness == _left_fold(thicknesses)
+    assert list(_layer_arms(geom)) == _left_folded_arms(geom)
+    if len(thicknesses) == 3:
+        assert geom.total_thickness == 1e-06  # 1.0000000000000002e-06 by 3.12's sum()
 
 
 def test_stack_curvature_does_not_depend_on_the_width():

@@ -25,14 +25,13 @@ EXPORTED = [
     "load_scenario", "lorentz_force", "lumped_resonator", "max_anchor_stress",
     "min_detectable_field", "optimize", "oracle_check", "override_material",
     "piezo_fractional_resistance", "power_law_offset", "rms_noise", "run_scenario",
-    "sensitivity", "simulate_transient", "solve_static", "stack_curvature",
-    "steady_state_amplitude", "sweep", "thermal_electrical_psd", "thermal_mechanical_psd",
-    "tip_deflection", "validate_tree",
+    "simulate_transient", "solve_static", "stack_curvature", "steady_state_amplitude",
+    "sweep", "thermal_electrical_psd", "thermal_mechanical_psd", "tip_deflection",
 ]
 
 
 def test_all_lists_the_exported_names():
-    assert len(EXPORTED) == 79
+    assert len(EXPORTED) == 77
     assert sorted(memsmag.__all__) == EXPORTED
 
 

@@ -135,6 +135,23 @@ def _cases(name, cases):
         yield parent, [(steps, _fuzzed(rng, value)) for steps, value in chosen]
 
 
+def _finite_points(name, count):
+    """The point fuzz's parent `name`, then the first `count` of its fuzzed
+    scenarios whose report is finite."""
+    yield build_scenario(PARENTS[name][1])
+    found = 0
+    for parent, edits in _cases(name, 100 * count):
+        try:
+            scenario = build_scenario(_with_values(parent.tree, edits))
+            run_scenario(scenario)
+        except (MemsmagError, OverflowError):
+            continue
+        yield scenario
+        found += 1
+        if found == count:
+            return
+
+
 def fuzz(name, cases):
     """Run `cases` seeded cases on parent `name`; the tally of outcomes."""
     # One call's figures for every point, as one sweep or search keeps them.

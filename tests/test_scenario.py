@@ -22,10 +22,9 @@ from memsmag import (
     default_tree,
     load_scenario,
     override_material,
-    validate_tree,
 )
 from memsmag import scenario
-from memsmag.scenario import SENSOR_KINDS, _load_yaml, _packaged_tree, _resolve
+from memsmag.scenario import SENSOR_KINDS, _load_yaml, _packaged_tree
 
 
 @pytest.fixture(params=["libyaml", "pyyaml"])
@@ -501,12 +500,6 @@ def test_every_section_violation_in_order(kind):
     with pytest.raises(ValidationError) as excinfo:
         build_scenario(tree)
     assert excinfo.value.violations == expected
-
-
-@pytest.mark.parametrize("kind", sorted(_BROKEN))
-def test_validate_tree_agrees_with_build(kind):
-    tree, expected = _BROKEN[kind]
-    assert validate_tree(_resolve(_packaged_tree(kind), tree)) == expected
 
 
 def test_partial_tree_keeps_merge_order():

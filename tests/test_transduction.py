@@ -21,7 +21,7 @@ from memsmag import (
     override_material,
     piezo_fractional_resistance,
     power_law_offset,
-    sensitivity,
+    run_scenario,
 )
 
 
@@ -67,19 +67,27 @@ def test_gauge_response_examples():
 
 
 def test_lorentz_sensitivity_zero_drive():
+    # No current on the loop gives no signal: the report refuses it and
+    # names the four factors of the sensitivity.
     scenario = default_scenario("lorentz")
-    quiet = Drive(waveform="dc", amplitude=0.0)
-    assert sensitivity(scenario.sensor, quiet, scenario.environment) == 0.0
+    quiet = dataclasses.replace(scenario, drive=Drive(waveform="dc", amplitude=0.0))
+    with pytest.raises(DomainError) as excinfo:
+        run_scenario(quiet)
+    message = str(excinfo.value)
+    assert message.startswith(
+        "noise: sensitivity must be nonzero to resolve a field; its factors are"
+        " tip force per tesla 0.0 N/T at environment.field_angle "
+    )
+    for factor in (" anchor stress per newton ", " gauge film silicon pi_longitudinal ",
+                   " sensor.bridge_bias 2.0 V"):
+        assert factor in message
 
 
 def test_default_sensitivities():
-    lorentz = default_scenario("lorentz")
-    s = sensitivity(lorentz.sensor, lorentz.drive, lorentz.environment)
-    assert s == pytest.approx(0.0803403, rel=1e-5)
-    ferro = default_scenario("ferro")
-    assert sensitivity(ferro.sensor, ferro.drive, ferro.environment) == pytest.approx(
-        0.0393558, rel=1e-5
-    )
+    lorentz = run_scenario(default_scenario("lorentz"))
+    assert lorentz.sensitivity == pytest.approx(0.0803403, rel=1e-5)
+    ferro = run_scenario(default_scenario("ferro"))
+    assert ferro.sensitivity == pytest.approx(0.0393558, rel=1e-5)
 
 
 def test_sensitivity_needs_gauge_coefficient():
@@ -206,15 +214,17 @@ def test_ferro_misalignment_keeps_aligned_field_responsive():
     # At field_angle = 0 the deliberate mount misalignment still couples.
     scenario = default_scenario("ferro")
     env = Environment(field_magnitude=0.4, field_angle=0.0)
-    assert sensitivity(scenario.sensor, scenario.drive, env) > 0
+    assert run_scenario(dataclasses.replace(scenario, environment=env)).sensitivity > 0
     assert scenario.sensor.misalignment == pytest.approx(math.radians(5.0))
 
 
 def test_override_changes_gauge_response():
     scenario = default_scenario("lorentz")
     sensor = scenario.sensor
-    base = sensitivity(sensor, scenario.drive, scenario.environment)
+    base = run_scenario(scenario).sensitivity
     material = override_material(sensor.gauge.material, pi_longitudinal=2.04e-9)
-    sensor.gauge = dataclasses.replace(sensor.gauge, material=material)
-    doubled = sensitivity(sensor, scenario.drive, scenario.environment)
+    gauge = dataclasses.replace(sensor.gauge, material=material)
+    doubled = run_scenario(
+        dataclasses.replace(scenario, sensor=dataclasses.replace(sensor, gauge=gauge))
+    ).sensitivity
     assert doubled == pytest.approx(2 * base, rel=1e-9)
